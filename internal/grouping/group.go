@@ -121,6 +121,15 @@ type Base struct {
 	// instead of a scan over every member of every group. It is not
 	// serialized; Read recomputes it from the stored membership.
 	indexed map[int]bool
+	// repIndex is AddSeries' nearest-representative search structure per
+	// length (assign.go). Derived state like indexed: never serialized,
+	// built on the first insert into a length (see repIndexFor).
+	repIndex map[int]*repIndex
+	// hashed is how many leading series of the dataset DatasetSum covers,
+	// which lets AddSeries extend the checksum instead of recomputing it
+	// (see extendDatasetSum). Zero means not known yet: the base was
+	// deserialized and has not seen its dataset.
+	hashed int
 }
 
 // ErrNoData is returned when the dataset has no subsequence in range.
@@ -201,6 +210,7 @@ func Build(d *ts.Dataset, opts Options) (*Base, error) {
 		MaxLength:   maxLen,
 		ByLength:    make(map[int]*LengthGroups),
 		indexed:     make(map[int]bool, d.Len()),
+		hashed:      d.Len(),
 	}
 	// Mark every series that contributed windows. Series shorter than
 	// MinLength contribute nothing and stay unmarked — re-streaming one is
@@ -229,32 +239,24 @@ func Build(d *ts.Dataset, opts Options) (*Base, error) {
 	return b, nil
 }
 
-// builderGroup carries the running centroid sums during construction.
-type builderGroup struct {
-	sum     []float64
-	rep     []float64
-	members []ts.SubSeq
-}
-
-func (bg *builderGroup) add(vals []float64, ref ts.SubSeq) {
-	if bg.sum == nil {
-		bg.sum = make([]float64, len(vals))
-		bg.rep = make([]float64, len(vals))
-	}
-	bg.members = append(bg.members, ref)
-	inv := 1 / float64(len(bg.members))
-	for i, v := range vals {
-		bg.sum[i] += v
-		bg.rep[i] = bg.sum[i] * inv
+// addToCentroid adds member ref (values w) to g and moves g.Rep to the new
+// member mean; sum carries the running per-position totals behind it.
+func addToCentroid(g *Group, sum, w []float64, ref ts.SubSeq) {
+	g.Members = append(g.Members, ref)
+	inv := 1 / float64(len(g.Members))
+	for i, v := range w {
+		sum[i] += v
+		g.Rep[i] = sum[i] * inv
 	}
 }
 
 // buildLength clusters every window of one length; this is the hot path of
 // base construction.
 func buildLength(d *ts.Dataset, length int, st float64, repair bool) (*LengthGroups, BuildStats) {
-	half := st * float64(length) / 2
 	var stats BuildStats
-	var groups []*builderGroup
+	var groups []*Group
+	var sums [][]float64 // sums[i] is groups[i]'s running centroid total
+	ix := newRepIndex(st*float64(length)/2, nil)
 
 	for si, s := range d.Series {
 		if s.Len() < length {
@@ -264,31 +266,18 @@ func buildLength(d *ts.Dataset, length int, st float64, repair bool) (*LengthGro
 			w := s.Values[startIdx : startIdx+length]
 			stats.NumWindows++
 
-			best := -1
-			bestD := math.Inf(1)
-			for gi, g := range groups {
-				// Cheap endpoint filter before the full ED.
-				if dist.LBKim(w, g.rep) > half {
-					continue
-				}
-				ub := half
-				if bestD < ub {
-					ub = bestD
-				}
-				stats.EDComputed++
-				dd := dist.EDEarlyAbandon(w, g.rep, ub)
-				if dd <= half && dd < bestD {
-					best = gi
-					bestD = dd
-				}
-			}
+			best, evals := ix.nearest(w, groups)
+			stats.EDComputed += evals
 			ref := ts.SubSeq{Series: si, Start: startIdx, Length: length}
 			if best >= 0 {
-				groups[best].add(w, ref)
+				addToCentroid(groups[best], sums[best], w, ref)
+				ix.moved(best, groups[best].Rep)
 			} else {
-				ng := &builderGroup{}
-				ng.add(w, ref)
-				groups = append(groups, ng)
+				g := &Group{Length: length, Rep: make([]float64, length)}
+				sum := make([]float64, length)
+				addToCentroid(g, sum, w, ref)
+				groups, sums = append(groups, g), append(sums, sum)
+				ix.add(g.Rep)
 			}
 		}
 	}
@@ -296,75 +285,66 @@ func buildLength(d *ts.Dataset, length int, st float64, repair bool) (*LengthGro
 		return nil, stats
 	}
 	if repair {
-		groups = repairLength(d, groups, half, &stats)
+		groups = repairLength(d, groups, ix, &stats)
 	}
 
 	lg := &LengthGroups{Length: length, Groups: make([]*Group, 0, len(groups))}
-	for _, bg := range groups {
-		if len(bg.members) == 0 {
-			continue
+	for _, g := range groups {
+		if len(g.Members) > 0 {
+			lg.Groups = append(lg.Groups, g)
 		}
-		lg.Groups = append(lg.Groups, &Group{Length: length, Rep: bg.rep, Members: bg.members})
 	}
-	// Largest groups first: the overview pane and the query processor both
-	// prefer visiting high-cardinality groups early.
-	sort.SliceStable(lg.Groups, func(i, j int) bool {
-		return len(lg.Groups[i].Members) > len(lg.Groups[j].Members)
-	})
+	sortGroupsByCount(lg.Groups)
 	stats.NumGroups = len(lg.Groups)
 	return lg, stats
+}
+
+// sortGroupsByCount puts the largest groups first, keeping the order of
+// equal ones: the overview pane and the query processor both prefer
+// visiting high-cardinality groups early.
+func sortGroupsByCount(groups []*Group) {
+	sort.SliceStable(groups, func(i, j int) bool {
+		return len(groups[i].Members) > len(groups[j].Members)
+	})
 }
 
 // repairLength freezes representatives and re-homes members that centroid
 // drift pushed beyond ST/2, guaranteeing the §3.1 invariant exactly.
 // Members that fit no frozen representative seed new singleton groups whose
-// representative is the member itself (trivially within bound).
-func repairLength(d *ts.Dataset, groups []*builderGroup, half float64, stats *BuildStats) []*builderGroup {
+// representative is the member itself (trivially within bound). ix indexes
+// groups and is kept in step with it.
+func repairLength(d *ts.Dataset, groups []*Group, ix *repIndex, stats *BuildStats) []*Group {
+	half := ix.half
 	var strays []ts.SubSeq
-	for _, g := range groups {
-		kept := g.members[:0]
-		for _, m := range g.members {
-			if dist.EDEarlyAbandon(m.Values(d), g.rep, half) <= half {
+	for gi, g := range groups {
+		kept := g.Members[:0]
+		for _, m := range g.Members {
+			if dist.EDEarlyAbandon(m.Values(d), g.Rep, half) <= half {
 				kept = append(kept, m)
 			} else {
 				strays = append(strays, m)
 			}
 		}
-		g.members = kept
-	}
-	if len(strays) == 0 {
-		return groups
+		g.Members = kept
+		if len(kept) == 0 {
+			// An emptied group is dropped from the base; strays must not
+			// re-home into it.
+			ix.remove(gi)
+		}
 	}
 	for _, m := range strays {
 		w := m.Values(d)
-		best := -1
-		bestD := math.Inf(1)
-		for gi, g := range groups {
-			if len(g.members) == 0 {
-				continue
-			}
-			if dist.LBKim(w, g.rep) > half {
-				continue
-			}
-			ub := half
-			if bestD < ub {
-				ub = bestD
-			}
-			stats.EDComputed++
-			dd := dist.EDEarlyAbandon(w, g.rep, ub)
-			if dd <= half && dd < bestD {
-				best = gi
-				bestD = dd
-			}
-		}
+		best, evals := ix.nearest(w, groups)
+		stats.EDComputed += evals
 		if best >= 0 {
 			// Frozen representative: append member without moving rep.
-			groups[best].members = append(groups[best].members, m)
+			groups[best].Members = append(groups[best].Members, m)
 			stats.Rehomed++
 		} else {
 			rep := make([]float64, len(w))
 			copy(rep, w)
-			groups = append(groups, &builderGroup{rep: rep, members: []ts.SubSeq{m}})
+			groups = append(groups, &Group{Length: len(w), Rep: rep, Members: []ts.SubSeq{m}})
+			ix.add(rep)
 			stats.Reseeded++
 		}
 	}
@@ -487,29 +467,32 @@ func (b *Base) Validate(d *ts.Dataset) error {
 // name, series names, and raw value bits; used to tie a serialized base to
 // its dataset.
 func DatasetChecksum(d *ts.Dataset) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	mixStr := func(s string) {
-		for i := 0; i < len(s); i++ {
-			mix(s[i])
-		}
-		mix(0xFF)
-	}
-	mixStr(d.Name)
+	h := checksumString(14695981039346656037, d.Name) // FNV-1a offset basis
 	for _, s := range d.Series {
-		mixStr(s.Name)
-		for _, v := range s.Values {
-			bits := math.Float64bits(v)
-			for k := 0; k < 8; k++ {
-				mix(byte(bits >> (8 * k)))
-			}
+		h = checksumSeries(h, s)
+	}
+	return h
+}
+
+const fnvPrime64 = 1099511628211
+
+// checksumString continues the FNV-1a state h over s and a terminator.
+func checksumString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return (h ^ 0xFF) * fnvPrime64
+}
+
+// checksumSeries continues the FNV-1a state h over one series' name and
+// value bits. Because the digest is a running state, the checksum of a
+// dataset with one more series is checksumSeries(old checksum, new series).
+func checksumSeries(h uint64, s *ts.Series) uint64 {
+	h = checksumString(h, s.Name)
+	for _, v := range s.Values {
+		bits := math.Float64bits(v)
+		for k := 0; k < 8; k++ {
+			h = (h ^ uint64(byte(bits>>(8*k)))) * fnvPrime64
 		}
 	}
 	return h

@@ -2,10 +2,7 @@ package grouping
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
-	"repro/internal/dist"
 	"repro/internal/ts"
 )
 
@@ -16,16 +13,20 @@ import (
 // singleton groups. Representatives never move during an insert, so the
 // §3.1 invariant is preserved exactly for old and new members alike.
 //
-// The base's dataset checksum is refreshed to d's current state, so
-// engines must be constructed (or reconstructed) after the insert.
-// AddSeries is not safe to run concurrently with queries on the same base.
+// An insert costs work proportional to the new series, not to the dataset:
+// each window is matched through the per-length repIndex (assign.go), and
+// DatasetSum is extended with the new series' bytes only, so afterwards
+// b.DatasetSum == DatasetChecksum(d) without re-hashing d. An engine bound
+// to the same d and b stays valid across the insert and sees the new
+// members. AddSeries is not safe to run concurrently with queries on the
+// same base.
 func (b *Base) AddSeries(d *ts.Dataset, si int) error {
 	if si < 0 || si >= d.Len() {
 		return fmt.Errorf("grouping: AddSeries: series index %d out of range", si)
 	}
 	// The insert compares the new series' windows against existing group
-	// representatives and the checksum refresh walks every value; pin
-	// mmap-backed storage across both (no-op for heap datasets).
+	// representatives; pin mmap-backed storage across it (no-op for heap
+	// datasets).
 	release, err := d.Pin()
 	if err != nil {
 		return fmt.Errorf("grouping: AddSeries: %w", err)
@@ -40,44 +41,28 @@ func (b *Base) AddSeries(d *ts.Dataset, si int) error {
 	}
 	added := 0
 	for l := b.MinLength; l <= b.MaxLength && l <= s.Len(); l++ {
-		half := b.HalfST(l)
 		lg := b.ByLength[l]
 		if lg == nil {
 			lg = &LengthGroups{Length: l}
 			b.ByLength[l] = lg
 		}
+		ix := b.repIndexFor(lg)
 		for start := 0; start+l <= s.Len(); start++ {
 			w := s.Values[start : start+l]
-			best := -1
-			bestD := math.Inf(1)
-			for gi, g := range lg.Groups {
-				if dist.LBKim(w, g.Rep) > half {
-					continue
-				}
-				ub := half
-				if bestD < ub {
-					ub = bestD
-				}
-				dd := dist.EDEarlyAbandon(w, g.Rep, ub)
-				if dd <= half && dd < bestD {
-					best = gi
-					bestD = dd
-				}
-			}
 			ref := ts.SubSeq{Series: si, Start: start, Length: l}
-			if best >= 0 {
-				lg.Groups[best].Members = append(lg.Groups[best].Members, ref)
+			if best, _ := ix.nearest(w, lg.Groups); best >= 0 {
+				g := lg.Groups[best]
+				g.Members = append(g.Members, ref)
 			} else {
 				rep := make([]float64, l)
 				copy(rep, w)
 				lg.Groups = append(lg.Groups, &Group{Length: l, Rep: rep, Members: []ts.SubSeq{ref}})
+				ix.add(rep)
 			}
 			added++
 		}
 		// Keep the overview ordering (largest groups first).
-		sort.SliceStable(lg.Groups, func(i, j int) bool {
-			return len(lg.Groups[i].Members) > len(lg.Groups[j].Members)
-		})
+		ix.sortByCount(lg.Groups)
 	}
 	if added > 0 {
 		// Series too short to contribute stay unmarked, so re-streaming one
@@ -90,18 +75,52 @@ func (b *Base) AddSeries(d *ts.Dataset, si int) error {
 	}
 	b.BuildStats.NumWindows += added
 	b.BuildStats.NumGroups = b.NumGroups()
-	b.DatasetSum = DatasetChecksum(d)
+	b.extendDatasetSum(d)
 	return nil
+}
+
+// repIndexFor returns the search index over lg's representatives, building
+// it on first use: the index is derived state — Build discards its own,
+// Read and RemoveSeries leave none — so the first insert into a length pays
+// one pass over that length's representatives and later ones none.
+func (b *Base) repIndexFor(lg *LengthGroups) *repIndex {
+	if ix := b.repIndex[lg.Length]; ix != nil {
+		return ix
+	}
+	ix := newRepIndex(b.HalfST(lg.Length), lg.Groups)
+	if b.repIndex == nil {
+		b.repIndex = make(map[int]*repIndex)
+	}
+	b.repIndex[lg.Length] = ix
+	return ix
+}
+
+// extendDatasetSum brings DatasetSum up to date with d by hashing only the
+// series of d it does not cover yet. DatasetSum is the FNV-1a running state
+// after d's first b.hashed series, and series are only ever appended, so
+// continuing from it equals DatasetChecksum(d). A base that has not been
+// tied to an in-memory dataset yet (loaded by Read) hashes d in full, once.
+func (b *Base) extendDatasetSum(d *ts.Dataset) {
+	if b.hashed == 0 {
+		b.DatasetSum, b.hashed = DatasetChecksum(d), d.Len()
+		return
+	}
+	for ; b.hashed < d.Len(); b.hashed++ {
+		b.DatasetSum = checksumSeries(b.DatasetSum, d.Series[b.hashed])
+	}
 }
 
 // RemoveSeries is AddSeries' inverse for ingest rollback: it removes every
 // member of series si from the base, drops groups that become empty, and
-// refreshes the dataset checksum against d (which must already have the
-// series removed). It is only sound for the most recently added series —
-// member references hold series indices, and removing an interior series
-// would shift every later index. Representatives never move during an
-// insert, so removal restores the exact pre-insert grouping (group order
-// among equal cardinalities may differ; queries are order-independent).
+// re-hashes d (which must already have the series removed) to restore the
+// pre-insert checksum — rollback is the rare path, so unlike AddSeries it
+// may walk the dataset and every member, and it discards the search index
+// (rebuilt by the next insert). It is only sound for the most recently
+// added series — member references hold series indices, and removing an
+// interior series would shift every later index. Representatives never
+// move during an insert, so removal restores the exact pre-insert grouping
+// (group order among equal cardinalities may differ; queries are
+// order-independent).
 func (b *Base) RemoveSeries(d *ts.Dataset, si int) {
 	removed := 0
 	for l, lg := range b.ByLength {
@@ -127,14 +146,13 @@ func (b *Base) RemoveSeries(d *ts.Dataset, si int) {
 			delete(b.ByLength, l)
 			continue
 		}
-		sort.SliceStable(lg.Groups, func(i, j int) bool {
-			return len(lg.Groups[i].Members) > len(lg.Groups[j].Members)
-		})
+		sortGroupsByCount(lg.Groups)
 	}
 	delete(b.indexed, si)
+	b.repIndex = nil
 	b.BuildStats.NumWindows -= removed
 	b.BuildStats.NumGroups = b.NumGroups()
-	b.DatasetSum = DatasetChecksum(d)
+	b.DatasetSum, b.hashed = DatasetChecksum(d), d.Len()
 }
 
 // reindexSeries rebuilds the indexed-series set from the stored membership

@@ -59,14 +59,19 @@ func postBody(t testing.TB, url, body string, header http.Header) (int, []byte) 
 
 var (
 	wallMicrosRE  = regexp.MustCompile(`"wall_micros":\d+`)
+	dtwsRE        = regexp.MustCompile(`"dtws":\d+`)
 	buildMillisRE = regexp.MustCompile(`"BuildMillis":\d+`)
 )
 
-// stripWall zeroes the measured wall times (query wall_micros, ingest
-// BuildMillis), the only nondeterministic response fields; everything else
-// is contractually deterministic.
-func stripWall(b []byte) []byte {
+// stripVolatile zeroes the response fields that are not contractually
+// deterministic: the measured wall times (query wall_micros, ingest
+// BuildMillis) and stats.dtws, which at Workers > 1 depends on how fast the
+// shared kth-best bound tightens across goroutines (PR 4's determinism
+// contract covers matches, order, groups, groups_refined and candidates —
+// never the DTW count).
+func stripVolatile(b []byte) []byte {
 	b = wallMicrosRE.ReplaceAll(b, []byte(`"wall_micros":0`))
+	b = dtwsRE.ReplaceAll(b, []byte(`"dtws":0`))
 	return buildMillisRE.ReplaceAll(b, []byte(`"BuildMillis":0`))
 }
 
@@ -170,7 +175,7 @@ func TestCacheInvalidationOnIngest(t *testing.T) {
 	if st != 200 {
 		t.Fatalf("post-ingest status = %d", st)
 	}
-	if bytes.Equal(stripWall(before), stripWall(after)) {
+	if bytes.Equal(stripVolatile(before), stripVolatile(after)) {
 		t.Fatal("post-ingest query served the stale pre-ingest answer")
 	}
 	var res onex.Result
@@ -226,7 +231,7 @@ func TestCacheInvalidationOnDatasetReload(t *testing.T) {
 	if st != 200 {
 		t.Fatalf("post-reload status = %d (%s)", st, after)
 	}
-	if bytes.Equal(stripWall(before), stripWall(after)) {
+	if bytes.Equal(stripVolatile(before), stripVolatile(after)) {
 		t.Fatal("post-reload query served the old incarnation's cached answer")
 	}
 	var res onex.Result
@@ -261,7 +266,7 @@ func TestNoCacheHeaderRevalidates(t *testing.T) {
 	if s.cache.Stats().Hits != hits {
 		t.Fatal("no-cache request was served from the cache")
 	}
-	if !bytes.Equal(stripWall(cached), stripWall(fresh)) {
+	if !bytes.Equal(stripVolatile(cached), stripVolatile(fresh)) {
 		t.Fatalf("fresh recomputation disagrees with cached answer:\n%s\n%s", cached, fresh)
 	}
 }
@@ -313,7 +318,7 @@ func TestCachedServerEquivalence(t *testing.T) {
 		if stC != stP {
 			t.Fatalf("step %d %s: status diverged cached=%d plain=%d (%s)", step, path, stC, stP, body)
 		}
-		if !bytes.Equal(stripWall(bodyC), stripWall(bodyP)) {
+		if !bytes.Equal(stripVolatile(bodyC), stripVolatile(bodyP)) {
 			t.Fatalf("step %d %s %s:\ncached: %s\nplain:  %s", step, path, body, bodyC, bodyP)
 		}
 	}

@@ -58,7 +58,7 @@ func (db *DB) AddSeries(name string, values []float64) error {
 		return fmt.Errorf("onex: AddSeries: %w", err)
 	}
 	if db.store != nil {
-		rec := store.Record{Seq: db.version + 1, Name: name, Values: values}
+		rec := store.Record{Seq: db.version.Load() + 1, Name: name, Values: values}
 		if err := db.store.Append(rec); err != nil {
 			db.unapplySeriesLocked(name)
 			return fmt.Errorf("onex: AddSeries: wal: %w", err)
@@ -66,13 +66,16 @@ func (db *DB) AddSeries(name string, values []float64) error {
 	}
 	// Still under the write lock: any reader that subsequently observes the
 	// new version is guaranteed to see the ingested series too.
-	db.version++
+	db.version.Add(1)
 	db.maybeCompactLocked()
 	return nil
 }
 
 // applySeriesLocked performs the in-memory half of an ingest: append to both
-// dataset views, index into the base, rebind the engine. On error the DB is
+// dataset views and index into the base. The engine needs nothing: it holds
+// the same *ts.Dataset and *grouping.Base, both mutated in place, and the
+// base keeps its dataset checksum current itself — so an insert costs work
+// proportional to the new series, never to the dataset. On error the DB is
 // unchanged. Callers hold the write lock (or exclusive access, during
 // recovery replay) and are responsible for bumping version afterwards.
 func (db *DB) applySeriesLocked(name string, values []float64) error {
@@ -103,14 +106,6 @@ func (db *DB) applySeriesLocked(name string, values []float64) error {
 		db.normed.Remove(name)
 		return err
 	}
-	// The engine binds dataset+base by checksum; rebind after the change
-	// (still under the write lock, so no query observes the stale binding).
-	engine, err := newEngine(db.normed, db.base, db.cfg)
-	if err != nil {
-		db.unapplySeriesLocked(name)
-		return fmt.Errorf("rebind engine: %w", err)
-	}
-	db.engine = engine
 	return nil
 }
 
@@ -123,12 +118,6 @@ func (db *DB) unapplySeriesLocked(name string) {
 	db.raw.Remove(name)
 	db.normed.Remove(name)
 	db.base.RemoveSeries(db.normed, si)
-	// Rebind over the restored state; the pre-insert engine referenced the
-	// same (now restored) dataset and base, so failure here is impossible in
-	// practice — keep the old binding if it somehow happens.
-	if engine, err := newEngine(db.normed, db.base, db.cfg); err == nil {
-		db.engine = engine
-	}
 }
 
 // CommonShape is a shape shared across several series, in original units.
@@ -287,7 +276,8 @@ func OpenWithBase(d *ts.Dataset, basePath string, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("onex: OpenWithBase: %w", err)
 	}
-	db := &DB{raw: raw, normed: normed, base: base, engine: engine, cfg: cfg, version: 1, id: lastDBID.Add(1), store: cfg.Store}
+	db := &DB{raw: raw, normed: normed, base: base, engine: engine, cfg: cfg, id: lastDBID.Add(1), store: cfg.Store}
+	db.version.Store(1)
 	if db.store != nil {
 		applyFsyncEvery(db.store, cfg.FsyncEvery)
 		// Same contract as Open: persist the opening state immediately so a

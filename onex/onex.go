@@ -141,10 +141,12 @@ type DB struct {
 	engine *core.Engine
 	cfg    Config
 	// version counts successful mutations (AddSeries) since Open. It is
-	// bumped under the write lock, so any query that observes version v is
-	// answered from data at least as new as mutation v — the property
-	// result caches key on to never serve a stale answer.
-	version uint64
+	// bumped under the write lock (after the in-memory apply and the WAL
+	// append), so any query that observes version v is answered from data
+	// at least as new as mutation v — the property result caches key on to
+	// never serve a stale answer. It is atomic so Version never queues
+	// behind a pending writer; every write still happens under mu.
+	version atomic.Uint64
 	// id is the process-unique instance identifier assigned at Open,
 	// immutable thereafter. See ID.
 	id uint64
@@ -288,7 +290,8 @@ func Open(d *ts.Dataset, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("onex: Open: %w", err)
 	}
-	db := &DB{raw: raw, normed: normed, base: base, engine: engine, cfg: cfg, version: 1, id: lastDBID.Add(1), store: cfg.Store}
+	db := &DB{raw: raw, normed: normed, base: base, engine: engine, cfg: cfg, id: lastDBID.Add(1), store: cfg.Store}
+	db.version.Store(1)
 	if db.store != nil {
 		applyFsyncEvery(db.store, cfg.FsyncEvery)
 		// Persist the freshly built state immediately so a crash right after
@@ -366,11 +369,8 @@ func (db *DB) ST() float64 {
 // returned v is answered from data at least as new as mutation v. Result
 // caches key entries on (dataset, Version, canonical request) so a cached
 // answer computed before an ingest is structurally unreachable after it.
-func (db *DB) Version() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.version
-}
+// Version is a single atomic load: it never waits for the DB lock.
+func (db *DB) Version() uint64 { return db.version.Load() }
 
 // ID returns this DB instance's process-unique identifier, assigned at
 // Open and immutable thereafter. Version distinguishes mutations of one

@@ -106,13 +106,13 @@ func (db *DB) ApplyReplicated(seq uint64, name string, values []float64) error {
 	if err := db.checkValuesLocked(); err != nil {
 		return err
 	}
-	if seq != db.version+1 {
-		return fmt.Errorf("onex: ApplyReplicated: record seq %d does not follow version %d (lost records; re-bootstrap)", seq, db.version)
+	if ver := db.version.Load(); seq != ver+1 {
+		return fmt.Errorf("onex: ApplyReplicated: record seq %d does not follow version %d (lost records; re-bootstrap)", seq, ver)
 	}
 	if err := db.applySeriesLocked(name, values); err != nil {
 		return fmt.Errorf("onex: ApplyReplicated: seq %d (%q): %w", seq, name, err)
 	}
-	db.version++
+	db.version.Add(1)
 	return nil
 }
 

@@ -86,18 +86,19 @@ func openFromEngine(eng store.Engine, cfg Config) (*DB, error) {
 	// between compaction's two renames leaves them behind) are skipped by
 	// sequence; past that, the log must be contiguous with the snapshot.
 	for _, rec := range res.Records {
-		if rec.Seq <= db.version {
+		ver := db.version.Load()
+		if rec.Seq <= ver {
 			continue
 		}
-		if rec.Seq != db.version+1 {
+		if rec.Seq != ver+1 {
 			releaseStateSource(res.State)
-			return nil, fmt.Errorf("onex: OpenStore: replay: record seq %d does not follow version %d (lost records)", rec.Seq, db.version)
+			return nil, fmt.Errorf("onex: OpenStore: replay: record seq %d does not follow version %d (lost records)", rec.Seq, ver)
 		}
 		if err := db.applySeriesLocked(rec.Name, rec.Values); err != nil {
 			releaseStateSource(res.State)
 			return nil, fmt.Errorf("onex: OpenStore: replay seq %d (%q): %w", rec.Seq, rec.Name, err)
 		}
-		db.version++
+		db.version.Add(1)
 	}
 	return db, nil
 }
@@ -143,16 +144,17 @@ func openFromState(st *store.State, cfg Config, op string) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("onex: %s: %w", op, err)
 	}
-	return &DB{
-		raw:     raw,
-		normed:  normed,
-		base:    st.Base,
-		engine:  engine,
-		cfg:     cfg,
-		version: st.Version,
-		id:      lastDBID.Add(1),
-		values:  raw.Source, // owner reference when mmap-backed; nil otherwise
-	}, nil
+	db := &DB{
+		raw:    raw,
+		normed: normed,
+		base:   st.Base,
+		engine: engine,
+		cfg:    cfg,
+		id:     lastDBID.Add(1),
+		values: raw.Source, // owner reference when mmap-backed; nil otherwise
+	}
+	db.version.Store(st.Version)
+	return db, nil
 }
 
 // applyRecordedNorm reconstructs the engine view of raw under a previously
@@ -201,7 +203,7 @@ func (db *DB) stateLocked() *store.State {
 		Dataset: db.raw,
 		Norm:    db.normed.Norm,
 		Base:    db.base,
-		Version: db.version,
+		Version: db.version.Load(),
 		Band:    db.cfg.Band,
 		Exact:   db.cfg.Exact,
 		KeepRaw: db.cfg.KeepRaw,
