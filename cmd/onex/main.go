@@ -1,13 +1,13 @@
 // Command onex is the ONEX command-line explorer: generate datasets, build
-// and inspect ONEX bases, run similarity and seasonal queries, get
-// threshold recommendations, and render the demo's SVG views.
+// and inspect ONEX bases, run similarity queries and every exploration
+// scenario, persist bases into store directories, and render the demo's SVG
+// views.
 //
 // Usage:
 //
 //	onex gen       -kind matters -indicator GrowthRate -out growth.csv
-//	onex build     -data growth.csv -out growth.base [-st 0.1 -minlen 4 -maxlen 12]
+//	onex build     -data growth.csv [-st 0.1 -minlen 4 -maxlen 12]         # build and print base stats
 //	onex query     -data growth.csv -series MA -start 0 -len 12 [-k 5] [-exclude-source] [-mode exact] [-workers 4] [-stats]
-//	onex query     -data growth.csv -base growth.base -series MA -len 12   # reuse base
 //	onex query     -data growth.csv -series MA -len 12 -progressive        # stream approx → exact
 //	onex range     -data growth.csv -series MA -len 12 -maxdist 0.05 [-workers 4] [-stats]
 //
@@ -22,17 +22,14 @@
 //	onex analyze   -data growth.csv -kind overview [-length 8 -k 12] [-stats]
 //	onex analyze   -data power.csv -kind seasonal -series household-00 -minlen 12 -maxlen 12
 //	onex analyze   -data growth.csv -kind similarity-sweep -series MA -len 8 -thresholds 0.02,0.05,0.1
+//	onex analyze   -data growth.csv -kind threshold-recommend
 //
 // analyze maps its flags onto the library's unified onex.Analysis and runs
 // it through DB.Analyze; every exploration scenario (overview,
 // group-members, length-summaries, seasonal, common-patterns,
 // similarity-sweep, threshold-recommend) is one -kind away, and Ctrl-C
-// cancels a long walk. The older per-scenario subcommands remain as
-// shortcuts:
+// cancels a long walk. viz renders the demo's views from the same calls:
 //
-//	onex seasonal  -data power.csv -series household-00 -minlen 12 -maxlen 12
-//	onex recommend -data growth.csv
-//	onex overview  -data growth.csv [-length 8 -k 12]
 //	onex viz       -data growth.csv -kind match -series MA -start 0 -len 12 -out fig.svg
 //
 // Persistence: snapshot builds a dataset once into a store directory
@@ -83,12 +80,6 @@ func main() {
 		err = cmdRange(os.Args[2:])
 	case "analyze":
 		err = cmdAnalyze(os.Args[2:])
-	case "seasonal":
-		err = cmdSeasonal(os.Args[2:])
-	case "recommend":
-		err = cmdRecommend(os.Args[2:])
-	case "overview":
-		err = cmdOverview(os.Args[2:])
 	case "viz":
 		err = cmdViz(os.Args[2:])
 	case "snapshot":
@@ -112,7 +103,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: onex <gen|build|query|range|analyze|seasonal|recommend|overview|viz|snapshot|compact|replica-status> [flags]
+	fmt.Fprintln(os.Stderr, `usage: onex <gen|build|query|range|analyze|viz|snapshot|compact|replica-status> [flags]
 run "onex <subcommand> -h" for flags`)
 }
 
@@ -170,7 +161,6 @@ func indicatorByName(name string) (gen.Indicator, bool) {
 // openFlags holds the flags shared by every subcommand that opens a DB.
 type openFlags struct {
 	data   *string
-	base   *string
 	store  *string
 	mmap   *bool
 	st     *float64
@@ -186,7 +176,6 @@ type openFlags struct {
 func addOpenFlags(fs *flag.FlagSet) *openFlags {
 	return &openFlags{
 		data:   fs.String("data", "", "dataset file (required unless -store)"),
-		base:   fs.String("base", "", "previously saved base file (skips preprocessing)"),
 		store:  fs.String("store", "", "warm-open from this store directory (see 'onex snapshot'); replaces -data"),
 		mmap:   fs.Bool("mmap", false, "with -store: serve values as zero-copy views over the memory-mapped snapshot (beyond-RAM datasets page in on demand)"),
 		st:     fs.Float64("st", 0, "per-point similarity threshold in normalized units (0 = auto)"),
@@ -199,8 +188,8 @@ func addOpenFlags(fs *flag.FlagSet) *openFlags {
 
 func (of *openFlags) open() (*onex.DB, error) {
 	if *of.store != "" {
-		if *of.data != "" || *of.base != "" {
-			return nil, fmt.Errorf("-store replaces -data/-base (the store holds the dataset and its index)")
+		if *of.data != "" {
+			return nil, fmt.Errorf("-store replaces -data (the store holds the dataset and its index)")
 		}
 		return onex.OpenStore(*of.store, onex.Config{MmapValues: *of.mmap})
 	}
@@ -209,17 +198,6 @@ func (of *openFlags) open() (*onex.DB, error) {
 	}
 	if *of.data == "" {
 		return nil, fmt.Errorf("-data is required")
-	}
-	if *of.base != "" {
-		d, err := onex.LoadDataset(*of.data)
-		if err != nil {
-			return nil, err
-		}
-		return onex.OpenWithBase(d, *of.base, onex.Config{
-			Band:  *of.band,
-			Exact: *of.exact,
-			Store: of.attach,
-		})
 	}
 	return onex.OpenFile(*of.data, onex.Config{
 		ST:        *of.st,
@@ -234,7 +212,6 @@ func (of *openFlags) open() (*onex.DB, error) {
 func cmdBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	of := addOpenFlags(fs)
-	out := fs.String("out", "", "save the built base to this file")
 	_ = fs.Parse(args)
 	db, err := of.open()
 	if err != nil {
@@ -247,12 +224,6 @@ func cmdBuild(args []string) error {
 	fmt.Fprintf(stdout, "groups:        %d\n", st.Groups)
 	fmt.Fprintf(stdout, "compaction:    %.1fx\n", st.CompactionRatio)
 	fmt.Fprintf(stdout, "build time:    %d ms\n", st.BuildMillis)
-	if *out != "" {
-		if err := db.SaveBase(*out); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "base saved:    %s\n", *out)
-	}
 	return nil
 }
 
@@ -544,76 +515,6 @@ func printAnalysis(res onex.AnalysisResult) {
 	}
 }
 
-func cmdSeasonal(args []string) error {
-	fs := flag.NewFlagSet("seasonal", flag.ExitOnError)
-	of := addOpenFlags(fs)
-	series := fs.String("series", "", "series to mine (required)")
-	minOcc := fs.Int("minocc", 2, "minimum occurrences")
-	_ = fs.Parse(args)
-	if *series == "" {
-		return fmt.Errorf("seasonal: -series is required")
-	}
-	db, err := of.open()
-	if err != nil {
-		return err
-	}
-	pats, err := db.Seasonal(*series, *of.minLen, *of.maxLen, *minOcc)
-	if err != nil {
-		return err
-	}
-	if len(pats) == 0 {
-		fmt.Fprintln(stdout, "no repeating patterns found")
-		return nil
-	}
-	for i, p := range pats {
-		fmt.Fprintf(stdout, "#%d length=%d occurrences=%d mean_gap=%.1f starts=%v\n",
-			i+1, p.Length, p.Occurrences, p.MeanGap, p.Starts)
-	}
-	return nil
-}
-
-func cmdRecommend(args []string) error {
-	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
-	of := addOpenFlags(fs)
-	_ = fs.Parse(args)
-	db, err := of.open()
-	if err != nil {
-		return err
-	}
-	recs, err := db.RecommendThresholds()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "data-driven similarity thresholds (normalized units):")
-	for _, r := range recs {
-		fmt.Fprintf(stdout, "  %-9s ST=%.6f (p%.0f of pairwise ED; ~%d groups, %.1fx compaction at probe length)\n",
-			r.Label, r.ST, r.Percentile*100, r.EstGroups, r.EstCompaction)
-	}
-	return nil
-}
-
-func cmdOverview(args []string) error {
-	fs := flag.NewFlagSet("overview", flag.ExitOnError)
-	of := addOpenFlags(fs)
-	length := fs.Int("length", 0, "group length (0 = auto-select)")
-	k := fs.Int("k", 12, "top-k groups")
-	_ = fs.Parse(args)
-	db, err := of.open()
-	if err != nil {
-		return err
-	}
-	groups := db.Overview(*length, *k)
-	if len(groups) == 0 {
-		fmt.Fprintln(stdout, "no groups")
-		return nil
-	}
-	fmt.Fprintf(stdout, "top %d similarity groups (length %d):\n", len(groups), groups[0].Length)
-	for i, g := range groups {
-		fmt.Fprintf(stdout, "  #%-3d count=%-5d rep=%s\n", i+1, g.Count, formatValues(g.Rep, 8))
-	}
-	return nil
-}
-
 func cmdViz(args []string) error {
 	fs := flag.NewFlagSet("viz", flag.ExitOnError)
 	of := addOpenFlags(fs)
@@ -632,16 +533,22 @@ func cmdViz(args []string) error {
 	if err != nil {
 		return err
 	}
+	ctx, stop := queryContext()
+	defer stop()
 	var svg string
 	switch *kind {
 	case "match":
 		if *series == "" || *length <= 0 {
 			return fmt.Errorf("viz match: -series and -len are required")
 		}
-		m, err := db.BestMatchForSeries(*series, *start, *length)
+		res, err := db.Find(ctx, onex.Query{
+			Window:  onex.Window{Series: *series, Start: *start, Length: *length},
+			Exclude: onex.Exclude{Self: true},
+		})
 		if err != nil {
 			return err
 		}
+		m := res.Matches[0]
 		vals, err := db.SeriesValues(*series)
 		if err != nil {
 			return err
@@ -679,10 +586,15 @@ func cmdViz(args []string) error {
 		if *series == "" {
 			return fmt.Errorf("viz seasonal: -series is required")
 		}
-		pats, err := db.Seasonal(*series, *length, *length, 2)
+		res, err := db.Analyze(ctx, onex.Analysis{
+			Kind:    onex.AnalysisSeasonal,
+			Series:  *series,
+			Lengths: onex.Lengths{Min: max(*length, 0), Max: max(*length, 0)},
+		})
 		if err != nil {
 			return err
 		}
+		pats := res.Patterns
 		vals, err := db.SeriesValues(*series)
 		if err != nil {
 			return err
@@ -698,9 +610,12 @@ func cmdViz(args []string) error {
 		}
 		svg = viz.SeasonalView(title, vals, segs, 760, 260)
 	case "overview":
-		groups := db.Overview(*length, *k)
-		cells := make([]viz.OverviewCell, len(groups))
-		for i, g := range groups {
+		res, err := db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisOverview, Length: max(*length, 0), K: *k})
+		if err != nil {
+			return err
+		}
+		cells := make([]viz.OverviewCell, len(res.Groups))
+		for i, g := range res.Groups {
 			cells[i] = viz.OverviewCell{Rep: g.Rep, Count: g.Count,
 				Label: fmt.Sprintf("len %d · n=%d", g.Length, g.Count)}
 		}
@@ -715,9 +630,8 @@ func cmdViz(args []string) error {
 	return nil
 }
 
-// cmdSnapshot builds a dataset (or reuses a saved base) and persists it
-// into a store directory: one snapshot file plus an empty WAL, ready for
-// warm opens with -store.
+// cmdSnapshot builds a dataset and persists it into a store directory: one
+// snapshot file plus an empty WAL, ready for warm opens with -store.
 func cmdSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot", flag.ExitOnError)
 	of := addOpenFlags(fs)
@@ -729,7 +643,7 @@ func cmdSnapshot(args []string) error {
 		return fmt.Errorf("snapshot: -data is required (the dataset to persist)")
 	}
 	dir := *of.store
-	*of.store = "" // open cold from -data/-base; the engine attaches below
+	*of.store = "" // open cold from -data; the engine attaches below
 	eng, err := store.Open(dir)
 	if err != nil {
 		return err

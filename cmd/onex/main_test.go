@@ -67,19 +67,16 @@ func TestCmdGenAllKinds(t *testing.T) {
 func TestCmdBuildQueryRangeFlow(t *testing.T) {
 	dir := t.TempDir()
 	data := genGrowth(t, dir)
-	basePath := filepath.Join(dir, "growth.base")
 
-	out := capture(t, cmdBuild, []string{"-data", data, "-minlen", "4", "-maxlen", "9", "-out", basePath})
-	for _, want := range []string{"subsequences:", "groups:", "compaction:", "base saved:"} {
+	out := capture(t, cmdBuild, []string{"-data", data, "-minlen", "4", "-maxlen", "9"})
+	for _, want := range []string{"subsequences:", "groups:", "compaction:", "build time:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("build output missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := os.Stat(basePath); err != nil {
-		t.Fatal("base not written")
-	}
 
-	// Query without the base (rebuild) and with it must both answer.
+	// Query after a rebuild and from a persisted store must both answer,
+	// identically.
 	q1 := capture(t, cmdQuery, []string{"-data", data, "-minlen", "4", "-maxlen", "9",
 		"-series", "MA", "-start", "0", "-len", "8", "-exclude-source"})
 	if !strings.Contains(q1, "match:") {
@@ -90,13 +87,15 @@ func TestCmdBuildQueryRangeFlow(t *testing.T) {
 			t.Fatalf("exclude-source returned the source series: %s", line)
 		}
 	}
-	q2 := capture(t, cmdQuery, []string{"-data", data, "-base", basePath,
+	storeDir := filepath.Join(dir, "growth.store")
+	capture(t, cmdSnapshot, []string{"-data", data, "-minlen", "4", "-maxlen", "9", "-store", storeDir})
+	q2 := capture(t, cmdQuery, []string{"-store", storeDir,
 		"-series", "MA", "-start", "0", "-len", "8", "-exclude-source"})
 	if q1 != q2 {
-		t.Fatalf("base-backed query differs:\n%s\nvs\n%s", q1, q2)
+		t.Fatalf("store-backed query differs:\n%s\nvs\n%s", q1, q2)
 	}
 
-	r := capture(t, cmdRange, []string{"-data", data, "-base", basePath,
+	r := capture(t, cmdRange, []string{"-store", storeDir,
 		"-series", "MA", "-len", "8", "-maxdist", "0.05", "-limit", "4"})
 	if !strings.Contains(r, "matches within") {
 		t.Fatalf("range output: %s", r)
@@ -182,30 +181,33 @@ func TestCmdQueryProgressive(t *testing.T) {
 	}
 }
 
+// TestCmdSeasonalRecommendOverview drives the three landing explorations
+// (seasonal patterns, threshold recommendations, group overview) through
+// analyze -kind.
 func TestCmdSeasonalRecommendOverview(t *testing.T) {
 	dir := t.TempDir()
 	power := filepath.Join(dir, "power.csv")
 	capture(t, cmdGen, []string{"-kind", "electricity", "-n", "1", "-len", "14", "-out", power})
 
-	s := capture(t, cmdSeasonal, []string{"-data", power, "-minlen", "12", "-maxlen", "12",
-		"-series", "household-00", "-band", "2"})
+	s := capture(t, cmdAnalyze, []string{"-data", power, "-minlen", "12", "-maxlen", "12",
+		"-kind", "seasonal", "-series", "household-00", "-band", "2"})
 	if !strings.Contains(s, "length=12") {
 		t.Fatalf("seasonal output: %s", s)
 	}
-	if err := captureErr(t, cmdSeasonal, []string{"-data", power}); err == nil {
+	if err := captureErr(t, cmdAnalyze, []string{"-data", power, "-kind", "seasonal"}); err == nil {
 		t.Fatal("seasonal without -series accepted")
 	}
 
 	data := genGrowth(t, dir)
-	rec := capture(t, cmdRecommend, []string{"-data", data, "-minlen", "4", "-maxlen", "8"})
+	rec := capture(t, cmdAnalyze, []string{"-data", data, "-minlen", "4", "-maxlen", "8", "-kind", "threshold-recommend"})
 	for _, want := range []string{"tight", "balanced", "loose"} {
 		if !strings.Contains(rec, want) {
-			t.Fatalf("recommend output missing %q:\n%s", want, rec)
+			t.Fatalf("threshold-recommend output missing %q:\n%s", want, rec)
 		}
 	}
 
-	ov := capture(t, cmdOverview, []string{"-data", data, "-minlen", "4", "-maxlen", "8",
-		"-length", "6", "-k", "5"})
+	ov := capture(t, cmdAnalyze, []string{"-data", data, "-minlen", "4", "-maxlen", "8",
+		"-kind", "overview", "-length", "6", "-k", "5"})
 	if !strings.Contains(ov, "similarity groups") || !strings.Contains(ov, "count=") {
 		t.Fatalf("overview output: %s", ov)
 	}

@@ -1,6 +1,6 @@
-// Command onexbench regenerates the reproduction's experiment tables
-// (DESIGN.md §4, EXPERIMENTS.md). Each experiment prints an aligned text
-// table to stdout.
+// Command onexbench regenerates the reproduction's experiment tables (the
+// index is the "Baselines and experiments" section of docs/ARCHITECTURE.md).
+// Each experiment prints an aligned text table to stdout.
 //
 // Usage:
 //

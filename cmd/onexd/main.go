@@ -8,7 +8,7 @@
 //	onexd -addr :8080 -data-dir /srv/onex/data
 //	onexd -addr :8080 -max-workers 2
 //
-// Preloaded sources accept the same syntax as POST /api/datasets/load:
+// Preloaded sources accept the same syntax as POST /api/v1/datasets/load:
 // "matters:<Indicator>", "electricity", "cbf", "walks", "file:<path>".
 // GET /healthz answers liveness probes (build info + loaded-dataset
 // count) for load balancers in front of the daemon, and

@@ -1,10 +1,9 @@
 // Analytics: the exploration scenarios through the one unified entry
 // point.
 //
-// Everything the per-scenario methods used to do — group overview,
-// drill-down, per-length stats, seasonal and cross-series pattern mining,
-// threshold sweeps and recommendations — is one onex.Analysis with
-// different fields set, executed by db.Analyze. Like Find, Analyze echoes
+// Group overview, drill-down, per-length stats, seasonal and cross-series
+// pattern mining, threshold sweeps and recommendations are each one
+// onex.Analysis with different fields set, executed by db.Analyze. Like Find, Analyze echoes
 // the resolved request and reports per-call walk statistics, and a
 // cancelled context aborts the walk mid-mine.
 //

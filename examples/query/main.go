@@ -1,11 +1,10 @@
 // Query: three exploratory scenarios through the one unified entry point.
 //
-// Everything the per-scenario methods used to do — top-k similarity, range
-// exploration with a swept threshold, cross-series comparison — is one
-// onex.Query with different fields set, executed by db.Find. The example
-// also shows the two things Find adds over the legacy methods: the
-// resolved ("effective") query echoed back, and per-call search
-// statistics.
+// Top-k similarity, range exploration with a swept threshold, and
+// cross-series comparison are each one onex.Query with different fields
+// set, executed by db.Find. The example also shows what every Find
+// returns beside the matches: the resolved ("effective") query echoed
+// back, and per-call search statistics.
 //
 //	go run ./examples/query
 package main

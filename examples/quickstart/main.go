@@ -1,4 +1,4 @@
-// Quickstart: the smallest end-to-end ONEX session (DESIGN.md F1).
+// Quickstart: the smallest end-to-end ONEX session.
 //
 // It generates a small economic dataset, opens an ONEX database (min-max
 // normalization, data-driven threshold, base construction), runs the three
@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,8 @@ import (
 
 func main() {
 	// 1. Data: 50 states x 24 quarters of synthetic GDP growth (the
-	//    MATTERS stand-in; see DESIGN.md §2 for the substitution note).
+	//    MATTERS stand-in; the internal/gen package doc explains the
+	//    substitution).
 	data := gen.Matters(gen.MattersOptions{Indicator: gen.GrowthRate})
 
 	// 2. Preprocess: normalize, pick a data-driven ST, build the base.
@@ -39,21 +41,28 @@ func main() {
 
 	// 3. Similarity: which state's recent growth trajectory most
 	//    resembles Massachusetts'?
-	m, err := db.BestMatchOtherSeries("MA", 12, 12) // the last 12 quarters
+	ctx := context.Background()
+	res, err := db.Find(ctx, onex.Query{
+		Window:  onex.Window{Series: "MA", Start: 12, Length: 12}, // the last 12 quarters
+		Exclude: onex.Exclude{Series: []string{"MA"}},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := res.Matches[0]
 	fmt.Printf("most similar to MA's last 12 quarters: %s[%d:%d) at DTW %.4f\n",
 		m.Series, m.Start, m.Start+m.Length, m.Dist)
 	fmt.Printf("matched values: %.2f ... %.2f (%d points, warping path %d steps)\n\n",
 		m.Values[0], m.Values[len(m.Values)-1], len(m.Values), len(m.Path))
 
 	// 4. Seasonal: does MA's growth repeat within itself?
-	pats, err := db.Seasonal("MA", 4, 8, 2)
+	seasonal, err := db.Analyze(ctx, onex.Analysis{
+		Kind: onex.AnalysisSeasonal, Series: "MA", Lengths: onex.Lengths{Min: 4, Max: 8},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(pats) == 0 {
+	if pats := seasonal.Patterns; len(pats) == 0 {
 		fmt.Println("no repeating pattern inside MA at lengths 4-8")
 	} else {
 		p := pats[0]
@@ -63,12 +72,12 @@ func main() {
 	fmt.Println()
 
 	// 5. Threshold recommendation: what ST would suit this dataset?
-	recs, err = db.RecommendThresholds()
+	thresholds, err := db.Analyze(ctx, onex.Analysis{Kind: onex.AnalysisThresholds})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("threshold recommendations (normalized units):")
-	for _, r := range recs {
+	for _, r := range thresholds.Thresholds.Recommendations {
 		fmt.Printf("  %-9s ST=%.4f  (~%d groups at probe length)\n", r.Label, r.ST, r.EstGroups)
 	}
 }

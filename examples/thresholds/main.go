@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -31,19 +32,21 @@ func main() {
 		unit := data.Series[0].Label("unit")
 		fmt.Printf("== %s (unit: %s) ==\n", ind, unit)
 
-		// Raw-unit recommendations: these differ across indicators by
+		// The pairwise-distance distribution, and the raw-unit
+		// recommendations drawn from it: these differ across indicators by
 		// orders of magnitude, which is the paper's point.
-		recs, err := core.RecommendThresholds(data, core.ThresholdOptions{})
+		ctx := context.Background()
+		dists, probe, err := core.SampleDistancesContext(ctx, data, core.ThresholdOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		recs, err := core.RecommendFromSampleContext(ctx, data, dists, probe)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		// The distribution behind the recommendations, with the cut
-		// points marked: the visual form of "data-driven".
-		dists, probe, err := core.SampleDistances(data, core.ThresholdOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		// The distribution with the cut points marked: the visual form of
+		// "data-driven".
 		markers := make([]viz.HistogramMarker, len(recs))
 		for i, r := range recs {
 			markers[i] = viz.HistogramMarker{Value: r.ST, Label: r.Label}

@@ -5,6 +5,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -15,14 +16,35 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/server"
+	"repro/internal/store"
 	"repro/internal/ts"
 	"repro/internal/viz"
 	"repro/onex"
 )
 
+// bestMatch runs the demo's similarity flow on the window [start,
+// start+length) of series: with otherSeries set the whole source series is
+// excluded ("which other state looks like MA?"), otherwise only the
+// window's own overlaps.
+func bestMatch(t *testing.T, db *onex.DB, series string, start, length int, otherSeries bool) onex.Match {
+	t.Helper()
+	q := onex.Query{
+		Window:  onex.Window{Series: series, Start: start, Length: length},
+		Exclude: onex.Exclude{Self: true},
+	}
+	if otherSeries {
+		q.Exclude = onex.Exclude{Series: []string{series}}
+	}
+	res, err := db.Find(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches[0]
+}
+
 // TestPipelineGenerateSaveReloadQuery exercises: generate -> save dataset
-// to disk -> reload -> open -> save base -> reopen from base -> identical
-// answers across the persistence boundary.
+// to disk -> reload -> open into a store -> close -> warm-open the store
+// -> identical answers across the persistence boundary.
 func TestPipelineGenerateSaveReloadQuery(t *testing.T) {
 	dir := t.TempDir()
 	data := gen.Matters(gen.MattersOptions{Indicator: gen.GrowthRate, Periods: 16})
@@ -35,29 +57,32 @@ func TestPipelineGenerateSaveReloadQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := onex.Open(reloaded, onex.Config{MinLength: 4, MaxLength: 9})
+	storeDir := filepath.Join(dir, "growth.store")
+	eng, err := store.Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := db.BestMatchOtherSeries("MA", 0, 8)
+	db, err := onex.Open(reloaded, onex.Config{MinLength: 4, MaxLength: 9, Store: eng})
 	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := bestMatch(t, db, "MA", 0, 8, true)
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	basePath := filepath.Join(dir, "growth.base")
-	if err := db.SaveBase(basePath); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := onex.OpenWithBase(reloaded, basePath, onex.Config{})
+	db2, err := onex.OpenStore(storeDir, onex.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := db2.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
+	defer db2.Close()
+	if db2.ST() != db.ST() || db2.Stats().Groups != db.Stats().Groups {
+		t.Fatalf("warm open changed the base: ST %g vs %g, %d vs %d groups",
+			db2.ST(), db.ST(), db2.Stats().Groups, db.Stats().Groups)
 	}
+	m2 := bestMatch(t, db2, "MA", 0, 8, true)
 	if m1.Series != m2.Series || m1.Start != m2.Start || math.Abs(m1.Dist-m2.Dist) > 1e-12 {
-		t.Fatalf("answers diverge across base persistence: %+v vs %+v", m1, m2)
+		t.Fatalf("answers diverge across persistence: %+v vs %+v", m1, m2)
 	}
 }
 
@@ -69,26 +94,27 @@ func TestPipelineServerMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.BestMatchForSeries("MA", 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := bestMatch(t, db, "MA", 2, 8, false)
 
 	srv := server.New()
 	srv.AddDB("growth", db)
 	hts := httptest.NewServer(srv.Handler())
 	defer hts.Close()
 
-	body, _ := json.Marshal(server.QueryRequest{Series: "MA", Start: 2, Length: 8})
-	resp, err := http.Post(hts.URL+"/api/datasets/growth/query/similarity", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(onex.Query{
+		Window:  onex.Window{Series: "MA", Start: 2, Length: 8},
+		Exclude: onex.Exclude{Self: true},
+	})
+	resp, err := http.Post(hts.URL+"/api/v1/datasets/growth/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got []onex.Match
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+	var res onex.Result
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
+	got := res.Matches
 	if len(got) != 1 {
 		t.Fatalf("server returned %d matches", len(got))
 	}
@@ -107,10 +133,13 @@ func TestPipelineSeasonalToVisualization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats, err := db.Seasonal("household-00", 12, 12, 3)
+	res, err := db.Analyze(context.Background(), onex.Analysis{
+		Kind: onex.AnalysisSeasonal, Series: "household-00", Lengths: onex.Lengths{Min: 12, Max: 12}, MinOccurrences: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pats := res.Patterns
 	if len(pats) == 0 {
 		t.Fatal("no seasonal pattern in daily-cycle data")
 	}
@@ -163,7 +192,7 @@ func TestPipelineIncrementalInsertEndToEnd(t *testing.T) {
 		clone[i] = v + 0.0002
 	}
 	body, _ := json.Marshal(server.AddSeriesRequest{Series: "MA-clone", Values: clone})
-	resp, err := http.Post(hts.URL+"/api/datasets/growth/series", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(hts.URL+"/api/v1/datasets/growth/series", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +203,7 @@ func TestPipelineIncrementalInsertEndToEnd(t *testing.T) {
 	if db.Stats().Subsequences <= before {
 		t.Fatal("insert did not grow the base")
 	}
-	m, err := db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Series != "MA-clone" {
+	if m := bestMatch(t, db, "MA", 0, 8, true); m.Series != "MA-clone" {
 		t.Fatalf("clone not found as best match, got %s", m.Series)
 	}
 }
@@ -225,10 +250,7 @@ func TestPipelineServingTierEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(repeat, &res); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.BestMatchOtherSeries("MA", 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := bestMatch(t, db, "MA", 2, 8, true)
 	// Window exclude-self differs from exclude-source only when the best
 	// match is in MA itself; compare against the appropriate oracle.
 	if len(res.Matches) == 0 || res.Matches[0].Dist > want.Dist+1e-9 && res.Matches[0].Series != "MA" {
@@ -286,8 +308,8 @@ func TestPipelineServingTierEndToEnd(t *testing.T) {
 }
 
 // TestDeterminism: generators, bases and rendered charts are pure
-// functions of their seeds — the property every EXPERIMENTS.md number
-// relies on.
+// functions of their seeds — the property every experiment table and
+// benchmark number relies on.
 func TestDeterminism(t *testing.T) {
 	g1 := gen.Matters(gen.MattersOptions{Indicator: gen.TechEmployment, Seed: 3})
 	g2 := gen.Matters(gen.MattersOptions{Indicator: gen.TechEmployment, Seed: 3})
@@ -309,14 +331,8 @@ func TestDeterminism(t *testing.T) {
 	if db1.ST() != db2.ST() || db1.Stats().Groups != db2.Stats().Groups {
 		t.Fatal("base construction not deterministic")
 	}
-	m1, err := db1.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := db2.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := bestMatch(t, db1, "MA", 0, 8, true)
+	m2 := bestMatch(t, db2, "MA", 0, 8, true)
 	if m1.Series != m2.Series || m1.Dist != m2.Dist {
 		t.Fatal("queries not deterministic")
 	}
@@ -350,14 +366,8 @@ func TestPipelineExactVsApproxConsistency(t *testing.T) {
 		{"cbf-bell-01", 0, 8},
 		{"cbf-funnel-02", 12, 12},
 	} {
-		ma, err := approx.BestMatchForSeries(probe.name, probe.start, probe.l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		me, err := exact.BestMatchForSeries(probe.name, probe.start, probe.l)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ma := bestMatch(t, approx, probe.name, probe.start, probe.l, false)
+		me := bestMatch(t, exact, probe.name, probe.start, probe.l, false)
 		if me.Dist > ma.Dist+1e-9 {
 			t.Fatalf("%s: exact %g worse than approx %g", probe.name, me.Dist, ma.Dist)
 		}

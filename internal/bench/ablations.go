@@ -13,7 +13,8 @@ import (
 	"repro/internal/ucrsuite"
 )
 
-// The ablations quantify the design choices DESIGN.md §5 calls out:
+// The ablations quantify three design choices docs/ARCHITECTURE.md
+// describes ("Offline: building the base", "The distance kernel"):
 //
 //	A1  the repair pass (invariant enforcement) — cost and effect
 //	A2  the Sakoe-Chiba band — latency/accuracy trade-off
@@ -130,7 +131,7 @@ func RunA2(seed int64) ([]A2Row, error) {
 		for _, q := range queries {
 			var m core.Match
 			tm.Time(func() {
-				m, err = engine.BestMatch(q)
+				m, err = bestMatch(engine, q)
 			})
 			if err != nil {
 				return nil, err

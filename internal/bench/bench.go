@@ -1,6 +1,7 @@
 // Package bench is the experiment harness of the reproduction: it
 // regenerates, as printable tables, every quantitative claim and behaviour
-// the demo paper reports (see DESIGN.md §4 for the experiment index).
+// the demo paper reports (the "Baselines and experiments" section of
+// docs/ARCHITECTURE.md is the index).
 //
 //	E1  query latency: ONEX vs UCR-Suite-style exact vs naive DTW scan
 //	E2  match accuracy: ONEX vs embedding filter-and-refine
@@ -8,14 +9,15 @@
 //	E4  data-driven threshold recommendation
 //	E5  seasonal-query recall on planted periodic data
 //	E6  certified transfer bound: empirical soundness and tightness
+//	E7  whole-series 1-NN classification: ONEX vs exact scan
+//	A1–A3 ablations of the repair pass, the band, and the LB cascade
 //
 // Each experiment returns typed rows and can render itself as an aligned
-// text table; cmd/onexbench wires them to the command line, and the
-// repository-root bench_test.go exposes the same workloads as testing.B
-// benchmarks.
+// text table; cmd/onexbench wires them to the command line.
 package bench
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -24,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ts"
 )
 
@@ -234,4 +237,13 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
+}
+
+// bestMatch answers one top-1 query under the engine's own options.
+func bestMatch(e *core.Engine, q []float64) (core.Match, error) {
+	res, err := e.Find(context.TODO(), q, core.FindOptions{Options: e.Options(), K: 1})
+	if err != nil {
+		return core.Match{}, err
+	}
+	return res.Matches[0], nil
 }

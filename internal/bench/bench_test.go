@@ -6,8 +6,8 @@ import (
 )
 
 // Small configurations keep the harness tests fast while exercising every
-// code path; the real experiment sizes live in cmd/onexbench and
-// EXPERIMENTS.md.
+// code path; the real experiment sizes are the Default* configurations
+// cmd/onexbench runs.
 
 func TestRunE1SmallShape(t *testing.T) {
 	rows, err := RunE1(E1Config{

@@ -42,7 +42,7 @@ type E1Config struct {
 	Workers int
 }
 
-// DefaultE1 is the configuration the EXPERIMENTS.md table uses.
+// DefaultE1 is the paper-scale configuration cmd/onexbench runs.
 func DefaultE1() E1Config {
 	return E1Config{
 		SeriesCounts: []int{25, 50, 100, 200},

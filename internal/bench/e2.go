@@ -32,7 +32,7 @@ type E2Config struct {
 	Seed int64
 }
 
-// DefaultE2 is the configuration the EXPERIMENTS.md table uses.
+// DefaultE2 is the paper-scale configuration cmd/onexbench runs.
 func DefaultE2() E2Config {
 	return E2Config{QueryLen: 32, Queries: 15, Band: 4, Seed: 2}
 }
@@ -123,7 +123,7 @@ func runE2One(cfg E2Config, d *ts.Dataset) (E2Row, error) {
 		if err != nil {
 			return E2Row{}, err
 		}
-		om, err := engine.BestMatch(q)
+		om, err := bestMatch(engine, q)
 		if err != nil {
 			return E2Row{}, err
 		}

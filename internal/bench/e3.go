@@ -22,7 +22,7 @@ type E3Config struct {
 	Seed int64
 }
 
-// DefaultE3 is the configuration the EXPERIMENTS.md table uses.
+// DefaultE3 is the paper-scale configuration cmd/onexbench runs.
 func DefaultE3() E3Config {
 	return E3Config{
 		SeriesCounts: []int{25, 50, 100},

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -23,7 +24,7 @@ type E5Config struct {
 	Seed int64
 }
 
-// DefaultE5 is the configuration the EXPERIMENTS.md table uses. ST is per
+// DefaultE5 is the paper-scale configuration cmd/onexbench runs. ST is per
 // point in raw kW units: daily windows repeat to within a few hundredths
 // of a kW per sample plus seasonal drift.
 func DefaultE5() E5Config {
@@ -91,9 +92,9 @@ func runE5One(cfg E5Config, days int) (E5Row, error) {
 	var pats []core.Pattern
 	qt := &Timer{}
 	qt.Time(func() {
-		pats, err = engine.SeasonalByIndex(0, core.SeasonalOptions{
+		pats, err = engine.SeasonalByIndexContext(context.TODO(), 0, core.SeasonalOptions{
 			MinLength: period, MaxLength: period, MinOccurrences: 3, MaxPatterns: 8,
-		})
+		}, nil)
 	})
 	if err != nil {
 		return E5Row{}, err

@@ -22,7 +22,7 @@ type E6Config struct {
 	Seed int64
 }
 
-// DefaultE6 is the configuration the EXPERIMENTS.md table uses.
+// DefaultE6 is the paper-scale configuration cmd/onexbench runs.
 func DefaultE6() E6Config { return E6Config{Queries: 20, GroupsPerQuery: 10, Seed: 6} }
 
 // E6Row summarizes the bound check.

@@ -27,7 +27,7 @@ type E7Config struct {
 	Seed int64
 }
 
-// DefaultE7 is the configuration the EXPERIMENTS.md table uses. The train
+// DefaultE7 is the paper-scale configuration cmd/onexbench runs. The train
 // split must be large enough for grouping to matter: below ~100 candidates
 // the exact scan is already trivially fast and the base only adds
 // indirection.
@@ -107,7 +107,7 @@ func runE7One(cfg E7Config, name string, train, test *ts.Dataset) (E7Row, error)
 
 		var om core.Match
 		onexT.Time(func() {
-			om, err = engine.BestMatch(q)
+			om, err = bestMatch(engine, q)
 		})
 		if err != nil {
 			return E7Row{}, err

@@ -30,7 +30,7 @@ type CommonPattern struct {
 	TotalMembers int
 }
 
-// CommonOptions configures CommonPatterns.
+// CommonOptions configures CommonPatternsContext.
 type CommonOptions struct {
 	// MinSeries is the smallest number of distinct series a shape must
 	// span to be reported (default 2).
@@ -47,18 +47,12 @@ type CommonOptions struct {
 	Workers int
 }
 
-// CommonPatterns finds shapes shared across series, ranked by the number
-// of distinct series spanned (descending), then by total cardinality. No
-// distance computation is needed: the base already encodes the mutual
-// similarity, so this is a pure scan of group membership.
-func (e *Engine) CommonPatterns(opts CommonOptions) []CommonPattern {
-	pats, _ := e.CommonPatternsContext(context.Background(), opts, nil)
-	return pats
-}
-
-// CommonPatternsContext is CommonPatterns with cancellation and statistics:
-// the context is checked once per group and every ctxCheckStride members
-// (the per-member representative-ED scan is the expensive part), so a
+// CommonPatternsContext finds shapes shared across series, ranked by the
+// number of distinct series spanned (descending), then by total
+// cardinality. No distance computation is needed: the base already encodes
+// the mutual similarity, so this is a pure scan of group membership. The
+// context is checked once per group and every ctxCheckStride members (the
+// per-member representative-ED scan is the expensive part), so a
 // cancelled mine aborts within one pruning round with ctx.Err(). st, when
 // non-nil, accumulates the groups and members visited.
 func (e *Engine) CommonPatternsContext(ctx context.Context, opts CommonOptions, st *SearchStats) ([]CommonPattern, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -50,10 +51,20 @@ func commonWorld(t testing.TB, sharers, distractors, length, motifLen int) (*ts.
 	return d, e
 }
 
+// common runs one common-patterns mine.
+func common(t *testing.T, e *Engine, opts CommonOptions) []CommonPattern {
+	t.Helper()
+	pats, err := e.CommonPatternsContext(context.Background(), opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pats
+}
+
 func TestCommonPatternsFindsSharedShape(t *testing.T) {
 	const sharers, motifLen = 4, 6
 	d, e := commonWorld(t, sharers, 3, 24, motifLen)
-	pats := e.CommonPatterns(CommonOptions{MinSeries: 3})
+	pats := common(t, e, CommonOptions{MinSeries: 3})
 	if len(pats) == 0 {
 		t.Fatal("no common patterns found")
 	}
@@ -91,15 +102,15 @@ func TestCommonPatternsOptions(t *testing.T) {
 	_, e := commonWorld(t, 3, 2, 24, 6)
 	// MinSeries above the planted coverage filters the motif group out of
 	// the (tight-threshold) noise groups too.
-	if pats := e.CommonPatterns(CommonOptions{MinSeries: 50}); len(pats) != 0 {
+	if pats := common(t, e, CommonOptions{MinSeries: 50}); len(pats) != 0 {
 		t.Fatalf("impossible MinSeries returned %d patterns", len(pats))
 	}
-	one := e.CommonPatterns(CommonOptions{MaxPatterns: 1})
+	one := common(t, e, CommonOptions{MaxPatterns: 1})
 	if len(one) > 1 {
 		t.Fatal("MaxPatterns ignored")
 	}
 	// Length constraints filter everything when out of range.
-	if pats := e.CommonPatterns(CommonOptions{MinLength: 99, MaxLength: 100}); len(pats) != 0 {
+	if pats := common(t, e, CommonOptions{MinLength: 99, MaxLength: 100}); len(pats) != 0 {
 		t.Fatal("length constraints ignored")
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"repro/internal/grouping"
 )
 
-// RangeOptions configures WithinThreshold.
+// RangeOptions configures a range scan (FindOptions.Range, and the
+// similarity sweep built on it).
 type RangeOptions struct {
 	// MaxDist is the inclusive score threshold (same units as Match.Score:
 	// raw DTW, or length-normalized DTW when the engine ranks normalized).
@@ -19,19 +20,6 @@ type RangeOptions struct {
 	Constraints QueryConstraints
 	// Limit caps the number of returned matches (0 = unlimited).
 	Limit int
-}
-
-// WithinThreshold returns every indexed subsequence whose DTW score from q
-// is at most MaxDist, ordered best-first. This is the paper's §3.3 range
-// flavour of similarity exploration ("showing the changes in the
-// similarity between sequences for varying parameters"): re-running with a
-// swept threshold shows how the match set grows.
-//
-// The search is exact regardless of the engine mode: a group can be
-// skipped only when the certified transfer bound proves every member lies
-// beyond the threshold.
-func (e *Engine) WithinThreshold(q []float64, opts RangeOptions) ([]Match, error) {
-	return e.withinThreshold(context.Background(), q, opts, e.opts, nil)
 }
 
 // rangeJob is one group to scan plus the per-length precomputation shared
@@ -45,13 +33,17 @@ type rangeJob struct {
 	qU, qL []float64
 }
 
-// withinThreshold is WithinThreshold with an explicit context, per-call
-// engine options, and optional statistics collection. The group scan is
-// sharded across callOpts.Workers goroutines when the base is large; the
-// threshold bound is fixed, so results and statistics are identical at
-// every worker count. Each worker checks the context once per group and
-// every ctxCheckStride members, so cancelled range scans abort within one
-// pruning round.
+// withinThreshold returns every indexed subsequence whose DTW score from q
+// is at most MaxDist, ordered best-first: the paper's §3.3 range flavour of
+// similarity exploration ("showing the changes in the similarity between
+// sequences for varying parameters"). The search is exact regardless of
+// callOpts.Mode: a group is skipped only when the certified transfer bound
+// proves every member lies beyond the threshold. st, when non-nil,
+// accumulates the search statistics. The group scan is sharded across
+// callOpts.Workers goroutines when the base is large; the threshold bound
+// is fixed, so results and statistics are identical at every worker count.
+// Each worker checks the context once per group and every ctxCheckStride
+// members, so cancelled range scans abort within one pruning round.
 func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOptions, callOpts Options, st *SearchStats) ([]Match, error) {
 	if len(q) < 2 {
 		return nil, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))

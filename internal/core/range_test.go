@@ -12,7 +12,7 @@ import (
 func TestWithinThresholdBasics(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := d.Series[1].Values[4:11]
-	ms, err := e.WithinThreshold(q, RangeOptions{MaxDist: 0.5})
+	ms, err := within(e, q, RangeOptions{MaxDist: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPropertyWithinThresholdComplete(t *testing.T) {
 			q[i] = v
 		}
 		maxDist := 0.3 + rng.Float64()*1.0
-		got, err := e.WithinThreshold(q, RangeOptions{MaxDist: maxDist})
+		got, err := within(e, q, RangeOptions{MaxDist: maxDist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestWithinThresholdOptions(t *testing.T) {
 	q := d.Series[0].Values[0:6]
 
 	// Limit honored.
-	limited, err := e.WithinThreshold(q, RangeOptions{MaxDist: 10, Limit: 3})
+	limited, err := within(e, q, RangeOptions{MaxDist: 10, Limit: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWithinThresholdOptions(t *testing.T) {
 		t.Fatalf("limit ignored: %d results", len(limited))
 	}
 	// Constraints honored.
-	constrained, err := e.WithinThreshold(q, RangeOptions{
+	constrained, err := within(e, q, RangeOptions{
 		MaxDist:     10,
 		Constraints: QueryConstraints{MinLength: 6, MaxLength: 6},
 	})
@@ -126,7 +126,7 @@ func TestWithinThresholdOptions(t *testing.T) {
 		}
 	}
 	// Zero threshold returns only exact-zero matches.
-	zero, err := e.WithinThreshold(q, RangeOptions{MaxDist: 0})
+	zero, err := within(e, q, RangeOptions{MaxDist: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +136,13 @@ func TestWithinThresholdOptions(t *testing.T) {
 		}
 	}
 	// Errors.
-	if _, err := e.WithinThreshold([]float64{1}, RangeOptions{MaxDist: 1}); err == nil {
+	if _, err := within(e, []float64{1}, RangeOptions{MaxDist: 1}); err == nil {
 		t.Fatal("short query accepted")
 	}
-	if _, err := e.WithinThreshold(q, RangeOptions{MaxDist: -1}); err == nil {
+	if _, err := within(e, q, RangeOptions{MaxDist: -1}); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
-	if _, err := e.WithinThreshold(q, RangeOptions{
+	if _, err := within(e, q, RangeOptions{
 		MaxDist:     1,
 		Constraints: QueryConstraints{MinLength: 999, MaxLength: 999},
 	}); err != ErrNoMatch {

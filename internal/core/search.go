@@ -40,36 +40,6 @@ func (c QueryConstraints) excludes(ref ts.SubSeq) bool {
 	return false
 }
 
-// BestMatch returns the most similar indexed subsequence to q under DTW,
-// per the engine's mode. See BestMatchConstrained.
-func (e *Engine) BestMatch(q []float64) (Match, error) {
-	return e.BestMatchConstrained(q, QueryConstraints{})
-}
-
-// BestMatchConstrained is BestMatch with search constraints.
-func (e *Engine) BestMatchConstrained(q []float64, c QueryConstraints) (Match, error) {
-	ms, err := e.KBestMatchesConstrained(q, 1, c)
-	if err != nil {
-		return Match{}, err
-	}
-	return ms[0], nil
-}
-
-// KBestMatches returns the k most similar indexed subsequences, best first.
-func (e *Engine) KBestMatches(q []float64, k int) ([]Match, error) {
-	return e.KBestMatchesConstrained(q, k, QueryConstraints{})
-}
-
-// KBestMatchesConstrained runs the engine's configured search mode.
-//
-// ModeApprox (paper §3.2): rank groups by DTW(query, representative), then
-// return the best members of the top groups. ModeExact: prune groups with
-// the certified transfer bound and refine all survivors; the result is the
-// true DTW top-k over every indexed candidate.
-func (e *Engine) KBestMatchesConstrained(q []float64, k int, c QueryConstraints) ([]Match, error) {
-	return e.search(context.Background(), q, k, c, e.opts, nil, nil)
-}
-
 // search is the shared top-k entry point: it validates the query, resolves
 // candidate lengths, and dispatches on the per-call mode. It honours ctx
 // cancellation between pruning rounds (per group and per member batch) and

@@ -54,33 +54,23 @@ type SeasonalOptions struct {
 	Workers int
 }
 
-// Seasonal finds repeating patterns within the named series by mining the
-// ONEX base: any group holding two or more non-overlapping windows of the
-// series is a recurring motif, with no additional distance computation
-// (the base already encodes the similarity).
+// SeasonalContext finds repeating patterns within the named series by
+// mining the ONEX base: any group holding two or more non-overlapping
+// windows of the series is a recurring motif, with no additional distance
+// computation (the base already encodes the similarity).
 //
 // Results are ranked by occurrence count (descending), then by motif
 // length (descending: longer recurring shapes are more informative), then
-// by earliest occurrence.
-func (e *Engine) Seasonal(seriesName string, opts SeasonalOptions) ([]Pattern, error) {
-	return e.SeasonalContext(context.Background(), seriesName, opts, nil)
-}
-
-// SeasonalContext is Seasonal with cancellation and statistics: the context
-// is checked once per candidate group and every ctxCheckStride members, so
-// a cancelled mine aborts within one pruning round with ctx.Err(). st, when
-// non-nil, accumulates the groups and members visited.
+// by earliest occurrence. The context is checked once per candidate group
+// and every ctxCheckStride members, so a cancelled mine aborts within one
+// pruning round with ctx.Err(). st, when non-nil, accumulates the groups
+// and members visited.
 func (e *Engine) SeasonalContext(ctx context.Context, seriesName string, opts SeasonalOptions, st *SearchStats) ([]Pattern, error) {
 	si := e.ds.IndexOf(seriesName)
 	if si < 0 {
 		return nil, fmt.Errorf("core: Seasonal: series %q not in dataset %q", seriesName, e.ds.Name)
 	}
 	return e.SeasonalByIndexContext(ctx, si, opts, st)
-}
-
-// SeasonalByIndex is Seasonal addressed by series position.
-func (e *Engine) SeasonalByIndex(si int, opts SeasonalOptions) ([]Pattern, error) {
-	return e.SeasonalByIndexContext(context.Background(), si, opts, nil)
 }
 
 // SeasonalByIndexContext is SeasonalContext addressed by series position.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -51,10 +52,15 @@ func plantedWorld(t testing.TB, period, repeats, motifLen int) (*ts.Dataset, *En
 	return d, e
 }
 
+// seasonal runs one seasonal mine over the named series.
+func seasonal(e *Engine, series string, opts SeasonalOptions) ([]Pattern, error) {
+	return e.SeasonalContext(context.Background(), series, opts, nil)
+}
+
 func TestSeasonalFindsPlantedMotif(t *testing.T) {
 	const period, repeats, motifLen = 20, 6, 8
 	d, e := plantedWorld(t, period, repeats, motifLen)
-	pats, err := e.Seasonal("household", SeasonalOptions{MinOccurrences: 3})
+	pats, err := seasonal(e, "household", SeasonalOptions{MinOccurrences: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,27 +120,27 @@ func TestSeasonalFindsPlantedMotif(t *testing.T) {
 
 func TestSeasonalErrors(t *testing.T) {
 	_, e := plantedWorld(t, 20, 4, 8)
-	if _, err := e.Seasonal("ghost", SeasonalOptions{}); err == nil {
+	if _, err := seasonal(e, "ghost", SeasonalOptions{}); err == nil {
 		t.Fatal("unknown series accepted")
 	}
-	if _, err := e.SeasonalByIndex(-1, SeasonalOptions{}); err == nil {
+	if _, err := e.SeasonalByIndexContext(context.Background(), -1, SeasonalOptions{}, nil); err == nil {
 		t.Fatal("negative index accepted")
 	}
-	if _, err := e.SeasonalByIndex(99, SeasonalOptions{}); err == nil {
+	if _, err := e.SeasonalByIndexContext(context.Background(), 99, SeasonalOptions{}, nil); err == nil {
 		t.Fatal("out-of-range index accepted")
 	}
 }
 
 func TestSeasonalRespectsOptions(t *testing.T) {
 	_, e := plantedWorld(t, 20, 6, 8)
-	pats, err := e.Seasonal("household", SeasonalOptions{MinOccurrences: 100})
+	pats, err := seasonal(e, "household", SeasonalOptions{MinOccurrences: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pats) != 0 {
 		t.Fatal("impossible MinOccurrences returned patterns")
 	}
-	one, err := e.Seasonal("household", SeasonalOptions{MaxPatterns: 1})
+	one, err := seasonal(e, "household", SeasonalOptions{MaxPatterns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +175,11 @@ func TestSeasonalDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := e.Seasonal("x", SeasonalOptions{MinOccurrences: 3, MaxPatterns: 32})
+	raw, err := seasonal(e, "x", SeasonalOptions{MinOccurrences: 3, MaxPatterns: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	deduped, err := e.Seasonal("x", SeasonalOptions{MinOccurrences: 3, MaxPatterns: 32, Dedup: true})
+	deduped, err := seasonal(e, "x", SeasonalOptions{MinOccurrences: 3, MaxPatterns: 32, Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}

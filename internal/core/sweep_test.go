@@ -1,14 +1,20 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
+
+// sweep runs one similarity sweep under the engine's own options.
+func sweep(e *Engine, q, thresholds []float64) ([]SweepPoint, error) {
+	return e.SimilaritySweepContext(context.Background(), q, thresholds, QueryConstraints{}, e.Options(), nil)
+}
 
 func TestSimilaritySweepMonotone(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := d.Series[1].Values[4:11]
 	thresholds := []float64{0.05, 0.2, 0.5, 1.0, 2.0}
-	pts, err := e.SimilaritySweep(q, thresholds, QueryConstraints{})
+	pts, err := sweep(e, q, thresholds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +31,7 @@ func TestSimilaritySweepMonotone(t *testing.T) {
 	}
 	// Each point must agree with a direct range query.
 	for _, p := range pts[:2] {
-		ms, err := e.WithinThreshold(q, RangeOptions{MaxDist: p.MaxDist})
+		ms, err := within(e, q, RangeOptions{MaxDist: p.MaxDist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +48,7 @@ func TestSimilaritySweepMonotone(t *testing.T) {
 func TestSimilaritySweepUnsortedInputAndErrors(t *testing.T) {
 	d, e := newTestWorld(t, 4, 24, 0.1, 4, 8, ModeApprox, -1)
 	q := d.Series[0].Values[0:6]
-	pts, err := e.SimilaritySweep(q, []float64{1.0, 0.1, 0.5}, QueryConstraints{})
+	pts, err := sweep(e, q, []float64{1.0, 0.1, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +56,27 @@ func TestSimilaritySweepUnsortedInputAndErrors(t *testing.T) {
 	if pts[0].MaxDist != 0.1 || pts[2].MaxDist != 1.0 {
 		t.Fatalf("sweep not sorted: %+v", pts)
 	}
-	if _, err := e.SimilaritySweep(q, nil, QueryConstraints{}); err == nil {
+	if _, err := sweep(e, q, nil); err == nil {
 		t.Fatal("empty thresholds accepted")
 	}
-	if _, err := e.SimilaritySweep(q, []float64{-1}, QueryConstraints{}); err == nil {
+	if _, err := sweep(e, q, []float64{-1}); err == nil {
 		t.Fatal("negative thresholds accepted")
 	}
 }
 
+// TestBestMatchWithStats checks the statistics an approximate top-1 Find
+// reports alongside its match.
 func TestBestMatchWithStats(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := d.Series[2].Values[3:10]
-	m, st, err := e.BestMatchWithStats(q, QueryConstraints{})
+	find := func(q []float64, c QueryConstraints) (FindResult, error) {
+		return e.Find(context.Background(), q, FindOptions{Options: e.Options(), K: 1, Constraints: c})
+	}
+	res, err := find(q, QueryConstraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m, st := res.Matches[0], res.Stats
 	if m.Dist != 0 {
 		t.Fatalf("self query dist = %g", m.Dist)
 	}
@@ -92,10 +104,10 @@ func TestBestMatchWithStats(t *testing.T) {
 		t.Logf("note: refined %d of %d groups (loose threshold)", st.GroupsRefined, st.Groups)
 	}
 	// Errors propagate.
-	if _, _, err := e.BestMatchWithStats([]float64{1}, QueryConstraints{}); err == nil {
+	if _, err := find([]float64{1}, QueryConstraints{}); err == nil {
 		t.Fatal("short query accepted")
 	}
-	if _, _, err := e.BestMatchWithStats(q, QueryConstraints{MinLength: 999, MaxLength: 999}); err == nil {
+	if _, err := find(q, QueryConstraints{MinLength: 999, MaxLength: 999}); err == nil {
 		t.Fatal("impossible constraints accepted")
 	}
 }

@@ -53,19 +53,13 @@ var defaultPercentiles = []struct {
 	{0.15, "loose"},
 }
 
-// SampleDistances draws the pairwise subsequence-ED sample that threshold
-// recommendation is based on, normalized per point (divided by the probe
-// length) and sorted ascending. Exposed so front ends can draw the
-// distribution behind the recommended cut points. The probe length
-// actually used is returned alongside.
-func SampleDistances(d *ts.Dataset, opts ThresholdOptions) ([]float64, int, error) {
-	return SampleDistancesContext(context.Background(), d, opts)
-}
-
-// SampleDistancesContext is SampleDistances with cancellation: the context
-// is checked once per series during window enumeration and every
-// ctxCheckStride sampled pairs, so a cancelled sample aborts promptly with
-// ctx.Err().
+// SampleDistancesContext draws the pairwise subsequence-ED sample that
+// threshold recommendation is based on, normalized per point (divided by
+// the probe length) and sorted ascending. Exposed so front ends can draw
+// the distribution behind the recommended cut points. The probe length
+// actually used is returned alongside. The context is checked once per
+// series during window enumeration and every ctxCheckStride sampled pairs,
+// so a cancelled sample aborts promptly with ctx.Err().
 func SampleDistancesContext(ctx context.Context, d *ts.Dataset, opts ThresholdOptions) ([]float64, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -157,9 +151,9 @@ func RecommendThresholdsContext(ctx context.Context, d *ts.Dataset, opts Thresho
 }
 
 // RecommendFromSampleContext derives the recommendations from an
-// already-drawn SampleDistances sample (sorted ascending, normalized per
-// point, measured at probe), so callers needing both the distribution and
-// the recommendations pay the sampling pass only once.
+// already-drawn SampleDistancesContext sample (sorted ascending, normalized
+// per point, measured at probe), so callers needing both the distribution
+// and the recommendations pay the sampling pass only once.
 func RecommendFromSampleContext(ctx context.Context, d *ts.Dataset, dists []float64, probe int) ([]Recommendation, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -169,7 +163,7 @@ func RecommendFromSampleContext(ctx context.Context, d *ts.Dataset, dists []floa
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// SampleDistances already normalizes per point, so quantiles are
+		// SampleDistancesContext already normalizes per point, so quantiles are
 		// directly the per-point thresholds the grouping layer expects.
 		st := quantileSorted(dists, p.q)
 		if st <= 0 {

@@ -1,6 +1,6 @@
 // Package gen provides deterministic synthetic dataset generators that
 // substitute for the collections the ONEX demo uses but which cannot be
-// redistributed (see DESIGN.md §2):
+// redistributed:
 //
 //   - Matters — economic/social indicators for the 50 US states, standing
 //     in for the MATTERS collection (matters.mhtc.org). Regional regime

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dist"
@@ -279,37 +278,6 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	d := testDataset(t, 4, 14, 12)
-	b, err := Build(d, Options{ST: 0.4, MinLength: 4, MaxLength: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "base.onex")
-	if err := b.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumGroups() != b.NumGroups() {
-		t.Fatal("file round trip changed base")
-	}
-	// Mismatched dataset rejected.
-	other := testDataset(t, 4, 14, 999)
-	if _, err := LoadFile(path, other); err == nil {
-		t.Fatal("mismatched dataset accepted")
-	}
-	// nil dataset skips the check.
-	if _, err := LoadFile(path, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing"), nil); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

@@ -8,10 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"time"
 
-	"repro/internal/fsutil"
 	"repro/internal/ts"
 )
 
@@ -241,37 +239,5 @@ func Read(r io.Reader) (*Base, error) {
 	// from the membership so AddSeries keeps its O(1) double-insert check
 	// after a load.
 	b.reindexSeries()
-	return b, nil
-}
-
-// SaveFile writes the base to path atomically: the bytes go to a temp file
-// in the same directory, are fsynced, and are renamed over path, so a crash
-// mid-write can never corrupt an existing base file (the historical
-// in-place os.Create could).
-func (b *Base) SaveFile(path string) error {
-	if err := fsutil.WriteFileAtomic(path, b.Write); err != nil {
-		return fmt.Errorf("grouping: SaveFile: %w", err)
-	}
-	return nil
-}
-
-// LoadFile reads a base from path and, when d is non-nil, verifies it was
-// built from d.
-func LoadFile(path string, d *ts.Dataset) (*Base, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("grouping: LoadFile: %w", err)
-	}
-	defer f.Close()
-	b, err := Read(f)
-	if err != nil {
-		return nil, err
-	}
-	if d != nil {
-		if got := DatasetChecksum(d); got != b.DatasetSum {
-			return nil, fmt.Errorf("grouping: LoadFile: base %s was built from a different dataset (checksum %x != %x)",
-				path, b.DatasetSum, got)
-		}
-	}
 	return b, nil
 }

@@ -24,8 +24,7 @@ Range loops whose iterated expression names a group, member, or wave
 collection must contain a ctx.Err() or ctx.Done() poll, or pass the
 context to a function they call (which is then itself subject to this
 check). Loops that are deliberately unpolled — O(1) bodies under an
-outer per-round poll, or legacy context-free wrappers — carry an
-//onex:nopoll <reason> annotation.`,
+outer per-round poll — carry an //onex:nopoll <reason> annotation.`,
 	Match: lint.MatchAny("internal/core", "internal/replica", "internal/server"),
 	Run:   run,
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -43,144 +44,44 @@ func analyze(t *testing.T, hts string, a onex.Analysis) onex.AnalysisResult {
 	return decodeAnalysis(t, raw)
 }
 
-// TestAnalyzeRouteParity answers every analytics fixture through the
-// legacy per-scenario routes and the unified /api/v1 analyze endpoint and
-// requires identical payloads.
+// TestAnalyzeRouteParity answers every analytics kind through the /api/v1
+// analyze endpoint and through the library on the server's own DB, and
+// requires identical payloads and resolved requests.
 func TestAnalyzeRouteParity(t *testing.T) {
 	s, hts := newTestServer(t)
 	loadGrowth(t, hts)
-
-	// Overview, fixed length.
-	var legacyGroups []onex.GroupInfo
-	getJSON(t, hts.URL+"/api/v1/datasets/growth/overview?length=6&k=3", &legacyGroups)
-	res := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisOverview, Length: 6, K: 3})
-	if len(legacyGroups) != 3 || !reflect.DeepEqual(legacyGroups, res.Groups) {
-		t.Fatalf("overview: legacy %d groups != analyze %d", len(legacyGroups), len(res.Groups))
-	}
-	if res.Request.Kind != onex.AnalysisOverview || res.Stats.Groups != 3 {
-		t.Fatalf("analyze envelope incomplete: %+v %+v", res.Request, res.Stats)
-	}
-
-	// Length summaries.
-	var legacyLens []onex.LengthSummary
-	getJSON(t, hts.URL+"/api/v1/datasets/growth/lengths", &legacyLens)
-	res = analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisLengthSummaries})
-	if len(legacyLens) == 0 || !reflect.DeepEqual(legacyLens, res.LengthSummaries) {
-		t.Fatalf("lengths: legacy %+v != analyze %+v", legacyLens, res.LengthSummaries)
-	}
-
-	// Group drill-down.
-	var legacyMembers []onex.Member
-	getJSON(t, hts.URL+"/api/v1/datasets/growth/groups/6/0", &legacyMembers)
-	res = analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisGroupMembers, Length: 6})
-	if len(legacyMembers) == 0 || !reflect.DeepEqual(legacyMembers, res.Members) {
-		t.Fatalf("groups: legacy %d members != analyze %d", len(legacyMembers), len(res.Members))
-	}
-
-	// Seasonal.
-	resp, raw := postJSON(t, hts.URL+"/api/v1/datasets/growth/query/seasonal",
-		SeasonalRequest{Series: "NY", MinLength: 4, MaxLength: 8})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy seasonal status = %d: %s", resp.StatusCode, raw)
-	}
-	var legacyPats []onex.Pattern
-	if err := json.Unmarshal(raw, &legacyPats); err != nil {
-		t.Fatal(err)
-	}
-	res = analyze(t, hts.URL, onex.Analysis{
-		Kind: onex.AnalysisSeasonal, Series: "NY", Lengths: onex.Lengths{Min: 4, Max: 8},
-	})
-	if len(legacyPats) == 0 || !reflect.DeepEqual(legacyPats, res.Patterns) {
-		t.Fatalf("seasonal: legacy %+v != analyze %+v", legacyPats, res.Patterns)
-	}
-
-	// Threshold recommendations.
-	var legacyRecs []onex.Recommendation
-	getJSON(t, hts.URL+"/api/v1/datasets/growth/thresholds", &legacyRecs)
-	res = analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisThresholds})
-	if len(legacyRecs) == 0 || !reflect.DeepEqual(legacyRecs, res.Thresholds.Recommendations) {
-		t.Fatalf("thresholds: legacy %+v != analyze %+v", legacyRecs, res.Thresholds)
-	}
-	if len(res.Thresholds.Sample) == 0 || res.Thresholds.ProbeLength <= 0 {
-		t.Fatalf("thresholds: distribution missing: %+v", res.Thresholds)
-	}
-
-	// Sweep and common-patterns have no legacy route; parity against the
-	// library on the server's own DB.
 	db, ok := s.db("growth")
 	if !ok {
 		t.Fatal("growth not registered")
 	}
-	libSweep, err := db.SimilaritySweep(mustSeries(t, db, "MA")[0:8], []float64{0.05, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res = analyze(t, hts.URL, onex.Analysis{
-		Kind:       onex.AnalysisSimilaritySweep,
-		Window:     onex.Window{Series: "MA", Start: 0, Length: 8},
-		Thresholds: []float64{0.05, 0.1},
-	})
-	if !reflect.DeepEqual(libSweep, res.Sweep) {
-		t.Fatalf("sweep: library %+v != analyze %+v", libSweep, res.Sweep)
-	}
-
-	libCommon := db.CommonPatterns(3, 0, 0, 4)
-	res = analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisCommonPatterns, MinSeries: 3, K: 4})
-	if len(libCommon) == 0 || !reflect.DeepEqual(libCommon, res.Common) {
-		t.Fatalf("common: library %d != analyze %d", len(libCommon), len(res.Common))
-	}
-
-	// The analyze endpoint answers under the unversioned prefix too.
-	resp, raw = postJSON(t, hts.URL+"/api/datasets/growth/analyze",
-		onex.Analysis{Kind: onex.AnalysisLengthSummaries})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/api alias status = %d: %s", resp.StatusCode, raw)
-	}
-	if got := decodeAnalysis(t, raw); !reflect.DeepEqual(got.LengthSummaries, legacyLens) {
-		t.Fatal("/api alias returned a different payload")
-	}
-}
-
-func mustSeries(t *testing.T, db *onex.DB, name string) []float64 {
-	t.Helper()
-	vals, err := db.SeriesValues(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return vals
-}
-
-// TestLegacyRoutesTolerateSloppyBounds pins the historical contract of
-// the per-scenario routes: non-positive or inverted length bounds answer
-// 200 with the indexed-range/empty result, never a validation error —
-// even though the unified analyze endpoint rejects them.
-func TestLegacyRoutesTolerateSloppyBounds(t *testing.T) {
-	_, hts := newTestServer(t)
-	loadGrowth(t, hts)
-
-	resp, raw := postJSON(t, hts.URL+"/api/datasets/growth/query/seasonal",
-		SeasonalRequest{Series: "NY", MinLength: -1, MaxLength: -1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seasonal negative bounds status = %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = postJSON(t, hts.URL+"/api/datasets/growth/query/seasonal",
-		SeasonalRequest{Series: "NY", MinLength: 20, MaxLength: 10})
-	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(raw)) != "[]" {
-		t.Fatalf("seasonal inverted bounds: status %d, body %s", resp.StatusCode, raw)
-	}
-	var groups []onex.GroupInfo
-	if got := getJSON(t, hts.URL+"/api/datasets/growth/overview?length=-5", &groups); got.StatusCode != http.StatusOK {
-		t.Fatalf("overview negative length status = %d", got.StatusCode)
-	}
-	if len(groups) != 0 {
-		t.Fatalf("overview negative length returned %d groups, want none", len(groups))
+	for _, a := range []onex.Analysis{
+		{Kind: onex.AnalysisOverview, Length: 6, K: 3},
+		{Kind: onex.AnalysisLengthSummaries},
+		{Kind: onex.AnalysisGroupMembers, Length: 6},
+		{Kind: onex.AnalysisSeasonal, Series: "NY", Lengths: onex.Lengths{Min: 4, Max: 8}},
+		{Kind: onex.AnalysisCommonPatterns, MinSeries: 3, K: 4},
+		{Kind: onex.AnalysisSimilaritySweep, Window: onex.Window{Series: "MA", Start: 0, Length: 8},
+			Thresholds: []float64{0.05, 0.1}},
+		{Kind: onex.AnalysisThresholds},
+	} {
+		want, err := db.Analyze(context.Background(), a)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Kind, err)
+		}
+		got := analyze(t, hts.URL, a)
+		want.Stats, got.Stats = onex.AnalysisStats{}, onex.AnalysisStats{} // wall time differs
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: library %+v != server %+v", a.Kind, want, got)
+		}
+		if reflect.DeepEqual(got, onex.AnalysisResult{Request: got.Request}) {
+			t.Fatalf("%s: empty payload", a.Kind)
+		}
 	}
 
-	// The unified endpoint, by contrast, surfaces the typed rejection.
-	resp, _ = postJSON(t, hts.URL+"/api/v1/datasets/growth/analyze",
-		onex.Analysis{Kind: onex.AnalysisSeasonal, Series: "NY", Lengths: onex.Lengths{Min: -1}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("analyze negative bounds status = %d, want 400", resp.StatusCode)
+	// The envelope carries the resolved request and the walk statistics.
+	res := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisOverview, Length: 6, K: 3})
+	if res.Request.Kind != onex.AnalysisOverview || res.Stats.Groups != 3 {
+		t.Fatalf("analyze envelope incomplete: %+v %+v", res.Request, res.Stats)
 	}
 }
 

@@ -63,12 +63,7 @@ type exploreData struct {
 	Selection template.HTML
 	Preview   template.HTML
 	Results   template.HTML
-	Sweep     []sweepRow
-}
-
-type sweepRow struct {
-	MaxDist float64
-	Matches int
+	Sweep     []onex.SweepPoint
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
@@ -136,8 +131,13 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		{Name: fmt.Sprintf("%s[%d:%d)", data.Series, data.Start, data.Start+data.Len), Values: q},
 	}, 420, 180))
 
-	m, err := db.BestMatchForSeries(data.Series, data.Start, data.Len)
+	m, err := s.windowMatch(r, db, data.Series, data.Start, data.Len)
 	if err != nil {
+		if r.Context().Err() != nil {
+			// The client is gone; there is no page to finish.
+			writeErr(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 		data.Error = err.Error()
 		renderExplore(w, data)
 		return
@@ -158,10 +158,18 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		baseD = db.ST() / 4
 	}
 	thresholds := []float64{baseD, baseD * 1.5, baseD * 2, baseD * 3, baseD * 5}
-	if pts, err := db.SimilaritySweep(q, thresholds); err == nil {
-		for _, p := range pts {
-			data.Sweep = append(data.Sweep, sweepRow{MaxDist: p.MaxDist, Matches: p.Matches})
-		}
+	sw, err := db.Analyze(r.Context(), onex.Analysis{
+		Kind:       onex.AnalysisSimilaritySweep,
+		Values:     q,
+		Thresholds: thresholds,
+		Workers:    s.capWorkers(0),
+	})
+	switch {
+	case err == nil:
+		data.Sweep = sw.Sweep
+	case r.Context().Err() != nil:
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	renderExplore(w, data)
 }
@@ -177,16 +185,17 @@ func (s *Server) handleVizThresholds(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
 		return
 	}
-	dists, probe, recs, err := db.ThresholdDistribution()
+	res, err := db.Analyze(r.Context(), onex.Analysis{Kind: onex.AnalysisThresholds})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	markers := make([]viz.HistogramMarker, len(recs))
-	for i, rec := range recs {
+	tr := res.Thresholds
+	markers := make([]viz.HistogramMarker, len(tr.Recommendations))
+	for i, rec := range tr.Recommendations {
 		markers[i] = viz.HistogramMarker{Value: rec.ST, Label: rec.Label}
 	}
 	writeSVG(w, viz.Histogram(
-		fmt.Sprintf("pairwise ED per point — %s (probe length %d)", r.PathValue("name"), probe),
-		dists, 40, markers, 560, 240))
+		fmt.Sprintf("pairwise ED per point — %s (probe length %d)", r.PathValue("name"), tr.ProbeLength),
+		tr.Sample, 40, markers, 560, 240))
 }

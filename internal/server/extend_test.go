@@ -18,13 +18,13 @@ func TestAddSeriesEndpoint(t *testing.T) {
 	var sv struct {
 		Values []float64 `json:"values"`
 	}
-	getJSON(t, hts.URL+"/api/datasets/growth/series/MA", &sv)
+	getJSON(t, hts.URL+"/api/v1/datasets/growth/series/MA", &sv)
 	clone := make([]float64, len(sv.Values))
 	for i, v := range sv.Values {
 		clone[i] = v + 0.0001
 	}
 	body, _ := json.Marshal(AddSeriesRequest{Series: "MA2", Values: clone})
-	resp, err := http.Post(hts.URL+"/api/datasets/growth/series", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(hts.URL+"/api/v1/datasets/growth/series", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,23 +33,20 @@ func TestAddSeriesEndpoint(t *testing.T) {
 		t.Fatalf("add series status = %d", resp.StatusCode)
 	}
 
-	qbody, _ := json.Marshal(QueryRequest{Series: "MA", Start: 0, Length: 8, ExcludeSource: true})
-	qresp, err := http.Post(hts.URL+"/api/datasets/growth/query/similarity", "application/json", bytes.NewReader(qbody))
-	if err != nil {
-		t.Fatal(err)
+	qresp, raw := postJSON(t, hts.URL+"/api/v1/datasets/growth/query", onex.Query{
+		Window:  onex.Window{Series: "MA", Start: 0, Length: 8},
+		Exclude: onex.Exclude{Series: []string{"MA"}},
+	})
+	if qresp.StatusCode != http.StatusOK {
+		t.Fatalf("query status = %d: %s", qresp.StatusCode, raw)
 	}
-	defer qresp.Body.Close()
-	var ms []onex.Match
-	if err := json.NewDecoder(qresp.Body).Decode(&ms); err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 || ms[0].Series != "MA2" {
+	if ms := decodeResult(t, raw).Matches; len(ms) == 0 || ms[0].Series != "MA2" {
 		t.Fatalf("inserted clone not found as best match: %+v", ms)
 	}
 
 	// Bad requests.
 	for _, bad := range []string{`{`, `{}`, `{"series":"MA","values":[1,2]}`} {
-		r2, err := http.Post(hts.URL+"/api/datasets/growth/series", "application/json", strings.NewReader(bad))
+		r2, err := http.Post(hts.URL+"/api/v1/datasets/growth/series", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +56,7 @@ func TestAddSeriesEndpoint(t *testing.T) {
 		}
 	}
 	// Unknown dataset.
-	r3, err := http.Post(hts.URL+"/api/datasets/ghost/series", "application/json",
+	r3, err := http.Post(hts.URL+"/api/v1/datasets/ghost/series", "application/json",
 		strings.NewReader(`{"series":"x","values":[1,2,3]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -74,45 +71,39 @@ func TestRangeEndpoint(t *testing.T) {
 	_, hts := newTestServer(t)
 	loadGrowth(t, hts)
 
-	body, _ := json.Marshal(RangeRequest{Series: "MA", Start: 0, Length: 8, MaxDist: 0.2, Limit: 10})
-	resp, err := http.Post(hts.URL+"/api/datasets/growth/query/range", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, raw := postJSON(t, hts.URL+"/api/v1/datasets/growth/query", onex.Query{
+		Window: onex.Window{Series: "MA", Start: 0, Length: 8}, MaxDist: 0.2, K: 10,
+	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("range status = %d", resp.StatusCode)
+		t.Fatalf("range status = %d: %s", resp.StatusCode, raw)
 	}
-	var ms []onex.Match
-	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 {
+	res := decodeResult(t, raw)
+	if len(res.Matches) == 0 {
 		t.Fatal("range query found nothing within a generous threshold")
 	}
-	if len(ms) > 10 {
-		t.Fatal("limit ignored")
+	if len(res.Matches) > 10 {
+		t.Fatal("K cap ignored")
 	}
-	for _, m := range ms {
+	for _, m := range res.Matches {
 		if m.Dist > 0.2+1e-9 {
 			t.Fatalf("match beyond threshold: %g", m.Dist)
 		}
 	}
+	if res.Query.Mode != onex.ModeExact {
+		t.Fatalf("range query echoed mode %q, want the certified %q", res.Query.Mode, onex.ModeExact)
+	}
 
 	// Ad-hoc values variant.
-	body2, _ := json.Marshal(RangeRequest{Values: []float64{2, 2.5, 3, 2.5, 2}, MaxDist: 5})
-	resp2, err := http.Post(hts.URL+"/api/datasets/growth/query/range", "application/json", bytes.NewReader(body2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("values range status = %d", resp2.StatusCode)
+	resp, raw = postJSON(t, hts.URL+"/api/v1/datasets/growth/query", onex.Query{
+		Values: []float64{2, 2.5, 3, 2.5, 2}, MaxDist: 5,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("values range status = %d: %s", resp.StatusCode, raw)
 	}
 
 	// Bad requests.
-	for _, bad := range []string{`{`, `{"max_dist":1}`, `{"series":"MA","start":0,"length":9999,"max_dist":1}`} {
-		r2, err := http.Post(hts.URL+"/api/datasets/growth/query/range", "application/json", strings.NewReader(bad))
+	for _, bad := range []string{`{`, `{"max_dist":1}`, `{"window":{"series":"MA","start":0,"length":9999},"max_dist":1}`} {
+		r2, err := http.Post(hts.URL+"/api/v1/datasets/growth/query", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,44 +184,42 @@ func TestGroupMembersEndpoint(t *testing.T) {
 	loadGrowth(t, hts)
 
 	// Find a real group via the overview, then drill into it.
-	var groups []onex.GroupInfo
-	getJSON(t, hts.URL+"/api/datasets/growth/overview?length=6&k=1", &groups)
+	groups := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisOverview, Length: 6, K: 1}).Groups
 	if len(groups) == 0 {
 		t.Fatal("no overview groups")
 	}
-	var members []onex.Member
-	getJSON(t, hts.URL+"/api/datasets/growth/groups/6/0", &members)
+	members := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisGroupMembers, Length: 6, Index: 0}).Members
 	if len(members) != groups[0].Count {
 		t.Fatalf("drill-down members %d != overview count %d", len(members), groups[0].Count)
 	}
-	for _, m := range members {
+	for i, m := range members {
 		if m.Series == "" || m.Length != 6 || len(m.Values) != 6 {
 			t.Fatalf("malformed member %+v", m)
 		}
+		if i > 0 && members[i-1].RepED > m.RepED {
+			t.Fatal("members not sorted nearest representative first")
+		}
 	}
 	// Bad addresses.
-	for _, path := range []string{
-		"/api/datasets/growth/groups/6/99999",
-		"/api/datasets/growth/groups/999/0",
-		"/api/datasets/growth/groups/x/y",
-		"/api/datasets/ghost/groups/6/0",
+	for _, a := range []onex.Analysis{
+		{Kind: onex.AnalysisGroupMembers, Length: 6, Index: 99999},
+		{Kind: onex.AnalysisGroupMembers, Length: 999},
+		{Kind: onex.AnalysisGroupMembers, Length: 6, Index: -1},
 	} {
-		resp, err := http.Get(hts.URL + path)
-		if err != nil {
-			t.Fatal(err)
+		if resp, raw := postJSON(t, hts.URL+"/api/v1/datasets/growth/analyze", a); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%+v: status %d, want 400 (%s)", a, resp.StatusCode, raw)
 		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("%s accepted", path)
-		}
+	}
+	if resp, _ := postJSON(t, hts.URL+"/api/v1/datasets/ghost/analyze",
+		onex.Analysis{Kind: onex.AnalysisGroupMembers, Length: 6}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("ghost dataset status = %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestLengthsEndpoint(t *testing.T) {
 	_, hts := newTestServer(t)
 	loadGrowth(t, hts)
-	var ls []onex.LengthSummary
-	getJSON(t, hts.URL+"/api/datasets/growth/lengths", &ls)
+	ls := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisLengthSummaries}).LengthSummaries
 	if len(ls) == 0 {
 		t.Fatal("no length summaries")
 	}
@@ -242,12 +231,8 @@ func TestLengthsEndpoint(t *testing.T) {
 			t.Fatal("summaries not ascending")
 		}
 	}
-	resp, err := http.Get(hts.URL + "/api/datasets/ghost/lengths")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatal("ghost dataset lengths should 404")
+	if resp, _ := postJSON(t, hts.URL+"/api/v1/datasets/ghost/analyze",
+		onex.Analysis{Kind: onex.AnalysisLengthSummaries}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("ghost dataset lengths status = %d, want 404", resp.StatusCode)
 	}
 }

@@ -69,7 +69,7 @@ func TestStoreMetricsFamilies(t *testing.T) {
 	_, hts, _ := newStoredServer(t)
 	loadGrowth(t, hts)
 
-	resp, _ := postJSON(t, hts.URL+"/api/datasets/growth/series", AddSeriesRequest{
+	resp, _ := postJSON(t, hts.URL+"/api/v1/datasets/growth/series", AddSeriesRequest{
 		Series: "ingest-1",
 		Values: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 	})
@@ -116,7 +116,7 @@ func fetchMetrics(t *testing.T, hts *httptest.Server) string {
 func TestUnsafeDatasetNameRejected(t *testing.T) {
 	_, hts, dir := newStoredServer(t)
 	for _, name := range []string{"../evil", "a/b", ".hidden", "", "nul\x00byte", strings.Repeat("x", 200)} {
-		resp, _ := postJSON(t, hts.URL+"/api/datasets/load", LoadRequest{
+		resp, _ := postJSON(t, hts.URL+"/api/v1/datasets/load", LoadRequest{
 			Name: name, Source: "matters:GrowthRate", MinLength: 4, MaxLength: 10,
 		})
 		if resp.StatusCode != http.StatusBadRequest {
@@ -133,7 +133,7 @@ func TestUnsafeDatasetNameRejected(t *testing.T) {
 	// The same names are fine without a store (no filesystem exposure) —
 	// except the empty name, which is always invalid.
 	_, plain := newTestServer(t)
-	resp, _ := postJSON(t, plain.URL+"/api/datasets/load", LoadRequest{
+	resp, _ := postJSON(t, plain.URL+"/api/v1/datasets/load", LoadRequest{
 		Name: "a/b", Source: "matters:GrowthRate", MinLength: 4, MaxLength: 10,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -151,7 +151,7 @@ func TestRestoreStoredRestart(t *testing.T) {
 	s1 := New(WithStore(dir))
 	hts1 := httptest.NewServer(s1.Handler())
 	loadGrowth(t, hts1)
-	resp, _ := postJSON(t, hts1.URL+"/api/datasets/growth/series", AddSeriesRequest{
+	resp, _ := postJSON(t, hts1.URL+"/api/v1/datasets/growth/series", AddSeriesRequest{
 		Series: "survives-restart",
 		Values: []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8},
 	})
@@ -180,7 +180,7 @@ func TestRestoreStoredRestart(t *testing.T) {
 	})
 
 	var names []string
-	getJSON(t, hts2.URL+"/api/datasets/growth/series", &names)
+	getJSON(t, hts2.URL+"/api/v1/datasets/growth/series", &names)
 	if len(names) != 51 {
 		t.Fatalf("%d series after restart, want 51 (50 + ingest)", len(names))
 	}
@@ -192,7 +192,7 @@ func TestRestoreStoredRestart(t *testing.T) {
 		t.Fatalf("ingested series lost across restart: %v", names)
 	}
 	// And it keeps accepting durable ingests.
-	resp, _ = postJSON(t, hts2.URL+"/api/datasets/growth/series", AddSeriesRequest{
+	resp, _ = postJSON(t, hts2.URL+"/api/v1/datasets/growth/series", AddSeriesRequest{
 		Series: "post-restart",
 		Values: []float64{2, 7, 1, 8, 2, 8, 1, 8, 2, 8, 4, 5},
 	})

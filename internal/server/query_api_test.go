@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,15 +31,6 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func decodeMatches(t *testing.T, raw []byte) []onex.Match {
-	t.Helper()
-	var ms []onex.Match
-	if err := json.Unmarshal(raw, &ms); err != nil {
-		t.Fatalf("decode matches: %v (%s)", err, raw)
-	}
-	return ms
-}
-
 func decodeResult(t *testing.T, raw []byte) onex.Result {
 	t.Helper()
 	var res onex.Result
@@ -47,100 +40,59 @@ func decodeResult(t *testing.T, raw []byte) onex.Result {
 	return res
 }
 
-func requireSameMatches(t *testing.T, label string, legacy, unified []onex.Match) {
+func requireSameMatches(t *testing.T, label string, want, got []onex.Match) {
 	t.Helper()
-	if len(legacy) != len(unified) {
-		t.Fatalf("%s: legacy %d matches, unified %d", label, len(legacy), len(unified))
+	if len(want) != len(got) {
+		t.Fatalf("%s: library %d matches, server %d", label, len(want), len(got))
 	}
-	for i := range legacy {
-		l, u := legacy[i], unified[i]
-		if l.Series != u.Series || l.Start != u.Start || l.Length != u.Length {
-			t.Fatalf("%s: match %d differs: %+v vs %+v", label, i, l, u)
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.Series != g.Series || w.Start != g.Start || w.Length != g.Length {
+			t.Fatalf("%s: match %d differs: %+v vs %+v", label, i, w, g)
 		}
-		if math.Abs(l.Dist-u.Dist) > 1e-12 {
-			t.Fatalf("%s: match %d dist %g vs %g", label, i, l.Dist, u.Dist)
+		if math.Abs(w.Dist-g.Dist) > 1e-12 {
+			t.Fatalf("%s: match %d dist %g vs %g", label, i, w.Dist, g.Dist)
 		}
 	}
 }
 
-// TestUnifiedQueryParity answers the same similarity and range fixtures
-// through the legacy routes and the unified /api/v1 query endpoint and
-// requires identical matches.
+// TestUnifiedQueryParity answers similarity and range fixtures through the
+// /api/v1 query endpoint and through the library on the server's own DB,
+// and requires identical matches plus the resolved query and stats.
 func TestUnifiedQueryParity(t *testing.T) {
-	_, hts := newTestServer(t)
+	s, hts := newTestServer(t)
 	loadGrowth(t, hts)
-
-	// Window similarity (self-overlap excluded), legacy vs unified.
-	resp, raw := postJSON(t, hts.URL+"/api/datasets/growth/query/similarity",
-		QueryRequest{Series: "MA", Start: 0, Length: 8})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy similarity status = %d: %s", resp.StatusCode, raw)
+	db, ok := s.db("growth")
+	if !ok {
+		t.Fatal("growth not registered")
 	}
-	legacy := decodeMatches(t, raw)
-
-	resp, raw = postJSON(t, hts.URL+"/api/v1/datasets/growth/query", onex.Query{
-		Window:  onex.Window{Series: "MA", Start: 0, Length: 8},
-		Exclude: onex.Exclude{Self: true},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unified query status = %d: %s", resp.StatusCode, raw)
+	window := onex.Window{Series: "MA", Start: 0, Length: 8}
+	for _, tc := range []struct {
+		label string
+		q     onex.Query
+	}{
+		{"similarity", onex.Query{Window: window, Exclude: onex.Exclude{Self: true}}},
+		{"exclude-source", onex.Query{Window: window, Exclude: onex.Exclude{Series: []string{"MA"}}}},
+		{"range", onex.Query{Window: window, MaxDist: 0.2, K: 10}},
+		{"values", onex.Query{Values: []float64{2, 2.5, 3, 2.5, 2}, K: 3}},
+	} {
+		want, err := db.Find(context.Background(), tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		resp, raw := postJSON(t, hts.URL+"/api/v1/datasets/growth/query", tc.q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", tc.label, resp.StatusCode, raw)
+		}
+		res := decodeResult(t, raw)
+		requireSameMatches(t, tc.label, want.Matches, res.Matches)
+		if !reflect.DeepEqual(res.Query, want.Query) {
+			t.Fatalf("%s: resolved query %+v, library %+v", tc.label, res.Query, want.Query)
+		}
+		if res.Stats.Groups <= 0 || res.Stats.DTWs <= 0 {
+			t.Fatalf("%s: response lacks stats: %+v", tc.label, res.Stats)
+		}
 	}
-	res := decodeResult(t, raw)
-	requireSameMatches(t, "similarity", legacy, res.Matches)
-	if res.Query.Mode != onex.ModeApprox || res.Query.K != 1 {
-		t.Fatalf("unified response lacks resolved query: %+v", res.Query)
-	}
-	if res.Stats.Groups <= 0 || res.Stats.DTWs <= 0 {
-		t.Fatalf("unified response lacks stats: %+v", res.Stats)
-	}
-
-	// Exclude-source variant.
-	resp, raw = postJSON(t, hts.URL+"/api/datasets/growth/query/similarity",
-		QueryRequest{Series: "MA", Start: 0, Length: 8, ExcludeSource: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy exclude-source status = %d", resp.StatusCode)
-	}
-	legacy = decodeMatches(t, raw)
-	resp, raw = postJSON(t, hts.URL+"/api/v1/datasets/growth/query", onex.Query{
-		Window:  onex.Window{Series: "MA", Start: 0, Length: 8},
-		Exclude: onex.Exclude{Series: []string{"MA"}},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unified exclude-source status = %d: %s", resp.StatusCode, raw)
-	}
-	requireSameMatches(t, "exclude-source", legacy, decodeResult(t, raw).Matches)
-
-	// Range, legacy vs unified (max_dist switches Find to range semantics).
-	resp, raw = postJSON(t, hts.URL+"/api/datasets/growth/query/range",
-		RangeRequest{Series: "MA", Start: 0, Length: 8, MaxDist: 0.2, Limit: 10})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy range status = %d", resp.StatusCode)
-	}
-	legacy = decodeMatches(t, raw)
-	resp, raw = postJSON(t, hts.URL+"/api/v1/datasets/growth/query", onex.Query{
-		Window:  onex.Window{Series: "MA", Start: 0, Length: 8},
-		MaxDist: 0.2,
-		K:       10,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unified range status = %d: %s", resp.StatusCode, raw)
-	}
-	requireSameMatches(t, "range", legacy, decodeResult(t, raw).Matches)
-
-	// Ad-hoc values top-k.
-	resp, raw = postJSON(t, hts.URL+"/api/datasets/growth/query/similarity",
-		QueryRequest{Values: []float64{2, 2.5, 3, 2.5, 2}, K: 3})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy values status = %d", resp.StatusCode)
-	}
-	legacy = decodeMatches(t, raw)
-	resp, raw = postJSON(t, hts.URL+"/api/v1/datasets/growth/query", onex.Query{
-		Values: []float64{2, 2.5, 3, 2.5, 2}, K: 3,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unified values status = %d: %s", resp.StatusCode, raw)
-	}
-	requireSameMatches(t, "values", legacy, decodeResult(t, raw).Matches)
 }
 
 func TestUnifiedQueryOverridesAndErrors(t *testing.T) {
@@ -189,28 +141,25 @@ func TestUnifiedQueryOverridesAndErrors(t *testing.T) {
 	}
 }
 
-// TestV1Aliases verifies every GET route answers identically under /api
-// and /api/v1.
+// TestV1Aliases verifies every GET data route answers under /api/v1 and
+// that the unversioned /api copies are gone.
 func TestV1Aliases(t *testing.T) {
 	_, hts := newTestServer(t)
 	loadGrowth(t, hts)
 	for _, path := range []string{
+		"/healthz",
 		"/datasets",
 		"/datasets/growth/series",
 		"/datasets/growth/series/MA",
-		"/datasets/growth/overview?length=6&k=3",
-		"/datasets/growth/lengths",
-		"/datasets/growth/groups/6/0",
-		"/datasets/growth/thresholds",
 	} {
-		for _, prefix := range []string{"/api", "/api/v1"} {
+		for prefix, want := range map[string]int{"/api/v1": http.StatusOK, "/api": http.StatusNotFound} {
 			resp, err := http.Get(hts.URL + prefix + path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s%s status = %d", prefix, path, resp.StatusCode)
+			if resp.StatusCode != want {
+				t.Fatalf("%s%s status = %d, want %d", prefix, path, resp.StatusCode, want)
 			}
 		}
 	}

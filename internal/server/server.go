@@ -3,48 +3,43 @@
 // side preprocessing into the ONEX base, after which the analyst explores
 // via near-real-time JSON queries and SVG chart endpoints.
 //
-// Endpoints (all JSON unless noted). Every /api/v1 route is also served
-// under the unversioned /api prefix for compatibility:
+// Endpoints (all JSON unless noted):
 //
-//	GET  /                                        demo HTML page
-//	GET  /healthz (also /api/v1/healthz)          liveness: build info + dataset count
-//	GET  /metrics                                 Prometheus text metrics (requests, latency, cache, admission)
-//	GET  /api/v1/datasets                         loaded datasets + stats
-//	POST /api/v1/datasets/load                    load+preprocess (see LoadRequest)
-//	GET  /api/v1/datasets/{name}/series           series names
-//	POST /api/v1/datasets/{name}/series           append + index a series
-//	GET  /api/v1/datasets/{name}/series/{series}  one series' values
-//	GET  /api/v1/datasets/{name}/overview         group summaries ?length=&k=
-//	GET  /api/v1/datasets/{name}/lengths          per-length base stats
-//	GET  /api/v1/datasets/{name}/groups/{l}/{i}   group drill-down
-//	POST /api/v1/datasets/{name}/query            unified query (onex.Query → onex.Result)
-//	POST /api/v1/datasets/{name}/query/stream     progressive query (onex.Query → NDJSON onex.Update lines)
-//	POST /api/v1/datasets/{name}/analyze          unified analytics (onex.Analysis → onex.AnalysisResult)
-//	POST /api/v1/datasets/{name}/query/similarity legacy similarity alias (QueryRequest)
-//	POST /api/v1/datasets/{name}/query/range      legacy range alias (RangeRequest)
-//	POST /api/v1/datasets/{name}/query/seasonal   seasonal query (SeasonalRequest)
-//	GET  /api/v1/datasets/{name}/thresholds       ST recommendations
-//	GET  /viz/{name}/overview.svg                 overview grid     ?length=&k=
-//	GET  /viz/{name}/match.svg                    warp chart        ?series=&start=&len=
-//	GET  /viz/{name}/radial.svg                   radial chart      ?a=&b=
-//	GET  /viz/{name}/scatter.svg                  connected scatter ?a=&b=
-//	GET  /viz/{name}/seasonal.svg                 seasonal view     ?series=&len=
+//	GET  /                                          demo HTML page
+//	GET  /healthz                                   liveness: build info + dataset count
+//	GET  /api/v1/healthz                            the same, under the API prefix
+//	GET  /metrics                                   Prometheus text metrics (requests, latency, cache, admission)
+//	GET  /api/v1/datasets                           loaded datasets + stats
+//	POST /api/v1/datasets/load                      load+preprocess (see LoadRequest)
+//	GET  /api/v1/datasets/{name}/series             series names
+//	POST /api/v1/datasets/{name}/series             append + index a series
+//	GET  /api/v1/datasets/{name}/series/{series}    one series' values
+//	POST /api/v1/datasets/{name}/query              unified query (onex.Query → onex.Result)
+//	POST /api/v1/datasets/{name}/query/stream       progressive query (onex.Query → NDJSON onex.Update lines)
+//	POST /api/v1/datasets/{name}/analyze            unified analytics (onex.Analysis → onex.AnalysisResult)
+//	GET  /replication/v1/datasets/{name}/snapshot   leader snapshot shipping (see replication.go)
+//	GET  /replication/v1/datasets/{name}/wal        leader WAL tail, long-polled by followers
+//	GET  /viz/{name}/overview.svg                   overview grid       ?length=&k=
+//	GET  /viz/{name}/match.svg                      warp chart          ?series=&start=&len=
+//	GET  /viz/{name}/radial.svg                     radial chart        ?a=&b=
+//	GET  /viz/{name}/scatter.svg                    connected scatter   ?a=&b=
+//	GET  /viz/{name}/seasonal.svg                   seasonal view       ?series=&len=
+//	GET  /viz/{name}/thresholds.svg                 threshold histogram
+//	GET  /explore/{name}                            similarity view page ?series=&start=&len=
 //
-// The unified query and analyze endpoints are the primary API: their
-// bodies map 1:1 onto onex.Query and onex.Analysis, their responses are
-// the full onex.Result / onex.AnalysisResult (payload, resolved request,
-// stats), and cancelling the HTTP request cancels the underlying walk.
-// Under load they are defended by the serving tier: WithCache answers
-// repeated requests from a dataset-version-keyed result cache, WithRateLimit
-// and WithMaxInflight shed excess traffic with 429/503 + Retry-After, and
-// GET /metrics exports the whole picture in Prometheus text format.
-// The query/stream endpoint is the progressive variant: the same body,
-// answered as NDJSON — the approximate top-k first, one line per
-// certified refinement wave, terminating with the exact result — with a
-// flush per update, so a client renders the answer while it refines. The
-// per-scenario legacy routes remain as thin aliases over the same
-// execution paths, so every analytics route honours request-context
-// cancellation too.
+// The query and analyze endpoints are the whole analyst API: their bodies
+// map 1:1 onto onex.Query and onex.Analysis, their responses are the full
+// onex.Result / onex.AnalysisResult (payload, resolved request, stats),
+// and cancelling the HTTP request cancels the underlying walk — as it does
+// for every SVG and explore page, which run the same Find and Analyze
+// calls. Under load they are defended by the serving tier: WithCache
+// answers repeated requests from a dataset-version-keyed result cache,
+// WithRateLimit and WithMaxInflight shed excess traffic with 429/503 +
+// Retry-After, and GET /metrics exports the whole picture in Prometheus
+// text format. The query/stream endpoint is the progressive variant: the
+// same body, answered as NDJSON — the approximate top-k first, one line
+// per certified refinement wave, terminating with the exact result — with
+// a flush per update, so a client renders the answer while it refines.
 package server
 
 import (
@@ -148,7 +143,7 @@ func WithCache(maxBytes int64) Option {
 }
 
 // WithRateLimit applies a per-client token bucket to the query-class
-// endpoints (query, query/stream, analyze, and the legacy query aliases):
+// endpoints (query, query/stream, and analyze):
 // each client accrues rps tokens per second up to burst, and a request
 // with no token available is rejected with 429 and a Retry-After header.
 // Clients are keyed by their remote IP; behind a reverse proxy (where
@@ -223,40 +218,26 @@ func (s *Server) db(name string) (*onex.DB, bool) {
 	return db, ok
 }
 
-// api registers an API handler under both the versioned /api/v1 prefix
-// (the documented surface) and the legacy unversioned /api prefix.
-func (s *Server) api(method, path string, h http.HandlerFunc) {
-	s.mux.HandleFunc(method+" /api/v1"+path, h)
-	s.mux.HandleFunc(method+" /api"+path, h)
-}
-
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
-	s.api("GET", "/datasets", s.instrument("meta", false, s.handleListDatasets))
-	s.api("POST", "/datasets/load", s.instrument("load", false, s.handleLoad))
-	s.api("GET", "/datasets/{name}/series", s.instrument("meta", false, s.handleSeriesNames))
-	s.api("POST", "/datasets/{name}/series", s.instrument("ingest", false, s.handleAddSeries))
-	s.api("GET", "/datasets/{name}/series/{series}", s.instrument("meta", false, s.handleSeriesValues))
-	s.api("GET", "/datasets/{name}/overview", s.instrument("explore", false, s.handleOverview))
-	s.api("GET", "/datasets/{name}/lengths", s.instrument("explore", false, s.handleLengths))
-	s.api("GET", "/datasets/{name}/groups/{length}/{index}", s.instrument("explore", false, s.handleGroupMembers))
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /api/v1/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /api/v1/datasets", s.instrument("meta", false, s.handleListDatasets))
+	s.mux.HandleFunc("POST /api/v1/datasets/load", s.instrument("load", false, s.handleLoad))
+	s.mux.HandleFunc("GET /api/v1/datasets/{name}/series", s.instrument("meta", false, s.handleSeriesNames))
+	s.mux.HandleFunc("POST /api/v1/datasets/{name}/series", s.instrument("ingest", false, s.handleAddSeries))
+	s.mux.HandleFunc("GET /api/v1/datasets/{name}/series/{series}", s.instrument("meta", false, s.handleSeriesValues))
 	// The query-class endpoints carry the heavy walks: they are the ones
 	// rate limiting and admission control defend.
-	s.api("POST", "/datasets/{name}/query", s.instrument("query", true, s.handleQuery))
-	s.api("POST", "/datasets/{name}/query/stream", s.instrument("query_stream", true, s.handleQueryStream))
-	s.api("POST", "/datasets/{name}/analyze", s.instrument("analyze", true, s.handleAnalyze))
-	s.api("GET", "/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.mux.HandleFunc("POST /api/v1/datasets/{name}/query", s.instrument("query", true, s.handleQuery))
+	s.mux.HandleFunc("POST /api/v1/datasets/{name}/query/stream", s.instrument("query_stream", true, s.handleQueryStream))
+	s.mux.HandleFunc("POST /api/v1/datasets/{name}/analyze", s.instrument("analyze", true, s.handleAnalyze))
 	// Leader replication surface: snapshot shipping plus the seq-addressed
 	// WAL tail followers long-poll (see replication.go). Deliberately
 	// outside /api — this is a peer protocol, not an analyst API.
 	s.mux.HandleFunc("GET /replication/v1/datasets/{name}/snapshot", s.handleReplSnapshot)
 	s.mux.HandleFunc("GET /replication/v1/datasets/{name}/wal", s.handleReplWAL)
-	s.api("POST", "/datasets/{name}/query/similarity", s.instrument("legacy_query", true, s.handleSimilarity))
-	s.api("POST", "/datasets/{name}/query/range", s.instrument("legacy_query", true, s.handleRange))
-	s.api("POST", "/datasets/{name}/query/seasonal", s.instrument("legacy_query", true, s.handleSeasonal))
-	s.api("GET", "/datasets/{name}/thresholds", s.instrument("explore", false, s.handleThresholds))
 	s.mux.HandleFunc("GET /viz/{name}/overview.svg", s.handleVizOverview)
 	s.mux.HandleFunc("GET /viz/{name}/match.svg", s.handleVizMatch)
 	s.mux.HandleFunc("GET /viz/{name}/radial.svg", s.handleVizRadial)
@@ -474,37 +455,10 @@ func (s *Server) handleSeriesValues(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"name": r.PathValue("series"), "values": vals})
 }
 
-func (s *Server) handleOverview(w http.ResponseWriter, r *http.Request) {
-	db, ok := s.db(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
-		return
-	}
-	length := queryInt(r, "length", 0)
-	if length < 0 {
-		// This route has always answered nonsense lengths with an empty
-		// list rather than an error; keep that contract.
-		writeJSON(w, http.StatusOK, []onex.GroupInfo{})
-		return
-	}
-	res, err := db.Analyze(r.Context(), onex.Analysis{
-		Kind:   onex.AnalysisOverview,
-		Length: length,
-		K:      queryInt(r, "k", 12),
-	})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Groups)
-}
-
 // handleAnalyze is the unified, versioned analytics endpoint: the request
 // body is an onex.Analysis verbatim, the response an onex.AnalysisResult
 // (payload plus the resolved request and walk statistics). Cancelling the
-// HTTP request cancels the walk. The per-scenario analytics routes
-// (overview, lengths, groups, seasonal, thresholds) are thin aliases over
-// the same execution path, preserving their historical wire formats.
+// HTTP request cancels the walk.
 //
 // With WithCache, successful responses are cached under (dataset, DB
 // instance ID, dataset version, canonical analysis) and repeats are
@@ -608,126 +562,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSONBody(w, body)
 }
 
-// QueryRequest is a similarity query over a loaded dataset (the legacy
-// wire format; new clients should POST an onex.Query to
-// /api/v1/datasets/{name}/query instead).
-type QueryRequest struct {
-	// Series/Start/Length select the query window (the demo flow), or
-	// Values supplies an ad-hoc query in original units.
-	Series string    `json:"series,omitempty"`
-	Start  int       `json:"start,omitempty"`
-	Length int       `json:"length,omitempty"`
-	Values []float64 `json:"values,omitempty"`
-	// K requests the top-K matches (default 1).
-	K int `json:"k,omitempty"`
-	// ExcludeSource excludes the whole source series rather than just the
-	// overlapping windows.
-	ExcludeSource bool `json:"exclude_source,omitempty"`
-}
-
-// query translates the legacy request shape onto the unified Query type.
-func (req QueryRequest) query() (onex.Query, error) {
-	switch {
-	case len(req.Values) > 0:
-		k := req.K
-		if k <= 0 {
-			k = 1
-		}
-		return onex.Query{Values: req.Values, K: k}, nil
-	case req.Series != "":
-		q := onex.Query{
-			Window:  onex.Window{Series: req.Series, Start: req.Start, Length: req.Length},
-			Exclude: onex.Exclude{Self: true},
-		}
-		if req.ExcludeSource {
-			q.Exclude = onex.Exclude{Series: []string{req.Series}}
-		}
-		return q, nil
-	default:
-		return onex.Query{}, errors.New("provide either values or series+start+length")
-	}
-}
-
-func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
-	db, ok := s.db(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
-		return
-	}
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	q, err := req.query()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	q.Workers = s.capWorkers(q.Workers)
-	res, err := db.Find(r.Context(), q)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Matches)
-}
-
-// SeasonalRequest is a seasonal query.
-type SeasonalRequest struct {
-	Series         string `json:"series"`
-	MinLength      int    `json:"min_length,omitempty"`
-	MaxLength      int    `json:"max_length,omitempty"`
-	MinOccurrences int    `json:"min_occurrences,omitempty"`
-}
-
-func (s *Server) handleSeasonal(w http.ResponseWriter, r *http.Request) {
-	db, ok := s.db(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
-		return
-	}
-	var req SeasonalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	// This route has always treated non-positive bounds as "the indexed
-	// range" and an empty intersection as an empty result; Analysis spells
-	// the former 0 and rejects the latter, so translate both.
-	bounds := onex.Lengths{Min: max(req.MinLength, 0), Max: max(req.MaxLength, 0)}
-	if bounds.Max > 0 && bounds.Min > bounds.Max {
-		writeJSON(w, http.StatusOK, []onex.Pattern{})
-		return
-	}
-	res, err := db.Analyze(r.Context(), onex.Analysis{
-		Kind:           onex.AnalysisSeasonal,
-		Series:         req.Series,
-		Lengths:        bounds,
-		MinOccurrences: req.MinOccurrences,
-		Workers:        s.capWorkers(0),
-	})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Patterns)
-}
-
-func (s *Server) handleThresholds(w http.ResponseWriter, r *http.Request) {
-	db, ok := s.db(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
-		return
-	}
-	res, err := db.Analyze(r.Context(), onex.Analysis{Kind: onex.AnalysisThresholds})
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Thresholds.Recommendations)
-}
-
 // AddSeriesRequest appends one series to a loaded dataset and indexes it
 // incrementally (no rebuild).
 type AddSeriesRequest struct {
@@ -756,110 +590,6 @@ func (s *Server) handleAddSeries(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"series": req.Series, "stats": db.Stats()})
-}
-
-// RangeRequest is a within-threshold query (the legacy wire format; new
-// clients should POST an onex.Query with max_dist to
-// /api/v1/datasets/{name}/query instead).
-type RangeRequest struct {
-	Series  string    `json:"series,omitempty"`
-	Start   int       `json:"start,omitempty"`
-	Length  int       `json:"length,omitempty"`
-	Values  []float64 `json:"values,omitempty"`
-	MaxDist float64   `json:"max_dist"`
-	Limit   int       `json:"limit,omitempty"`
-}
-
-func (s *Server) handleRange(w http.ResponseWriter, r *http.Request) {
-	db, ok := s.db(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
-		return
-	}
-	var req RangeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	q := req.Values
-	if len(q) == 0 && req.Series != "" {
-		vals, err := db.SeriesValues(req.Series)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if req.Start < 0 || req.Length <= 0 || req.Start+req.Length > len(vals) {
-			writeErr(w, http.StatusBadRequest, "window [%d,%d) out of range", req.Start, req.Start+req.Length)
-			return
-		}
-		q = vals[req.Start : req.Start+req.Length]
-	}
-	if len(q) == 0 {
-		writeErr(w, http.StatusBadRequest, "provide either values or series+start+length")
-		return
-	}
-	var (
-		ms  []onex.Match
-		err error
-	)
-	if req.MaxDist > 0 {
-		// Route through Find so a disconnecting client cancels the scan.
-		var res onex.Result
-		res, err = db.Find(r.Context(), onex.Query{
-			Values: q, MaxDist: req.MaxDist, K: req.Limit,
-			Workers: s.capWorkers(0),
-		})
-		ms = res.Matches
-	} else {
-		// MaxDist = 0 ("exact matches only") keeps its legacy range
-		// semantics via the wrapper. Query cannot express a zero-threshold
-		// range, so this branch runs uncancellable — acceptable: a zero
-		// threshold LB-prunes almost every candidate immediately.
-		ms, err = db.WithinThreshold(q, req.MaxDist, req.Limit)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ms)
-}
-
-func (s *Server) handleGroupMembers(w http.ResponseWriter, r *http.Request) {
-	db, ok := s.db(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
-		return
-	}
-	length, err1 := strconv.Atoi(r.PathValue("length"))
-	index, err2 := strconv.Atoi(r.PathValue("index"))
-	if err1 != nil || err2 != nil {
-		writeErr(w, http.StatusBadRequest, "length and index must be integers")
-		return
-	}
-	res, err := db.Analyze(r.Context(), onex.Analysis{
-		Kind:   onex.AnalysisGroupMembers,
-		Length: length,
-		Index:  index,
-	})
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.Members)
-}
-
-func (s *Server) handleLengths(w http.ResponseWriter, r *http.Request) {
-	db, ok := s.db(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "dataset %q not loaded", r.PathValue("name"))
-		return
-	}
-	res, err := db.Analyze(r.Context(), onex.Analysis{Kind: onex.AnalysisLengthSummaries})
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.LengthSummaries)
 }
 
 func queryInt(r *http.Request, key string, def int) int {

@@ -29,7 +29,7 @@ func loadGrowth(t *testing.T, hts *httptest.Server) {
 		MinLength: 4,
 		MaxLength: 10,
 	})
-	resp, err := http.Post(hts.URL+"/api/datasets/load", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(hts.URL+"/api/v1/datasets/load", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,13 @@ func TestLoadAndListFlow(t *testing.T) {
 	loadGrowth(t, hts)
 
 	var infos []DatasetInfo
-	getJSON(t, hts.URL+"/api/datasets", &infos)
+	getJSON(t, hts.URL+"/api/v1/datasets", &infos)
 	if len(infos) != 1 || infos[0].Name != "growth" {
 		t.Fatalf("datasets = %+v", infos)
 	}
 
 	var names []string
-	getJSON(t, hts.URL+"/api/datasets/growth/series", &names)
+	getJSON(t, hts.URL+"/api/v1/datasets/growth/series", &names)
 	if len(names) != 50 {
 		t.Fatalf("series = %d", len(names))
 	}
@@ -81,7 +81,7 @@ func TestLoadAndListFlow(t *testing.T) {
 		Name   string    `json:"name"`
 		Values []float64 `json:"values"`
 	}
-	getJSON(t, hts.URL+"/api/datasets/growth/series/MA", &sv)
+	getJSON(t, hts.URL+"/api/v1/datasets/growth/series/MA", &sv)
 	if sv.Name != "MA" || len(sv.Values) == 0 {
 		t.Fatalf("series values = %+v", sv)
 	}
@@ -96,7 +96,7 @@ func TestLoadValidation(t *testing.T) {
 		`{"name":"x","source":"matters:Bogus"}`,
 		`{"name":"x","source":"file:/does/not/exist.csv"}`,
 	} {
-		resp, err := http.Post(hts.URL+"/api/datasets/load", "application/json", strings.NewReader(body))
+		resp, err := http.Post(hts.URL+"/api/v1/datasets/load", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,64 +110,29 @@ func TestLoadValidation(t *testing.T) {
 func TestSimilarityEndpoint(t *testing.T) {
 	_, hts := newTestServer(t)
 	loadGrowth(t, hts)
+	query := func(q onex.Query) []onex.Match {
+		t.Helper()
+		resp, raw := postJSON(t, hts.URL+"/api/v1/datasets/growth/query", q)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %+v status = %d: %s", q, resp.StatusCode, raw)
+		}
+		return decodeResult(t, raw).Matches
+	}
+	window := onex.Window{Series: "MA", Start: 0, Length: 8}
 
-	body, _ := json.Marshal(QueryRequest{Series: "MA", Start: 0, Length: 8})
-	resp, err := http.Post(hts.URL+"/api/datasets/growth/query/similarity", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("similarity status = %d", resp.StatusCode)
-	}
-	var ms []onex.Match
-	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
-		t.Fatal(err)
-	}
+	ms := query(onex.Query{Window: window, Exclude: onex.Exclude{Self: true}})
 	if len(ms) != 1 || ms[0].Length == 0 || len(ms[0].Path) == 0 {
 		t.Fatalf("match = %+v", ms)
 	}
 
 	// Exclude-source variant.
-	body2, _ := json.Marshal(QueryRequest{Series: "MA", Start: 0, Length: 8, ExcludeSource: true})
-	resp2, err := http.Post(hts.URL+"/api/datasets/growth/query/similarity", "application/json", bytes.NewReader(body2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var ms2 []onex.Match
-	if err := json.NewDecoder(resp2.Body).Decode(&ms2); err != nil {
-		t.Fatal(err)
-	}
-	if ms2[0].Series == "MA" {
-		t.Fatal("exclude_source ignored")
+	if ms := query(onex.Query{Window: window, Exclude: onex.Exclude{Series: []string{"MA"}}}); ms[0].Series == "MA" {
+		t.Fatal("exclude.series ignored")
 	}
 
 	// Ad-hoc values query.
-	body3, _ := json.Marshal(QueryRequest{Values: []float64{2, 2.5, 3, 2.5, 2}, K: 3})
-	resp3, err := http.Post(hts.URL+"/api/datasets/growth/query/similarity", "application/json", bytes.NewReader(body3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	var ms3 []onex.Match
-	if err := json.NewDecoder(resp3.Body).Decode(&ms3); err != nil {
-		t.Fatal(err)
-	}
-	if len(ms3) == 0 {
-		t.Fatal("values query returned nothing")
-	}
-
-	// Bad requests.
-	for _, bad := range []string{`{`, `{}`, `{"series":"ghost","length":8}`} {
-		respB, err := http.Post(hts.URL+"/api/datasets/growth/query/similarity", "application/json", strings.NewReader(bad))
-		if err != nil {
-			t.Fatal(err)
-		}
-		respB.Body.Close()
-		if respB.StatusCode == http.StatusOK {
-			t.Fatalf("bad body %q accepted", bad)
-		}
+	if ms := query(onex.Query{Values: []float64{2, 2.5, 3, 2.5, 2}, K: 3}); len(ms) == 0 || len(ms) > 3 {
+		t.Fatalf("values query returned %d matches", len(ms))
 	}
 }
 
@@ -181,20 +146,13 @@ func TestSeasonalEndpoint(t *testing.T) {
 	}
 	s.AddDB("power", db)
 
-	body, _ := json.Marshal(SeasonalRequest{Series: "household-00", MinLength: 12, MaxLength: 12})
-	resp, err := http.Post(hts.URL+"/api/datasets/power/query/seasonal", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, raw := postJSON(t, hts.URL+"/api/v1/datasets/power/analyze", onex.Analysis{
+		Kind: onex.AnalysisSeasonal, Series: "household-00", Lengths: onex.Lengths{Min: 12, Max: 12},
+	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seasonal status = %d", resp.StatusCode)
+		t.Fatalf("seasonal status = %d: %s", resp.StatusCode, raw)
 	}
-	var pats []onex.Pattern
-	if err := json.NewDecoder(resp.Body).Decode(&pats); err != nil {
-		t.Fatal(err)
-	}
-	if len(pats) == 0 {
+	if pats := decodeAnalysis(t, raw).Patterns; len(pats) == 0 {
 		t.Fatal("no patterns from daily-cycle data")
 	}
 }
@@ -202,20 +160,19 @@ func TestSeasonalEndpoint(t *testing.T) {
 func TestThresholdsEndpoint(t *testing.T) {
 	_, hts := newTestServer(t)
 	loadGrowth(t, hts)
-	var recs []onex.Recommendation
-	getJSON(t, hts.URL+"/api/datasets/growth/thresholds", &recs)
-	if len(recs) != 3 {
-		t.Fatalf("recommendations = %d", len(recs))
+	res := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisThresholds})
+	if len(res.Thresholds.Recommendations) != 3 {
+		t.Fatalf("recommendations = %d", len(res.Thresholds.Recommendations))
 	}
 }
 
 func TestNotFoundPaths(t *testing.T) {
 	_, hts := newTestServer(t)
 	for _, path := range []string{
-		"/api/datasets/ghost/series",
-		"/api/datasets/ghost/overview",
-		"/api/datasets/ghost/thresholds",
+		"/api/v1/datasets/ghost/series",
+		"/api/v1/datasets/ghost/series/MA",
 		"/viz/ghost/overview.svg",
+		"/explore/ghost",
 	} {
 		resp, err := http.Get(hts.URL + path)
 		if err != nil {
@@ -302,6 +259,17 @@ func TestIndexPage(t *testing.T) {
 	}
 	if !strings.Contains(raw, "ONEX") || !strings.Contains(raw, "growth") {
 		t.Fatal("index page missing content")
+	}
+	// The API list advertises only routes the server answers.
+	for _, want := range []string{"/api/v1/datasets/{name}/query", "/api/v1/datasets/{name}/analyze"} {
+		if !strings.Contains(raw, want) {
+			t.Fatalf("index page does not advertise %s", want)
+		}
+	}
+	for _, gone := range []string{"/api/datasets", "query/similarity", "query/seasonal", "/thresholds"} {
+		if strings.Contains(raw, gone) {
+			t.Fatalf("index page still advertises %s", gone)
+		}
 	}
 }
 

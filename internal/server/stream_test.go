@@ -194,7 +194,7 @@ func TestQueryStreamClientDisconnect(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	s, hts := newTestServer(t)
-	for _, path := range []string{"/healthz", "/api/v1/healthz", "/api/healthz"} {
+	for _, path := range []string{"/healthz", "/api/v1/healthz"} {
 		resp, err := http.Get(hts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -48,7 +48,7 @@ func (s *Server) handleVizMatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "series and len are required")
 		return
 	}
-	m, err := db.BestMatchForSeries(series, start, length)
+	m, err := s.windowMatch(r, db, series, start, length)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
@@ -69,6 +69,21 @@ func (s *Server) handleVizMatch(w http.ResponseWriter, r *http.Request) {
 		viz.NamedSeries{Name: series, Values: q},
 		viz.NamedSeries{Name: m.Series, Values: m.Values},
 		path, 640, 280))
+}
+
+// windowMatch runs the demo's similarity flow — the best match for the
+// window [start, start+length) of series, excluding the window's own
+// overlaps — under the request's context, so a closed tab cancels the walk.
+func (s *Server) windowMatch(r *http.Request, db *onex.DB, series string, start, length int) (onex.Match, error) {
+	res, err := db.Find(r.Context(), onex.Query{
+		Window:  onex.Window{Series: series, Start: start, Length: length},
+		Exclude: onex.Exclude{Self: true},
+		Workers: s.capWorkers(0),
+	})
+	if err != nil {
+		return onex.Match{}, err
+	}
+	return res.Matches[0], nil
 }
 
 func (s *Server) handleVizRadial(w http.ResponseWriter, r *http.Request) {
@@ -129,12 +144,18 @@ func (s *Server) handleVizSeasonal(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "series is required")
 		return
 	}
-	length := queryInt(r, "len", 0)
-	pats, err := db.Seasonal(series, length, length, 2)
+	length := max(queryInt(r, "len", 0), 0) // 0 = every indexed length
+	res, err := db.Analyze(r.Context(), onex.Analysis{
+		Kind:    onex.AnalysisSeasonal,
+		Series:  series,
+		Lengths: onex.Lengths{Min: length, Max: length},
+		Workers: s.capWorkers(0),
+	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	pats := res.Patterns
 	vals, err := db.SeriesValues(series)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
@@ -169,17 +190,19 @@ preprocessing into the ONEX base), then explore via the JSON API or the SVG view
 {{range .}}<tr><td>{{.Name}}</td><td>{{.Stats.Series}}</td><td>{{.Stats.Subsequences}}</td>
 <td>{{.Stats.Groups}}</td><td>{{printf "%.1f" .Stats.CompactionRatio}}</td><td>{{printf "%.4f" .ST}}</td>
 <td><a href="/explore/{{.Name}}">explore</a> · <a href="/viz/{{.Name}}/overview.svg">overview</a></td></tr>
-{{else}}<tr><td colspan="7"><i>none yet — POST /api/datasets/load</i></td></tr>{{end}}
+{{else}}<tr><td colspan="7"><i>none yet — POST /api/v1/datasets/load</i></td></tr>{{end}}
 </table>
 <h2>API</h2>
 <pre>
-POST /api/datasets/load                  {"name":"growth","source":"matters:GrowthRate"}
-GET  /api/datasets
-GET  /api/datasets/{name}/series
-GET  /api/datasets/{name}/overview?length=0&k=12
-POST /api/datasets/{name}/query/similarity  {"series":"MA","start":0,"length":12}
-POST /api/datasets/{name}/query/seasonal    {"series":"household-00","min_length":12}
-GET  /api/datasets/{name}/thresholds
+POST /api/v1/datasets/load             {"name":"growth","source":"matters:GrowthRate"}
+GET  /api/v1/datasets
+GET  /api/v1/datasets/{name}/series
+POST /api/v1/datasets/{name}/query     {"window":{"series":"MA","start":0,"length":12},"exclude":{"self":true},"k":5}
+POST /api/v1/datasets/{name}/query     {"values":[2,2.5,3,2.5,2],"max_dist":0.05}
+POST /api/v1/datasets/{name}/query/stream  (same body; NDJSON, approximate first, exact last)
+POST /api/v1/datasets/{name}/analyze   {"kind":"overview","k":12}
+POST /api/v1/datasets/{name}/analyze   {"kind":"seasonal","series":"household-00","lengths":{"min":12,"max":12}}
+POST /api/v1/datasets/{name}/analyze   {"kind":"threshold-recommend"}
 GET  /viz/{name}/match.svg?series=MA&start=0&len=12
 GET  /viz/{name}/radial.svg?a=MA&b=AR      /viz/{name}/scatter.svg?a=MA&b=AR
 GET  /viz/{name}/seasonal.svg?series=household-00&len=12

@@ -122,9 +122,9 @@ type ThresholdReport struct {
 }
 
 // AnalysisResult is one Analyze call's outcome. Exactly one payload field
-// is populated, selected by the request's Kind. Payload elements keep the
-// legacy routes' wire format (Go field casing) while the envelope fields
-// use lowercase JSON names, mirroring Result.
+// is populated, selected by the request's Kind. Payload elements serialize
+// with Go field casing while the envelope fields use lowercase JSON names,
+// mirroring Result.
 type AnalysisResult struct {
 	// Groups is the overview payload.
 	Groups []GroupInfo `json:"groups,omitempty"`

@@ -21,149 +21,6 @@ func openPower(t testing.TB) *DB {
 	return db
 }
 
-// TestAnalyzeEquivalenceWithWrappers pins the deprecation contract: every
-// legacy exploration method is a thin wrapper over Analyze, so both
-// spellings must return identical payloads at equal inputs.
-func TestAnalyzeEquivalenceWithWrappers(t *testing.T) {
-	db := openPower(t)
-	ctx := context.Background()
-
-	// Seasonal.
-	legacyPats, err := db.Seasonal("household-00", 12, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Analyze(ctx, Analysis{
-		Kind: AnalysisSeasonal, Series: "household-00",
-		Lengths: Lengths{Min: 12, Max: 12}, MinOccurrences: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyPats) == 0 || !reflect.DeepEqual(legacyPats, res.Patterns) {
-		t.Fatalf("seasonal: legacy %+v != analyze %+v", legacyPats, res.Patterns)
-	}
-
-	// Overview (auto length).
-	legacyGroups := db.Overview(0, 5)
-	res, err = db.Analyze(ctx, Analysis{Kind: AnalysisOverview, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyGroups) != 5 || !reflect.DeepEqual(legacyGroups, res.Groups) {
-		t.Fatalf("overview: legacy %d groups != analyze %d", len(legacyGroups), len(res.Groups))
-	}
-	if res.Request.Length == 0 {
-		t.Fatalf("overview: auto-selected length not echoed: %+v", res.Request)
-	}
-
-	// GroupMembers at the overview's resolved length.
-	length := res.Request.Length
-	legacyMembers, err := db.GroupMembers(length, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Analyze(ctx, Analysis{Kind: AnalysisGroupMembers, Length: length})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyMembers) == 0 || !reflect.DeepEqual(legacyMembers, res.Members) {
-		t.Fatalf("group-members: legacy %d != analyze %d", len(legacyMembers), len(res.Members))
-	}
-
-	// LengthSummaries.
-	legacyLens := db.LengthSummaries()
-	res, err = db.Analyze(ctx, Analysis{Kind: AnalysisLengthSummaries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyLens) == 0 || !reflect.DeepEqual(legacyLens, res.LengthSummaries) {
-		t.Fatalf("length-summaries: legacy %+v != analyze %+v", legacyLens, res.LengthSummaries)
-	}
-
-	// CommonPatterns.
-	legacyCommon := db.CommonPatterns(3, 0, 0, 4)
-	res, err = db.Analyze(ctx, Analysis{Kind: AnalysisCommonPatterns, MinSeries: 3, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacyCommon) == 0 || !reflect.DeepEqual(legacyCommon, res.Common) {
-		t.Fatalf("common-patterns: legacy %d != analyze %d", len(legacyCommon), len(res.Common))
-	}
-
-	// SimilaritySweep.
-	raw, err := db.SeriesValues("household-00")
-	if err != nil {
-		t.Fatal(err)
-	}
-	thresholds := []float64{0.02, 0.05, 0.1}
-	legacySweep, err := db.SimilaritySweep(raw[0:12], thresholds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Analyze(ctx, Analysis{
-		Kind: AnalysisSimilaritySweep, Values: raw[0:12], Thresholds: thresholds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacySweep) != 3 || !reflect.DeepEqual(legacySweep, res.Sweep) {
-		t.Fatalf("sweep: legacy %+v != analyze %+v", legacySweep, res.Sweep)
-	}
-	// A window addressing the same samples answers identically.
-	winRes, err := db.Analyze(ctx, Analysis{
-		Kind:       AnalysisSimilaritySweep,
-		Window:     Window{Series: "household-00", Start: 0, Length: 12},
-		Thresholds: thresholds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(winRes.Sweep, res.Sweep) {
-		t.Fatalf("sweep: window %+v != values %+v", winRes.Sweep, res.Sweep)
-	}
-
-	// Threshold distribution and recommendations.
-	dists, probe, recs, err := db.ThresholdDistribution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = db.Analyze(ctx, Analysis{Kind: AnalysisThresholds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Thresholds
-	if tr == nil || !reflect.DeepEqual(dists, tr.Sample) || probe != tr.ProbeLength ||
-		!reflect.DeepEqual(recs, tr.Recommendations) {
-		t.Fatalf("thresholds: legacy (%d dists, probe %d, %d recs) != analyze %+v",
-			len(dists), probe, len(recs), tr)
-	}
-	recsOnly, err := db.RecommendThresholds()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(recsOnly, tr.Recommendations) {
-		t.Fatal("RecommendThresholds != analyze recommendations")
-	}
-}
-
-// TestDeprecatedWrappersTolerateNegativeBounds pins the historical
-// contract of the legacy methods: non-positive length bounds mean "the
-// indexed range" and must not trip Analyze's Lengths validation.
-func TestDeprecatedWrappersTolerateNegativeBounds(t *testing.T) {
-	db := openPower(t)
-	pats, err := db.Seasonal("household-00", -1, -1, 2)
-	if err != nil {
-		t.Fatalf("Seasonal with negative bounds: %v", err)
-	}
-	if len(pats) == 0 {
-		t.Fatal("Seasonal with negative bounds found nothing")
-	}
-	if got := db.CommonPatterns(2, -1, -1, 4); len(got) == 0 {
-		t.Fatal("CommonPatterns with negative bounds found nothing")
-	}
-}
-
 func TestAnalyzeResolvedRequestAndStats(t *testing.T) {
 	db := openPower(t)
 	ctx := context.Background()
@@ -206,12 +63,35 @@ func TestAnalyzeResolvedRequestAndStats(t *testing.T) {
 		t.Fatalf("sweep stats empty: %+v", res.Stats)
 	}
 
+	// A window addressing the same samples sweeps identically.
+	winRes, err := db.Analyze(ctx, Analysis{
+		Kind:       AnalysisSimilaritySweep,
+		Window:     Window{Series: "household-00", Start: 0, Length: 12},
+		Thresholds: []float64{0.05},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(winRes.Sweep, res.Sweep) {
+		t.Fatalf("sweep: window %+v != values %+v", winRes.Sweep, res.Sweep)
+	}
+
 	res, err = db.Analyze(ctx, Analysis{Kind: AnalysisCommonPatterns})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Request.MinSeries != 2 || res.Request.K != 16 {
 		t.Fatalf("common-patterns defaults not resolved: %+v", res.Request)
+	}
+
+	// An auto-length overview echoes the length it selected, and K caps it.
+	res, err = db.Analyze(ctx, Analysis{Kind: AnalysisOverview, K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Request.Length == 0 || len(res.Groups) != 5 {
+		t.Fatalf("overview: length %d, %d groups; want the selected length and 5 groups",
+			res.Request.Length, len(res.Groups))
 	}
 }
 

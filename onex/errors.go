@@ -2,8 +2,8 @@ package onex
 
 import "fmt"
 
-// ConfigError reports an invalid Config combination passed to Open,
-// OpenFile, or OpenWithBase. Unset (zero) fields are resolved to documented
+// ConfigError reports an invalid Config combination passed to Open or
+// OpenFile. Unset (zero) fields are resolved to documented
 // defaults and never produce a ConfigError; explicitly contradictory or
 // out-of-domain values do, instead of being silently clamped.
 //

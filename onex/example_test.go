@@ -16,33 +16,21 @@ func ExampleOpen() {
 	if err != nil {
 		panic(err)
 	}
-	m, err := db.BestMatchOtherSeries("MA", 12, 12)
+	res, err := db.Find(context.Background(), onex.Query{
+		Window:  onex.Window{Series: "MA", Start: 12, Length: 12},
+		Exclude: onex.Exclude{Series: []string{"MA"}},
+	})
 	if err != nil {
 		panic(err)
 	}
+	m := res.Matches[0]
 	fmt.Printf("%s matches MA's recent growth (length %d)\n", m.Series, m.Length)
 	// Output: IL matches MA's recent growth (length 5)
 }
 
-// Seasonal queries surface repeating patterns inside one series: daily
-// cycles in household electricity usage.
-func ExampleDB_Seasonal() {
-	data := gen.ElectricityLoad(gen.ElectricityOptions{Households: 1, Days: 21, SamplesPerDay: 12})
-	db, err := onex.Open(data, onex.Config{MinLength: 12, MaxLength: 12, Band: 2})
-	if err != nil {
-		panic(err)
-	}
-	pats, err := db.Seasonal("household-00", 12, 12, 3)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("found %v pattern(s); top one recurs %d times\n", len(pats) > 0, pats[0].Occurrences)
-	// Output: found true pattern(s); top one recurs 15 times
-}
-
 // Analyze runs every exploration scenario from one composable request;
-// here the seasonal mine of ExampleDB_Seasonal in its unified spelling,
-// with the walk statistics Analyze adds.
+// here a seasonal mine surfaces the daily cycle in household electricity
+// usage, with the walk statistics Analyze adds.
 func ExampleDB_Analyze() {
 	data := gen.ElectricityLoad(gen.ElectricityOptions{Households: 1, Days: 21, SamplesPerDay: 12})
 	db, err := onex.Open(data, onex.Config{MinLength: 12, MaxLength: 12, Band: 2})
@@ -64,17 +52,17 @@ func ExampleDB_Analyze() {
 
 // Threshold recommendations are data-driven: the suggested ST tracks the
 // dataset's own distance distribution.
-func ExampleDB_RecommendThresholds() {
+func ExampleDB_Analyze_thresholds() {
 	data := gen.Matters(gen.MattersOptions{Indicator: gen.GrowthRate})
 	db, err := onex.Open(data, onex.Config{MinLength: 4, MaxLength: 8})
 	if err != nil {
 		panic(err)
 	}
-	recs, err := db.RecommendThresholds()
+	res, err := db.Analyze(context.Background(), onex.Analysis{Kind: onex.AnalysisThresholds})
 	if err != nil {
 		panic(err)
 	}
-	for _, r := range recs {
+	for _, r := range res.Thresholds.Recommendations {
 		fmt.Printf("%s: %.4f\n", r.Label, r.ST)
 	}
 	// Output:
@@ -85,20 +73,21 @@ func ExampleDB_RecommendThresholds() {
 
 // Range queries return everything within a similarity budget; sweeping the
 // budget shows how the match population grows.
-func ExampleDB_SimilaritySweep() {
+func ExampleDB_Analyze_sweep() {
 	data := gen.Matters(gen.MattersOptions{Indicator: gen.GrowthRate})
 	db, err := onex.Open(data, onex.Config{MinLength: 4, MaxLength: 8})
 	if err != nil {
 		panic(err)
 	}
-	ma, err := db.SeriesValues("MA")
+	res, err := db.Analyze(context.Background(), onex.Analysis{
+		Kind:       onex.AnalysisSimilaritySweep,
+		Window:     onex.Window{Series: "MA", Start: 0, Length: 8},
+		Thresholds: []float64{0.01, 0.05},
+	})
 	if err != nil {
 		panic(err)
 	}
-	pts, err := db.SimilaritySweep(ma[0:8], []float64{0.01, 0.05})
-	if err != nil {
-		panic(err)
-	}
+	pts := res.Sweep
 	fmt.Printf("monotone growth: %v\n", pts[0].Matches <= pts[1].Matches)
 	// Output: monotone growth: true
 }

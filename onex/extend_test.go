@@ -1,8 +1,8 @@
 package onex
 
 import (
+	"context"
 	"math"
-	"path/filepath"
 	"testing"
 )
 
@@ -13,10 +13,7 @@ func TestWithinThresholdPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := raw[0:8]
-	ms, err := db.WithinThreshold(q, 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := find(t, db, Query{Values: q, MaxDist: 0.05})
 	if len(ms) == 0 {
 		t.Fatal("self window should be within any threshold")
 	}
@@ -29,26 +26,18 @@ func TestWithinThresholdPublic(t *testing.T) {
 		}
 	}
 	// Larger thresholds can only grow the set.
-	more, err := db.WithinThreshold(q, 0.1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(more) < len(ms) {
+	if more := find(t, db, Query{Values: q, MaxDist: 0.1}); len(more) < len(ms) {
 		t.Fatal("looser threshold shrank the result set")
 	}
 	// Limit honored.
-	lim, err := db.WithinThreshold(q, 0.1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lim) > 2 {
+	if lim := find(t, db, Query{Values: q, MaxDist: 0.1, K: 2}); len(lim) > 2 {
 		t.Fatal("limit ignored")
 	}
 }
 
 func TestCommonPatternsPublic(t *testing.T) {
 	db := openSmall(t)
-	shapes := db.CommonPatterns(2, 0, 0, 5)
+	shapes := analyze(t, db, Analysis{Kind: AnalysisCommonPatterns, MinSeries: 2, K: 5}).Common
 	if len(shapes) == 0 {
 		t.Fatal("MATTERS regional structure should yield cross-series shapes")
 	}
@@ -78,10 +67,9 @@ func TestSimilaritySweepPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := db.SimilaritySweep(raw[0:8], []float64{0.02, 0.05, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := analyze(t, db, Analysis{
+		Kind: AnalysisSimilaritySweep, Values: raw[0:8], Thresholds: []float64{0.02, 0.05, 0.1},
+	}).Sweep
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -97,10 +85,8 @@ func TestSimilaritySweepPublic(t *testing.T) {
 
 func TestThresholdDistributionPublic(t *testing.T) {
 	db := openSmall(t)
-	dists, probe, recs, err := db.ThresholdDistribution()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := analyze(t, db, Analysis{Kind: AnalysisThresholds}).Thresholds
+	dists, probe, recs := tr.Sample, tr.ProbeLength, tr.Recommendations
 	if len(dists) == 0 || probe < 2 || len(recs) != 3 {
 		t.Fatalf("distribution shape: %d dists, probe %d, %d recs", len(dists), probe, len(recs))
 	}
@@ -120,14 +106,11 @@ func TestThresholdDistributionPublic(t *testing.T) {
 
 func TestGroupMembersPublic(t *testing.T) {
 	db := openSmall(t)
-	ov := db.Overview(6, 1)
+	ov := analyze(t, db, Analysis{Kind: AnalysisOverview, Length: 6, K: 1}).Groups
 	if len(ov) == 0 {
 		t.Fatal("no overview")
 	}
-	members, err := db.GroupMembers(6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	members := analyze(t, db, Analysis{Kind: AnalysisGroupMembers, Length: 6, Index: 0}).Members
 	if len(members) != ov[0].Count {
 		t.Fatalf("members %d != overview count %d", len(members), ov[0].Count)
 	}
@@ -139,14 +122,14 @@ func TestGroupMembersPublic(t *testing.T) {
 			t.Fatal("members not sorted")
 		}
 	}
-	if _, err := db.GroupMembers(6, 1<<20); err == nil {
+	if _, err := db.Analyze(context.Background(), Analysis{Kind: AnalysisGroupMembers, Length: 6, Index: 1 << 20}); err == nil {
 		t.Fatal("out-of-range group accepted")
 	}
 }
 
 func TestLengthSummariesPublic(t *testing.T) {
 	db := openSmall(t)
-	ls := db.LengthSummaries()
+	ls := analyze(t, db, Analysis{Kind: AnalysisLengthSummaries}).LengthSummaries
 	if len(ls) == 0 {
 		t.Fatal("no length summaries")
 	}
@@ -183,10 +166,7 @@ func TestAddSeriesPublic(t *testing.T) {
 	if after.Subsequences <= before.Subsequences {
 		t.Fatal("no subsequences indexed for the new series")
 	}
-	m, err := db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := find(t, db, otherSeries("MA", 0, 8))[0]
 	if m.Series != "MA2" {
 		t.Fatalf("nearest other series = %s, want the inserted clone", m.Series)
 	}
@@ -194,9 +174,7 @@ func TestAddSeriesPublic(t *testing.T) {
 		t.Fatalf("clone distance %g unexpectedly large", m.Dist)
 	}
 	// The new series is queryable as a source too.
-	if _, err := db.BestMatchForSeries("MA2", 0, 6); err != nil {
-		t.Fatal(err)
-	}
+	find(t, db, selfWindow("MA2", 0, 6))
 }
 
 func TestAddSeriesValidation(t *testing.T) {
@@ -211,7 +189,7 @@ func TestAddSeriesValidation(t *testing.T) {
 		t.Fatal("duplicate name accepted")
 	}
 	// Failed adds must not corrupt the DB.
-	if _, err := db.BestMatchForSeries("MA", 0, 6); err != nil {
+	if _, err := db.Find(context.Background(), selfWindow("MA", 0, 6)); err != nil {
 		t.Fatalf("db corrupted after rejected adds: %v", err)
 	}
 }
@@ -227,60 +205,7 @@ func TestAddSeriesOutOfRangeValues(t *testing.T) {
 	if err := db.AddSeries("huge", big); err != nil {
 		t.Fatal(err)
 	}
-	m, err := db.BestMatchForSeries("huge", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(m.Dist) {
+	if m := find(t, db, selfWindow("huge", 0, 8))[0]; math.IsNaN(m.Dist) {
 		t.Fatal("NaN distance after out-of-range insert")
-	}
-}
-
-func TestSaveAndOpenWithBase(t *testing.T) {
-	d := smallMatters(t)
-	db, err := Open(d, Config{MinLength: 4, MaxLength: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "growth.base")
-	if err := db.SaveBase(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen from the saved base: same stats, same query answers.
-	db2, err := OpenWithBase(d, path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.Stats().Groups != db.Stats().Groups ||
-		db2.Stats().Subsequences != db.Stats().Subsequences {
-		t.Fatalf("reopened base differs: %+v vs %+v", db2.Stats(), db.Stats())
-	}
-	if db2.ST() != db.ST() {
-		t.Fatalf("ST drifted: %g vs %g", db2.ST(), db.ST())
-	}
-	m1, err := db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := db2.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.Series != m2.Series || math.Abs(m1.Dist-m2.Dist) > 1e-12 {
-		t.Fatalf("answers differ after reload: %+v vs %+v", m1, m2)
-	}
-
-	// A different dataset must be rejected by checksum.
-	other := smallMatters(t)
-	other.Series[0].Values[0] += 1
-	if _, err := OpenWithBase(other, path, Config{}); err == nil {
-		t.Fatal("mismatched dataset accepted")
-	}
-	if _, err := OpenWithBase(nil, path, Config{}); err == nil {
-		t.Fatal("nil dataset accepted")
-	}
-	if _, err := OpenWithBase(d, filepath.Join(t.TempDir(), "missing.base"), Config{}); err == nil {
-		t.Fatal("missing base file accepted")
 	}
 }

@@ -41,15 +41,11 @@
 //		render(u) // u.Certified marks matches that are already final
 //	}
 //
-// The older per-scenario methods (BestMatch, KBestMatches, Seasonal,
-// Overview, ...) remain as thin wrappers over Find and Analyze.
-//
 // Queries and results are in the dataset's original units; normalization
 // is handled internally.
 package onex
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -119,7 +115,7 @@ type Config struct {
 	// fully paged. Close on an mmap-backed DB releases the mapping — unlike
 	// the eager default, queries after Close fail with ErrMmapClosed
 	// (in-flight scans finish safely; they pin the mapping). Ignored by
-	// cold opens (Open, OpenWithBase), which build from a caller-provided
+	// cold opens (Open, OpenFile), which build from a caller-provided
 	// in-memory dataset. On platforms without a usable mmap the same
 	// interface transparently falls back to an eager read (StoreStatus
 	// reports ValuesKind "mmap-fallback").
@@ -195,8 +191,8 @@ func (db *DB) checkValuesLocked() error {
 var lastDBID atomic.Uint64
 
 // Match is one similarity result, reported in original units. It is
-// deliberately untagged for JSON: the legacy HTTP routes have always
-// serialized it with Go field casing, and that wire format is kept.
+// deliberately untagged for JSON: the HTTP API has always serialized it
+// with Go field casing, and that wire format is kept.
 type Match struct {
 	// Series is the name of the matched series.
 	Series string
@@ -380,8 +376,8 @@ func (db *DB) Version() uint64 { return db.version.Load() }
 // version back at 1.
 func (db *DB) ID() uint64 { return db.id }
 
-// Stats describes the built base. Untagged for JSON to preserve the
-// legacy HTTP wire format.
+// Stats describes the built base. Untagged for JSON to preserve the HTTP
+// API's wire format.
 type Stats struct {
 	Series          int
 	Subsequences    int
@@ -439,111 +435,6 @@ func (db *DB) publicMatch(m core.Match) Match {
 		Values: values,
 		Path:   path,
 	}
-}
-
-// BestMatch finds the most similar indexed subsequence to an ad-hoc query
-// given in original units.
-//
-// Deprecated: use Find with Query{Values: q}.
-func (db *DB) BestMatch(q []float64) (Match, error) {
-	res, err := db.Find(context.Background(), Query{Values: q})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Matches[0], nil
-}
-
-// KBestMatches returns the k most similar indexed subsequences.
-//
-// Deprecated: use Find with Query{Values: q, K: k}.
-func (db *DB) KBestMatches(q []float64, k int) ([]Match, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("onex: KBestMatches: k = %d must be >= 1", k)
-	}
-	res, err := db.Find(context.Background(), Query{Values: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return res.Matches, nil
-}
-
-// BestMatchForSeries runs the demo's similarity flow: take the window
-// [start, start+length) of the named series as the query and find the most
-// similar window elsewhere (the query's own overlapping windows are
-// excluded).
-//
-// Deprecated: use Find with Query{Window: Window{...}, Exclude:
-// Exclude{Self: true}}.
-func (db *DB) BestMatchForSeries(seriesName string, start, length int) (Match, error) {
-	res, err := db.Find(context.Background(), Query{
-		Window:  Window{Series: seriesName, Start: start, Length: length},
-		Exclude: Exclude{Self: true},
-	})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Matches[0], nil
-}
-
-// BestMatchOtherSeries is BestMatchForSeries but excludes the whole source
-// series, answering "which other state looks most like MA?".
-//
-// Deprecated: use Find with Query{Window: Window{...}, Exclude:
-// Exclude{Series: []string{seriesName}}}.
-func (db *DB) BestMatchOtherSeries(seriesName string, start, length int) (Match, error) {
-	res, err := db.Find(context.Background(), Query{
-		Window:  Window{Series: seriesName, Start: start, Length: length},
-		Exclude: Exclude{Series: []string{seriesName}},
-	})
-	if err != nil {
-		return Match{}, err
-	}
-	return res.Matches[0], nil
-}
-
-// Seasonal finds repeating patterns within one series (paper §3.3, Fig 4).
-//
-// Deprecated: use Analyze with Analysis{Kind: AnalysisSeasonal, Series:
-// seriesName, Lengths: Lengths{Min: minLen, Max: maxLen}, MinOccurrences:
-// minOccurrences}.
-func (db *DB) Seasonal(seriesName string, minLen, maxLen, minOccurrences int) ([]Pattern, error) {
-	// This method has always treated non-positive bounds as "the indexed
-	// range"; Analysis spells that 0, so clamp before delegating.
-	res, err := db.Analyze(context.Background(), Analysis{
-		Kind:           AnalysisSeasonal,
-		Series:         seriesName,
-		Lengths:        Lengths{Min: max(minLen, 0), Max: max(maxLen, 0)},
-		MinOccurrences: minOccurrences,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Patterns, nil
-}
-
-// Overview returns the top-k groups of the given length (length 0
-// auto-selects, k<=0 returns all), representatives in original units.
-//
-// Deprecated: use Analyze with Analysis{Kind: AnalysisOverview, Length:
-// length, K: k}.
-func (db *DB) Overview(length, k int) []GroupInfo {
-	res, err := db.Analyze(context.Background(), Analysis{Kind: AnalysisOverview, Length: length, K: k})
-	if err != nil {
-		return nil
-	}
-	return res.Groups
-}
-
-// RecommendThresholds surfaces the data-driven threshold suggestions for
-// the (normalized) dataset.
-//
-// Deprecated: use Analyze with Analysis{Kind: AnalysisThresholds}.
-func (db *DB) RecommendThresholds() ([]Recommendation, error) {
-	res, err := db.Analyze(context.Background(), Analysis{Kind: AnalysisThresholds})
-	if err != nil {
-		return nil, err
-	}
-	return res.Thresholds.Recommendations, nil
 }
 
 // RecommendForDataset computes threshold recommendations for a dataset

@@ -1,6 +1,7 @@
 package onex
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -21,6 +22,39 @@ func openSmall(t testing.TB) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// find runs q through Find, failing the test on error.
+func find(t testing.TB, db *DB, q Query) []Match {
+	t.Helper()
+	res, err := db.Find(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matches
+}
+
+// selfWindow is the demo's similarity flow: the window [start,
+// start+length) of series as the query, excluding its own overlapping
+// windows.
+func selfWindow(series string, start, length int) Query {
+	return Query{Window: Window{Series: series, Start: start, Length: length}, Exclude: Exclude{Self: true}}
+}
+
+// otherSeries is selfWindow excluding the whole source series, answering
+// "which other series looks most like this one?".
+func otherSeries(series string, start, length int) Query {
+	return Query{Window: Window{Series: series, Start: start, Length: length}, Exclude: Exclude{Series: []string{series}}}
+}
+
+// analyze runs a through Analyze, failing the test on error.
+func analyze(t testing.TB, db *DB, a Analysis) AnalysisResult {
+	t.Helper()
+	res, err := db.Analyze(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestOpenDefaults(t *testing.T) {
@@ -68,10 +102,7 @@ func TestBestMatchForSeriesDemoFlow(t *testing.T) {
 	db := openSmall(t)
 	// The demo selects MA and brushes a window; the best match must come
 	// from elsewhere and carry a valid path and original-unit values.
-	m, err := db.BestMatchForSeries("MA", 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := find(t, db, selfWindow("MA", 2, 8))[0]
 	if m.Series == "" || m.Length != len(m.Values) {
 		t.Fatalf("malformed match %+v", m)
 	}
@@ -101,11 +132,7 @@ func TestBestMatchForSeriesDemoFlow(t *testing.T) {
 
 func TestBestMatchOtherSeriesExcludesSource(t *testing.T) {
 	db := openSmall(t)
-	m, err := db.BestMatchOtherSeries("MA", 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Series == "MA" {
+	if m := find(t, db, otherSeries("MA", 0, 8))[0]; m.Series == "MA" {
 		t.Fatal("source series not excluded")
 	}
 }
@@ -118,11 +145,7 @@ func TestBestMatchAdHocQueryUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := raw[3:10]
-	m, err := db.BestMatch(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := find(t, db, Query{Values: raw[3:10]})[0]
 	if m.Dist > 1e-9 {
 		t.Fatalf("self query in original units missed: dist %g", m.Dist)
 	}
@@ -134,11 +157,8 @@ func TestBestMatchAdHocQueryUnits(t *testing.T) {
 func TestKBestMatches(t *testing.T) {
 	db := openSmall(t)
 	raw, _ := db.SeriesValues("MA")
-	ms, err := db.KBestMatches(raw[0:6], 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) == 0 {
+	ms := find(t, db, Query{Values: raw[0:6], K: 4})
+	if len(ms) == 0 || len(ms) > 4 {
 		t.Fatal("no matches")
 	}
 	for i := 1; i < len(ms); i++ {
@@ -154,10 +174,9 @@ func TestSeasonalPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats, err := db.Seasonal("household-00", 12, 12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pats := analyze(t, db, Analysis{
+		Kind: AnalysisSeasonal, Series: "household-00", Lengths: Lengths{Min: 12, Max: 12},
+	}).Patterns
 	if len(pats) == 0 {
 		t.Fatal("no daily pattern found in electricity data")
 	}
@@ -172,7 +191,7 @@ func TestSeasonalPublic(t *testing.T) {
 
 func TestOverviewPublic(t *testing.T) {
 	db := openSmall(t)
-	ov := db.Overview(6, 5)
+	ov := analyze(t, db, Analysis{Kind: AnalysisOverview, Length: 6, K: 5}).Groups
 	if len(ov) == 0 || len(ov) > 5 {
 		t.Fatalf("overview size %d", len(ov))
 	}
@@ -185,10 +204,7 @@ func TestOverviewPublic(t *testing.T) {
 
 func TestRecommendThresholdsPublic(t *testing.T) {
 	db := openSmall(t)
-	recs, err := db.RecommendThresholds()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := analyze(t, db, Analysis{Kind: AnalysisThresholds}).Thresholds.Recommendations
 	if len(recs) != 3 {
 		t.Fatalf("recommendations = %d", len(recs))
 	}
@@ -242,11 +258,7 @@ func TestExactConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := db.SeriesValues("MA")
-	m, err := db.BestMatch(raw[0:5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dist > 1e-9 {
+	if m := find(t, db, Query{Values: raw[0:5]})[0]; m.Dist > 1e-9 {
 		t.Fatalf("exact self query dist = %g", m.Dist)
 	}
 }
@@ -261,11 +273,7 @@ func TestKeepRawConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, _ := db.SeriesValues("MA")
-	m, err := db.BestMatch(raw[0:5])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Dist > 1e-9 {
+	if m := find(t, db, Query{Values: raw[0:5]})[0]; m.Dist > 1e-9 {
 		t.Fatalf("raw-mode self query dist = %g", m.Dist)
 	}
 }

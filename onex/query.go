@@ -131,8 +131,8 @@ type QueryStats struct {
 }
 
 // Result is one Find call's outcome. Matches serialize with Go field
-// casing (Series, Dist, ...), matching the legacy routes' wire format,
-// while the envelope fields use lowercase JSON names.
+// casing (Series, Dist, ...), while the envelope fields use lowercase JSON
+// names.
 type Result struct {
 	// Matches is the result set, best first.
 	Matches []Match `json:"matches"`
@@ -144,8 +144,8 @@ type Result struct {
 	Stats QueryStats `json:"stats"`
 }
 
-// ErrNoMatch is returned by Find (and the legacy query methods) when no
-// indexed candidate satisfies the query constraints.
+// ErrNoMatch is returned by Find when no indexed candidate satisfies the
+// query constraints.
 var ErrNoMatch = core.ErrNoMatch
 
 // Find executes a Query: the unified, context-aware entry point behind
@@ -163,13 +163,6 @@ var ErrNoMatch = core.ErrNoMatch
 //
 // Find is safe to call concurrently with other queries and with AddSeries.
 func (db *DB) Find(ctx context.Context, q Query) (Result, error) {
-	return db.find(ctx, q, q.MaxDist > 0)
-}
-
-// find is Find with the range/top-K decision made by the caller, so the
-// legacy WithinThreshold wrapper can force range semantics for its
-// MaxDist = 0 edge case.
-func (db *DB) find(ctx context.Context, q Query, rangeMode bool) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -180,7 +173,7 @@ func (db *DB) find(ctx context.Context, q Query, rangeMode bool) (Result, error)
 		return Result{}, err
 	}
 
-	rq, err := db.resolveQuery(q, rangeMode)
+	rq, err := db.resolveQuery(q)
 	if err != nil {
 		return Result{}, err
 	}
@@ -193,7 +186,7 @@ func (db *DB) find(ctx context.Context, q Query, rangeMode bool) (Result, error)
 
 // resolvedQuery is a Query resolved against the DB's configuration: the
 // fully-defaulted echo, the query vector in engine units, and the core
-// call options. Produced by resolveQuery, consumed by find and Stream.
+// call options. Produced by resolveQuery, consumed by Find and Stream.
 type resolvedQuery struct {
 	eff  Query
 	qvec []float64
@@ -203,8 +196,9 @@ type resolvedQuery struct {
 // resolveQuery validates q, resolves every default against the Open-time
 // configuration, and maps the public request onto core types. Callers
 // hold db.mu.
-func (db *DB) resolveQuery(q Query, rangeMode bool) (resolvedQuery, error) {
+func (db *DB) resolveQuery(q Query) (resolvedQuery, error) {
 	eff := q
+	rangeMode := q.MaxDist > 0
 
 	// Per-query mode, band, and ranking normalization default to the
 	// configuration the DB was opened with.

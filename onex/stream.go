@@ -154,7 +154,7 @@ func (db *DB) Stream(ctx context.Context, q Query) (*Exploration, error) {
 	// acquisition: series can only be added, never removed, so a query
 	// valid now stays valid (and a failure there still surfaces via Err).
 	db.mu.RLock()
-	_, err := db.resolveQuery(q, false)
+	_, err := db.resolveQuery(q)
 	if err == nil {
 		err = db.checkValuesLocked()
 	}
@@ -178,7 +178,7 @@ func (db *DB) Stream(ctx context.Context, q Query) (*Exploration, error) {
 			x.err = err
 			return
 		}
-		rq, err := db.resolveQuery(q, false)
+		rq, err := db.resolveQuery(q)
 		if err != nil {
 			x.err = err
 			return
