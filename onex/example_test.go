@@ -50,6 +50,28 @@ func ExampleDB_Analyze() {
 	// Output: top pattern recurs 15 times; visited every group: true
 }
 
+// A seasonal mine bounded to one candidate length: the daily cycle of a
+// household's usage recurs on most days.
+func ExampleDB_Analyze_seasonal() {
+	data := gen.ElectricityLoad(gen.ElectricityOptions{Households: 1, Days: 21, SamplesPerDay: 12})
+	db, err := onex.Open(data, onex.Config{MinLength: 12, MaxLength: 12, Band: 2})
+	if err != nil {
+		panic(err)
+	}
+	res, err := db.Analyze(context.Background(), onex.Analysis{
+		Kind:           onex.AnalysisSeasonal,
+		Series:         "household-00",
+		Lengths:        onex.Lengths{Min: 12, Max: 12},
+		MinOccurrences: 3,
+	})
+	if err != nil {
+		panic(err)
+	}
+	pats := res.Patterns
+	fmt.Printf("found %v pattern(s); top one recurs %d times\n", len(pats) > 0, pats[0].Occurrences)
+	// Output: found true pattern(s); top one recurs 15 times
+}
+
 // Threshold recommendations are data-driven: the suggested ST tracks the
 // dataset's own distance distribution.
 func ExampleDB_Analyze_thresholds() {
