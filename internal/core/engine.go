@@ -8,12 +8,12 @@
 //     representative is DTW-closest to the query, then return the
 //     DTW-closest member of that group. This is what the ONEX papers
 //     measure: very fast, and empirically near-exact.
-//   - ModeExact uses the certified group-transfer bound
-//     (docs/ARCHITECTURE.md, "The two-distance design") to prune groups
-//     soundly and refines every surviving group, returning the provably
-//     best match over all indexed subsequences. It equals a brute-force
-//     DTW scan on every input (property-tested) while still profiting
-//     from the base.
+//   - ModeExact bounds every group by its representative's envelope
+//     bound (LB_Keogh of the representative minus the group radius; see
+//     stream.go groupLower) to prune groups soundly and refines every
+//     surviving group, returning the provably best match over all indexed
+//     subsequences. It equals a brute-force DTW scan on every input
+//     (property-tested) while still profiting from the base.
 //
 // The package also implements the paper's other exploratory operations:
 // seasonal (repeated-pattern) queries, data-driven threshold
@@ -106,8 +106,6 @@ type Match struct {
 	// Dist / max(len(query), match length) when on. Results are ordered
 	// by Score.
 	Score float64
-	// RepDist is the raw DTW(query, representative of the match's group).
-	RepDist float64
 	// Group locates the group the match came from.
 	Group GroupRef
 	// Path is the warping path between the query and the match, for the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/bruteforce"
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/grouping"
 	"repro/internal/ts"
 )
@@ -178,38 +180,146 @@ func TestLengthConstraintsHonored(t *testing.T) {
 	}
 }
 
-// The central exactness property: ModeExact returns the same best distance
-// as the brute-force scan over the same candidate population, for both
-// banded and unbanded DTW.
+// walkWorld builds the differential oracles' base: min-max normalized
+// random walks that compact well at ST 0.1 (most groups have several
+// members), so the exact walk's envelope bound really prunes. scale
+// multiplies every value and ST, giving a copy in large raw units where
+// float rounding in the bounds would show.
+func walkWorld(t *testing.T, scale float64) (*ts.Dataset, *Engine) {
+	t.Helper()
+	d := gen.RandomWalks(gen.WalkOptions{Num: 6, Length: 64, Seed: 29})
+	if err := ts.NormalizeMinMax(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range d.Series {
+		for i := range s.Values {
+			s.Values[i] *= scale
+		}
+	}
+	b, err := grouping.Build(d, grouping.Options{ST: 0.1 * scale, MinLength: 8, MaxLength: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, w := b.NumGroups(), d.NumSubsequences(8, 14); 2*n > w {
+		t.Fatalf("walkWorld does not compact: %d groups for %d windows", n, w)
+	}
+	e, err := NewEngine(d, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, e
+}
+
+// oracleQuery is one differential-test query: a dataset window (so an
+// overlap exclusion is meaningful) with optional noise, at a length that
+// may fall outside the indexed range to exercise cross-length bands.
+type oracleQuery struct {
+	q   []float64
+	src ts.SubSeq
+}
+
+func oracleQueries(d *ts.Dataset, scale float64) []oracleQuery {
+	rng := rand.New(rand.NewSource(777))
+	var out []oracleQuery
+	for i := 0; i < 4; i++ {
+		l := 6 + rng.Intn(11) // 6..16 against indexed 8..14
+		s := rng.Intn(len(d.Series))
+		src := ts.SubSeq{Series: s, Start: rng.Intn(d.Series[s].Len() - l + 1), Length: l}
+		q := append([]float64(nil), src.Values(d)...)
+		if i%2 == 1 {
+			for j := range q {
+				q[j] += rng.NormFloat64() * 0.03 * scale
+			}
+		}
+		out = append(out, oracleQuery{q: q, src: src})
+	}
+	return out
+}
+
+// closeTo compares distances to 1e-9, relative once they exceed 1.
+func closeTo(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+
+// TestPropertyExactModeEqualsBruteForce is the differential oracle of exact
+// mode: the whole top-K equals bruteforce.KBest — distances to 1e-9, refs
+// wherever the oracle's score is untied — for K in {1, 5}, LengthNorm on and
+// off, bands -1/0/3, Workers 1 and 4, with and without an overlap
+// exclusion, on a compacting walk base and its ×1e6 raw-unit copy. The
+// certified bound must also actually prune there, or the test proves
+// nothing about it.
 func TestPropertyExactModeEqualsBruteForce(t *testing.T) {
-	for _, band := range []int{-1, 3} {
-		d, e := newTestWorld(t, 5, 26, 0.08, 4, 9, ModeExact, band)
-		rng := rand.New(rand.NewSource(777))
-		for trial := 0; trial < 12; trial++ {
-			qlen := 4 + rng.Intn(6)
-			q := make([]float64, qlen)
-			v := rng.Float64()
-			for i := range q {
-				v += rng.NormFloat64() * 0.08
-				q[i] = v
+	ctx := context.Background()
+	for _, scale := range []float64{1, 1e6} {
+		d, e := walkWorld(t, scale)
+		b := e.Base()
+		pruned, groups := 0, 0
+		for qi, oq := range oracleQueries(d, scale) {
+			for _, band := range []int{-1, 0, 3} {
+				for _, ln := range []bool{false, true} {
+					for _, k := range []int{1, 5} {
+						for _, exclude := range []bool{false, true} {
+							var c QueryConstraints
+							if exclude {
+								c.ExcludeOverlap = oq.src
+							}
+							want, err := bruteforce.KBest(d, oq.q, k+1, bruteforce.Options{
+								Band: band, MinLength: b.MinLength, MaxLength: b.MaxLength,
+								EarlyAbandon: true, LengthNormalize: ln, ExcludeOverlap: c.ExcludeOverlap,
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, workers := range []int{1, 4} {
+								label := fmt.Sprintf("scale %g query %d band %d norm %v k %d exclude %v workers %d",
+									scale, qi, band, ln, k, exclude, workers)
+								res, err := e.Find(ctx, oq.q, FindOptions{
+									Options:     Options{Band: band, Mode: ModeExact, LengthNorm: ln, Workers: workers},
+									K:           k,
+									Constraints: c,
+								})
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								sameAsOracle(t, label, res.Matches, want, k)
+								st := res.Stats
+								if st.GroupsLBPruned+st.GroupsRefined != st.Groups {
+									t.Fatalf("%s: pruned %d + refined %d != groups %d", label, st.GroupsLBPruned, st.GroupsRefined, st.Groups)
+								}
+								pruned += st.GroupsLBPruned
+								groups += st.Groups
+							}
+						}
+					}
+				}
 			}
-			got, err := bestMatch(e, q, QueryConstraints{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := bruteforce.BestMatch(d, q, bruteforce.Options{
-				Band:         band,
-				MinLength:    e.Base().MinLength,
-				MaxLength:    e.Base().MaxLength,
-				EarlyAbandon: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !almost(got.Dist, want.Dist, 1e-9) {
-				t.Fatalf("band %d trial %d: exact mode %g (ref %v) != brute force %g (ref %v)",
-					band, trial, got.Dist, got.Ref, want.Dist, want.Ref)
-			}
+		}
+		if 2*pruned < groups {
+			t.Fatalf("scale %g: exact walks pruned only %d of %d groups", scale, pruned, groups)
+		}
+	}
+}
+
+// sameAsOracle checks got (an exact top-k) against the oracle's k+1 best:
+// equal length, distances and scores to 1e-9, and refs at every position
+// whose oracle score ties neither neighbour (the two tie-break orders
+// differ).
+func sameAsOracle(t *testing.T, label string, got []Match, want []bruteforce.Result, k int) {
+	t.Helper()
+	n := k
+	if len(want) < n {
+		n = len(want)
+	}
+	if len(got) != n {
+		t.Fatalf("%s: %d matches, oracle has %d", label, len(got), n)
+	}
+	for i := 0; i < n; i++ {
+		if !closeTo(got[i].Dist, want[i].Dist) || !closeTo(got[i].Score, want[i].Score) {
+			t.Fatalf("%s: match %d (dist %g, score %g) != oracle (dist %g, score %g)",
+				label, i, got[i].Dist, got[i].Score, want[i].Dist, want[i].Score)
+		}
+		tied := (i > 0 && closeTo(want[i-1].Score, want[i].Score)) ||
+			(i+1 < len(want) && closeTo(want[i+1].Score, want[i].Score))
+		if !tied && got[i].Ref != want[i].Ref {
+			t.Fatalf("%s: match %d ref %v != oracle %v (dist %g)", label, i, got[i].Ref, want[i].Ref, want[i].Dist)
 		}
 	}
 }

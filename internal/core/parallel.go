@@ -25,10 +25,11 @@ import (
 //     every worker count. Accumulators break score ties by subsequence
 //     identity, so even the order is stable.
 //   - Groups, GroupsRefined, and Members are identical at every worker
-//     count. The pruned/DTW split (GroupsLBPruned, RepDTW, MemberDTW) can
-//     shift slightly at Workers > 1 because the shared best-so-far bound
-//     tightens in scheduling order; the totals still reconcile
-//     (GroupsLBPruned + GroupsRefined <= Groups).
+//     count, and so is GroupsLBPruned in exact mode (Groups minus
+//     GroupsRefined). The DTW counts (RepDTW, MemberDTW) and the
+//     approx-mode GroupsLBPruned can shift slightly at Workers > 1 because
+//     the shared best-so-far bound tightens in scheduling order; the
+//     totals still reconcile (GroupsLBPruned + GroupsRefined <= Groups).
 //
 // Cancellation: each worker polls ctx.Err() once per group it scores and
 // every ctxCheckStride members it refines, so a cancelled parallel scan
@@ -147,13 +148,25 @@ func (s *sharedTopK) offer(m Match) {
 	s.mu.Unlock()
 }
 
-// repScoreJob is one group to score plus the per-length precomputation
-// shared (read-only) by every group of that length.
-type repScoreJob struct {
-	ref    GroupRef
-	g      *grouping.Group
-	norm   float64
+// lengthEnv is the per-length query precomputation shared (read-only) by
+// every group of one candidate length.
+type lengthEnv struct {
+	norm   float64 // score divisor (Options.norm)
+	half   float64 // HalfST(l): the §3.1 member-to-representative ED bound
 	qU, qL []float64
+}
+
+// lengthEnvFor computes the query envelope and constants for length l.
+func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
+	qU, qL := dist.Envelope(q, l, opts.Band)
+	return &lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
+}
+
+// repScoreJob is one group to score plus its length's shared precomputation.
+type repScoreJob struct {
+	ref GroupRef
+	g   *grouping.Group
+	env *lengthEnv
 }
 
 // flattenGroups lists every candidate group of the given lengths in the
@@ -166,11 +179,10 @@ func (e *Engine) flattenGroups(q []float64, lengths []int, opts Options) []repSc
 		if len(groups) == 0 {
 			continue
 		}
-		norm := opts.norm(len(q), l)
-		qU, qL := dist.Envelope(q, l, opts.Band)
+		env := e.lengthEnvFor(q, l, opts)
 		//onex:nopoll O(1) job enumeration per group; the scoring pass that consumes the jobs polls per group
 		for gi, g := range groups {
-			jobs = append(jobs, repScoreJob{ref: GroupRef{Length: l, Index: gi}, g: g, norm: norm, qU: qU, qL: qL})
+			jobs = append(jobs, repScoreJob{ref: GroupRef{Length: l, Index: gi}, g: g, env: env})
 		}
 	}
 	return jobs
@@ -178,34 +190,23 @@ func (e *Engine) flattenGroups(q []float64, lengths []int, opts Options) []repSc
 
 // scoreJob runs the LB_Kim -> LB_Keogh -> early-abandon-DTW cascade for one
 // representative against the raw-distance bound ub, updating st (which may
-// be a worker-local accumulator).
+// be a worker-local accumulator). A pruned or abandoned representative
+// returns +Inf; the walk decides later whether its group counts as pruned
+// (kbestApprox, finishExact), so each group is counted once.
 func scoreJob(q []float64, job repScoreJob, ub float64, band int, st *SearchStats) (repDist float64) {
 	if st != nil {
 		st.Groups++
 	}
 	if dist.LBKim(q, job.g.Rep) > ub {
-		if st != nil {
-			st.GroupsLBPruned++
-		}
 		return math.Inf(1)
 	}
-	if dist.LBKeogh(job.g.Rep, job.qU, job.qL, ub) > ub {
-		if st != nil {
-			st.GroupsLBPruned++
-		}
+	if dist.LBKeogh(job.g.Rep, job.env.qU, job.env.qL, ub) > ub {
 		return math.Inf(1)
 	}
 	if st != nil {
 		st.RepDTW++
 	}
-	repDist = dist.DTWEarlyAbandon(q, job.g.Rep, band, ub)
-	if st != nil && math.IsInf(repDist, 1) {
-		// Abandoned against the k-th best bound: the group is pruned exactly
-		// like an LB rejection (and un-counted if a fallback later recomputes
-		// it).
-		st.GroupsLBPruned++
-	}
-	return repDist
+	return dist.DTWEarlyAbandon(q, job.g.Rep, band, ub)
 }
 
 // scoreRepsParallel shards the group list across a worker pool. Each worker
@@ -231,12 +232,12 @@ func (e *Engine) scoreRepsParallel(ctx context.Context, q []float64, k int, jobs
 				return err
 			}
 			job := jobs[i]
-			repDist := scoreJob(q, job, shared.load()*job.norm, opts.Band, &local)
-			score := repDist / job.norm
+			repDist := scoreJob(q, job, shared.load()*job.env.norm, opts.Band, &local)
+			score := repDist / job.env.norm
 			if !math.IsInf(repDist, 1) {
 				shared.offer(score)
 			}
-			buf = append(buf, repCandidate{ref: job.ref, g: job.g, repDist: repDist, repScore: score, norm: job.norm})
+			buf = append(buf, repCandidate{ref: job.ref, g: job.g, env: job.env, repDist: repDist, repScore: score})
 		}
 		locals[w], buffers[w] = local, buf
 		return nil
@@ -261,9 +262,8 @@ func (e *Engine) scoreRepsParallel(ctx context.Context, q []float64, k int, jobs
 
 // resolveCandidates recomputes the representative distance of every
 // LB-pruned (repDist = +Inf) candidate in cands, in parallel when the tail
-// is large, so the caller can continue walking groups in true
-// representative-score order. Each recompute un-counts the earlier prune,
-// keeping GroupsLBPruned and GroupsRefined disjoint.
+// is large, so the approximate walk can continue in true
+// representative-score order.
 func (e *Engine) resolveCandidates(ctx context.Context, q []float64, cands []repCandidate, opts Options, st *SearchStats) error {
 	var idx []int
 	for i := range cands {
@@ -275,13 +275,12 @@ func (e *Engine) resolveCandidates(ctx context.Context, q []float64, cands []rep
 		return nil
 	}
 	if st != nil {
-		st.GroupsLBPruned -= len(idx)
 		st.RepDTW += len(idx)
 	}
 	workers := resolveWorkers(opts.Workers, len(idx))
 	recompute := func(i int) {
 		cands[i].repDist = dist.DTWBanded(q, cands[i].g.Rep, opts.Band)
-		cands[i].repScore = cands[i].repDist / cands[i].norm
+		cands[i].repScore = cands[i].repDist / cands[i].env.norm
 	}
 	if workers <= 1 || len(idx) < minParallelGroups {
 		for _, i := range idx {
@@ -321,8 +320,7 @@ func (e *Engine) refine(ctx context.Context, q []float64, cand repCandidate, c Q
 // with deterministic tie-breaking — the final contents match the serial
 // scan exactly.
 func (e *Engine) refineGroupParallel(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top *topK, opts Options, st *SearchStats, workers int) error {
-	l := cand.g.Length
-	qU, qL := dist.Envelope(q, l, opts.Band)
+	qU, qL, norm := cand.env.qU, cand.env.qL, cand.env.norm
 	if st != nil {
 		st.GroupsRefined++
 		st.Members += len(cand.g.Members)
@@ -345,7 +343,7 @@ func (e *Engine) refineGroupParallel(ctx context.Context, q []float64, cand repC
 				continue
 			}
 			mv := m.Values(e.ds)
-			ub := shared.boundScore() * cand.norm // raw-distance bound
+			ub := shared.boundScore() * norm // raw-distance bound
 			if dist.LBKim(q, mv) > ub {
 				continue
 			}
@@ -358,12 +356,11 @@ func (e *Engine) refineGroupParallel(ctx context.Context, q []float64, cand repC
 				continue
 			}
 			shared.offer(Match{
-				Ref:     m,
-				Values:  mv,
-				Dist:    d,
-				Score:   d / cand.norm,
-				RepDist: cand.repDist,
-				Group:   cand.ref,
+				Ref:    m,
+				Values: mv,
+				Dist:   d,
+				Score:  d / norm,
+				Group:  cand.ref,
 			})
 		}
 		return nil

@@ -22,22 +22,23 @@ type RangeOptions struct {
 	Limit int
 }
 
-// rangeJob is one group to scan plus the per-length precomputation shared
-// (read-only) by every group of that length.
+// rangeJob is one group to scan plus its length's shared precomputation:
+// the query envelope, the raw-distance threshold, and the transfer-bound
+// slack.
 type rangeJob struct {
 	ref    GroupRef
 	g      *grouping.Group
-	norm   float64
+	env    *lengthEnv
 	rawMax float64
 	slack  float64
-	qU, qL []float64
 }
 
 // withinThreshold returns every indexed subsequence whose DTW score from q
 // is at most MaxDist, ordered best-first: the paper's §3.3 range flavour of
 // similarity exploration ("showing the changes in the similarity between
 // sequences for varying parameters"). The search is exact regardless of
-// callOpts.Mode: a group is skipped only when the certified transfer bound
+// callOpts.Mode: a group is skipped only when a certified bound — the
+// representative's envelope bound (groupLower) or the transfer bound —
 // proves every member lies beyond the threshold. st, when non-nil,
 // accumulates the search statistics. The group scan is sharded across
 // callOpts.Workers goroutines when the base is large; the threshold bound
@@ -66,20 +67,17 @@ func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOpt
 		if len(groups) == 0 {
 			continue
 		}
-		norm := callOpts.norm(len(q), l)
-		qU, qL := dist.Envelope(q, l, callOpts.Band)
+		env := e.lengthEnvFor(q, l, callOpts)
 		w := dist.EffectiveBand(len(q), l, callOpts.Band)
-		slack := float64(2*w+1) * e.base.HalfST(l)
+		slack := float64(2*w+1) * env.half
 		//onex:nopoll O(1) job enumeration per group; the scan that follows polls per group and per 64 members
 		for gi, g := range groups {
 			jobs = append(jobs, rangeJob{
 				ref:    GroupRef{Length: l, Index: gi},
 				g:      g,
-				norm:   norm,
-				rawMax: opts.MaxDist * norm,
+				env:    env,
+				rawMax: opts.MaxDist * env.norm,
 				slack:  slack,
-				qU:     qU,
-				qL:     qL,
 			})
 		}
 	}
@@ -105,18 +103,28 @@ func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOpt
 	return e.finishMatches(q, out, callOpts), nil
 }
 
-// rangeScanGroup applies the certified group skip and, when the group
+// rangeScanGroup applies the certified group skips and, when the group
 // survives, scans its members against the fixed threshold, returning every
 // in-range match. st may be a worker-local accumulator.
 func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, c QueryConstraints, callOpts Options, st *SearchStats) ([]Match, error) {
 	if st != nil {
 		st.Groups++
+	}
+	// Certified skips, cheapest first: the representative's envelope bound
+	// (groupLower, one LB_Keogh), then the transfer bound — if
+	// DTW(q, rep) - slack > rawMax every member is provably outside the
+	// threshold. Both depend only on the fixed threshold, so the statistics
+	// stay scheduling-independent.
+	if groupLower(job.g, job.env, job.rawMax) > job.rawMax {
+		if st != nil {
+			st.GroupsLBPruned++
+		}
+		return nil, nil
+	}
+	if st != nil {
 		st.RepDTW++
 	}
-	// Certified skip: if DTW(q, rep) - slack > rawMax then every member is
-	// provably outside the threshold.
-	repDist := dist.DTWEarlyAbandon(q, job.g.Rep, callOpts.Band, job.rawMax+job.slack)
-	if math.IsInf(repDist, 1) {
+	if math.IsInf(dist.DTWEarlyAbandon(q, job.g.Rep, callOpts.Band, job.rawMax+job.slack), 1) {
 		if st != nil {
 			st.GroupsLBPruned++
 		}
@@ -140,7 +148,7 @@ func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, 
 		if dist.LBKim(q, mv) > job.rawMax {
 			continue
 		}
-		if dist.LBKeogh(mv, job.qU, job.qL, job.rawMax) > job.rawMax {
+		if dist.LBKeogh(mv, job.env.qU, job.env.qL, job.rawMax) > job.rawMax {
 			continue
 		}
 		if st != nil {
@@ -153,12 +161,11 @@ func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, 
 			continue
 		}
 		out = append(out, Match{
-			Ref:     m,
-			Values:  mv,
-			Dist:    d,
-			Score:   d / job.norm,
-			RepDist: repDist,
-			Group:   job.ref,
+			Ref:    m,
+			Values: mv,
+			Dist:   d,
+			Score:  d / job.env.norm,
+			Group:  job.ref,
 		})
 	}
 	return out, nil

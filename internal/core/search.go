@@ -106,9 +106,13 @@ func (o Options) norm(qlen, l int) float64 {
 type repCandidate struct {
 	ref      GroupRef
 	g        *grouping.Group
+	env      *lengthEnv
 	repDist  float64 // raw DTW(q, rep); +Inf when pruned
-	repScore float64 // repDist / norm
-	norm     float64
+	repScore float64 // repDist / env.norm
+	// lower is the certified score lower bound over the group's members
+	// (stream.go), set by finishExact on the groups the approximate walk
+	// left unrefined.
+	lower float64
 }
 
 // scoreRepresentatives computes DTW(query, representative) for every group
@@ -133,12 +137,12 @@ func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, l
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		repDist := scoreJob(q, job, kth.bound()*job.norm, opts.Band, st)
-		score := repDist / job.norm
+		repDist := scoreJob(q, job, kth.bound()*job.env.norm, opts.Band, st)
+		score := repDist / job.env.norm
 		if !math.IsInf(repDist, 1) {
 			kth.offer(score)
 		}
-		cands = append(cands, repCandidate{ref: job.ref, g: job.g, repDist: repDist, repScore: score, norm: job.norm})
+		cands = append(cands, repCandidate{ref: job.ref, g: job.g, env: job.env, repDist: repDist, repScore: score})
 	}
 	return cands, nil
 }
@@ -168,6 +172,16 @@ func (e *Engine) kbestApprox(ctx context.Context, q []float64, k int, c QueryCon
 	if err != nil {
 		return nil, err
 	}
+	if st != nil {
+		// An approximate answer prunes the groups whose representative the
+		// cascade rejected and the walk never resolved.
+		//onex:nopoll O(1) count per group; the scoring pass polled per group
+		for _, cand := range w.cands[w.refined:] {
+			if math.IsInf(cand.repDist, 1) {
+				st.GroupsLBPruned++
+			}
+		}
+	}
 	if w.top.len() == 0 {
 		return nil, ErrNoMatch
 	}
@@ -176,10 +190,11 @@ func (e *Engine) kbestApprox(ctx context.Context, q []float64, k int, c QueryCon
 
 // kbestExact drives the progressive pipeline to its certified end: the
 // approximate phase seeds the accumulator, then the remaining groups are
-// refined in fixed-size waves under the certified transfer bound
-// (stream.go finishExact); the result is the true top-k. progress, when
-// non-nil, receives a snapshot after the approximate phase, after every
-// wave, and a final one equal to the returned matches.
+// bounded by their representative's envelope bound and the survivors
+// refined in fixed-size waves (stream.go finishExact); the result is the
+// true top-k. progress, when non-nil, receives a snapshot after the
+// approximate phase, after every wave, and a final one equal to the
+// returned matches.
 func (e *Engine) kbestExact(ctx context.Context, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats, progress ProgressFunc) ([]Match, error) {
 	w, err := e.startWalk(ctx, q, k, c, lengths, opts, st)
 	if err != nil {
@@ -221,8 +236,7 @@ func (t *topK) boundScore() float64 {
 // DTW, offering improvements to the top-k accumulator. The context is
 // re-checked every ctxCheckStride members so large groups abandon promptly.
 func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top matchSink, opts Options, st *SearchStats) error {
-	l := cand.g.Length
-	qU, qL := dist.Envelope(q, l, opts.Band)
+	qU, qL, norm := cand.env.qU, cand.env.qL, cand.env.norm
 	if st != nil {
 		st.GroupsRefined++
 		st.Members += len(cand.g.Members)
@@ -237,7 +251,7 @@ func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate
 			continue
 		}
 		mv := m.Values(e.ds)
-		ub := top.boundScore() * cand.norm // raw-distance bound
+		ub := top.boundScore() * norm // raw-distance bound
 		if dist.LBKim(q, mv) > ub {
 			continue
 		}
@@ -252,12 +266,11 @@ func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate
 			continue
 		}
 		top.offer(Match{
-			Ref:     m,
-			Values:  mv,
-			Dist:    d,
-			Score:   d / cand.norm,
-			RepDist: cand.repDist,
-			Group:   cand.ref,
+			Ref:    m,
+			Values: mv,
+			Dist:   d,
+			Score:  d / norm,
+			Group:  cand.ref,
 		})
 	}
 	return nil
@@ -354,10 +367,11 @@ func newKthTracker(k int) *kthTracker {
 		k = 1
 	}
 	if k > 1024 {
-		// Saturate: beyond this the bound is useless anyway. The exact
-		// pipeline compensates for any resulting over-pruning by resolving
-		// every abandoned representative (finishExact / resolveCandidates)
-		// before the certified walk.
+		// Saturate: beyond this the bound is useless anyway. Over-pruning
+		// representatives is harmless: the approximate walk resolves every
+		// abandoned representative it reaches (startWalk), and exact mode
+		// needs no representative distance — finishExact bounds every
+		// unrefined group by its representative's LB_Keogh (groupLower).
 		k = 1024
 	}
 	return &kthTracker{k: k}

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math"
+	"sort"
 
 	"repro/internal/dist"
+	"repro/internal/grouping"
 )
 
 // Progressive refinement: the top-k search restructured as a resumable
@@ -22,10 +24,11 @@ import (
 //   1. After the approximate phase — the paper's search (best groups by
 //      representative distance, refined best-first until the cutoff).
 //      This snapshot's matches equal what Find returns in approx mode.
-//   2. After every certified refinement wave — the exact walk refines the
-//      remaining groups in fixed 16-group waves (parallel.go exactWave),
-//      re-checking the certified transfer bound between waves; each wave
-//      boundary yields the current top-k plus per-match certification.
+//   2. After every certified refinement wave — the exact walk bounds every
+//      remaining group (groupLower), sorts the survivors by bound, and
+//      refines them in fixed 16-group waves (parallel.go exactWave) until
+//      the next bound exceeds the k-th best; each wave boundary yields the
+//      current top-k plus per-match certification.
 //   3. A terminating snapshot (Final = true) whose matches carry warping
 //      paths and equal Find's exact-mode result exactly.
 //
@@ -80,19 +83,19 @@ type progressiveWalk struct {
 	st   *SearchStats
 
 	// cands is sorted by representative score (pruned-last before
-	// resolution). cands[:refined] have had their members fully scanned or
+	// resolution) until finishExact re-sorts the unrefined tail by certified
+	// lower bound. cands[:refined] have had their members fully scanned or
 	// been certified-skipped; the walk resumes at cands[refined].
 	cands   []repCandidate
 	top     *topK
 	refined int
 	// resolved records that every repDist in cands is an exact distance
-	// (no +Inf placeholders), which certification needs.
+	// (no +Inf placeholders), so certLower applies to every candidate.
 	resolved bool
-	// suffixMinLower[i] is the minimum certLower over cands[i:]
-	// (suffixMinLower[len(cands)] = +Inf), precomputed by finishExact once
-	// the tail order is final so every snapshot certifies in O(k) instead
-	// of rescanning the unrefined tail.
-	suffixMinLower []float64
+	// bounded records that finishExact has set every unrefined candidate's
+	// lower bound and sorted the tail by it: the minimum bound over the
+	// unrefined tail is then cands[refined].lower.
+	bounded bool
 	// seq and wave number the snapshots emitted so far.
 	seq, wave int
 }
@@ -144,20 +147,40 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 	return w, nil
 }
 
-// certLower is the certified lower bound for every member s of cand's
+// certLower is the transfer lower bound for every member s of cand's
 // group: DTW(q,s) >= DTW(q,rep) - mu*ED(rep,s) >= repDist - mu*ST_l/2,
 // where mu is bounded by the band geometry of the (q,s) grid and ST_l is
-// the absolute threshold at the group's length.
+// the absolute threshold at the group's length. It needs the exact
+// representative distance.
 func (w *progressiveWalk) certLower(cand repCandidate) float64 {
 	bw := dist.EffectiveBand(len(w.q), cand.g.Length, w.opts.Band)
 	mu := float64(2*bw + 1)
-	return (cand.repDist - mu*w.e.base.HalfST(cand.g.Length)) / cand.norm
+	return (cand.repDist - mu*cand.env.half) / cand.env.norm
 }
 
-// snapshot assembles the current emission. Certification is computed only
-// once every representative distance is resolved: an unresolved (+Inf)
-// candidate's true certified bound is unknown, and guessing it could
-// certify a match unsoundly.
+// groupLower is the envelope lower bound, in raw distance, for every member
+// m of g: DTWBanded(q, m, band) >= max(0, LBKeogh(rep) - HalfST(l)), where
+// env holds Envelope(q, l, band). LB_Keogh is a sum of per-position hinges,
+// each 1-Lipschitz in the candidate value, so LBKeogh(m) >=
+// LBKeogh(rep) - ED(m, rep) (ED is L1); the §3.1 invariant gives
+// ED(m, rep) <= HalfST(l); and LBKeogh(m) <= DTWBanded(q, m, band). It
+// costs one LB_Keogh of the representative and no DTW; exclusions only
+// remove members, so they keep it valid. The LB_Keogh abandons at ub + HalfST(l): a result above ub (+Inf when
+// abandoned) certifies that no member scores within ub.
+func groupLower(g *grouping.Group, env *lengthEnv, ub float64) float64 {
+	lb := dist.LBKeogh(g.Rep, env.qU, env.qL, ub+env.half)
+	if lb <= env.half {
+		return 0
+	}
+	return lb - env.half
+}
+
+// snapshot assembles the current emission. Certification needs a sound
+// lower bound for every unrefined group: the envelope bounds once
+// finishExact has set them, otherwise the transfer bound once every
+// representative distance is resolved. An unresolved (+Inf) candidate's
+// transfer bound is unknown, and guessing it could certify a match
+// unsoundly.
 func (w *progressiveWalk) snapshot(final bool) Snapshot {
 	var ms []Match
 	if final {
@@ -171,13 +194,15 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 		for i := range cert {
 			cert[i] = true
 		}
-	case w.resolved:
-		// The minimum certified lower bound over the unrefined tail: from
-		// the precomputed suffix array when finishExact has frozen the tail
-		// order, by a one-off scan for the single pre-wave emission.
+	case w.bounded || w.resolved:
+		// The minimum certified lower bound over the unrefined tail: the
+		// head's own bound once the tail is sorted by bound, by a one-off
+		// scan for the single pre-wave emission.
 		minLower := math.Inf(1)
-		if w.suffixMinLower != nil {
-			minLower = w.suffixMinLower[w.refined]
+		if w.bounded {
+			if w.refined < len(w.cands) {
+				minLower = w.cands[w.refined].lower
+			}
 		} else {
 			for i := w.refined; i < len(w.cands); i++ {
 				if l := w.certLower(w.cands[i]); l < minLower {
@@ -206,42 +231,21 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 	return s
 }
 
-// finishExact resumes the walk to a certified-exact answer: it resolves
-// any still-pruned representative distances, re-sorts the unwalked tail by
-// true score, and refines the remaining groups in fixed-size waves. After
-// each wave the certified transfer bound re-filters the tail against the
-// tightened top-k, and emit (when non-nil) receives a snapshot. The wave
-// size is a constant (parallel.go exactWave), never derived from the
-// worker count, so the refined set — and with it every deterministic work
-// total — is identical at every Workers setting.
+// finishExact resumes the walk to a certified-exact answer. It bounds every
+// group the approximate phase left unrefined (boundTail), then refines the
+// survivors in ascending bound order, in fixed-size waves, and stops at the
+// first group whose bound exceeds the current k-th best: the tail is
+// sorted, so every later group is out too. After each wave emit (when
+// non-nil) receives a snapshot. The bounds depend only on the query and the
+// approximate answer, and the wave size is a constant (parallel.go
+// exactWave), never derived from the worker count, so the refined set —
+// and with it every deterministic work total — is identical at every
+// Workers setting.
 func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) error {
 	e := w.e
-	// The approximate phase resolves the tail only when its walk reaches
-	// it; a walk that filled k from the first groups leaves the rest
-	// LB-pruned. The kth tracker also saturates (1024), so on large bases
-	// some representatives are abandoned regardless. Recompute them all —
-	// in parallel when allowed — so the certified bound below sees true
-	// distances, and walk the tail in true representative-score order.
-	if err := e.resolveCandidates(ctx, w.q, w.cands[w.refined:], w.opts, w.st); err != nil {
+	if err := w.boundTail(ctx); err != nil {
 		return err
 	}
-	sortCandidates(w.cands[w.refined:])
-	w.resolved = true
-	if emit != nil {
-		// The tail order is now final, so each candidate's certified bound
-		// is fixed: one backward pass gives every snapshot its minimum
-		// over the unrefined tail in O(1).
-		w.suffixMinLower = make([]float64, len(w.cands)+1)
-		w.suffixMinLower[len(w.cands)] = math.Inf(1)
-		for i := len(w.cands) - 1; i >= 0; i-- {
-			w.suffixMinLower[i] = math.Min(w.suffixMinLower[i+1], w.certLower(w.cands[i]))
-		}
-	}
-
-	// The walk proceeds in fixed-size waves: between waves the certified
-	// transfer bound is re-evaluated against the tightened top-k, and
-	// within a wave every surviving group is refined — across the worker
-	// pool when one is configured.
 	workers := resolveWorkers(w.opts.Workers, exactWave)
 	wave := make([]repCandidate, 0, exactWave)
 	for w.refined < len(w.cands) {
@@ -252,15 +256,17 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			cand := w.cands[idx]
-			idx++
-			if w.top.full() && w.certLower(cand) > w.top.worst().Score {
+			if w.top.full() && w.cands[idx].lower > w.top.worst().Score {
+				// Provably cannot improve the top-k, and neither can any
+				// group after it.
 				if w.st != nil {
-					w.st.GroupsLBPruned++
+					w.st.GroupsLBPruned += len(w.cands) - idx
 				}
-				continue // provably cannot improve the top-k
+				idx = len(w.cands)
+				break
 			}
-			wave = append(wave, cand)
+			wave = append(wave, w.cands[idx])
+			idx++
 		}
 		if len(wave) > 0 {
 			if workers > 1 && len(wave) > 1 {
@@ -281,5 +287,50 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 			emit(w.snapshot(false))
 		}
 	}
+	return nil
+}
+
+// boundTail sets the certified lower bound of every unrefined candidate:
+// groupLower, raised to certLower where the representative distance is
+// resolved in every run (so the bound, like the refined set, never depends
+// on scheduling). Groups whose bound already exceeds the k-th best move in
+// front of the tail as certified-skipped — counted once, here — and the
+// survivors are sorted by (bound, length, index).
+func (w *progressiveWalk) boundTail(ctx context.Context) error {
+	worst := w.top.boundScore()
+	tail := w.cands[w.refined:]
+	skipped := 0
+	for i := range tail {
+		if i%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		cand := &tail[i]
+		cand.lower = groupLower(cand.g, cand.env, worst*cand.env.norm) / cand.env.norm
+		if w.resolved {
+			cand.lower = math.Max(cand.lower, w.certLower(*cand))
+		}
+		if cand.lower > worst {
+			tail[skipped], tail[i] = tail[i], tail[skipped]
+			skipped++
+		}
+	}
+	if w.st != nil {
+		w.st.GroupsLBPruned += skipped
+	}
+	w.refined += skipped
+	survivors := w.cands[w.refined:]
+	sort.Slice(survivors, func(i, j int) bool {
+		a, b := &survivors[i], &survivors[j]
+		if a.lower != b.lower {
+			return a.lower < b.lower
+		}
+		if a.ref.Length != b.ref.Length {
+			return a.ref.Length < b.ref.Length
+		}
+		return a.ref.Index < b.ref.Index
+	})
+	w.bounded = true
 	return nil
 }

@@ -3,7 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/grouping"
+	"repro/internal/ts"
 )
 
 // collectSnapshots runs an exact-mode Find with a progress sink and
@@ -27,9 +33,15 @@ func collectSnapshots(t *testing.T, e *Engine, q []float64, fo FindOptions) ([]S
 // one-shot exact Find — matches, order, and stats.
 func TestProgressivePipeline(t *testing.T) {
 	d, e := parallelWorld(t, ModeExact)
-	q := d.Series[0].Values[0:16]
-	ctx := context.Background()
+	// The second query certifies part of its answer two waves before the
+	// walk ends, so certification monotonicity is tested mid-stream.
+	for _, q := range [][]float64{d.Series[0].Values[0:16], d.Series[1].Values[0:20]} {
+		checkProgressivePipeline(t, e, q)
+	}
+}
 
+func checkProgressivePipeline(t *testing.T, e *Engine, q []float64) {
+	ctx := context.Background()
 	for _, workers := range []int{1, 4} {
 		fo := FindOptions{Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true, Workers: workers}, K: 5}
 		snaps, res := collectSnapshots(t, e, q, fo)
@@ -78,7 +90,6 @@ func TestProgressivePipeline(t *testing.T) {
 		// Emission invariants across the run: seq increments, waves only
 		// move forward, remaining only shrinks, stats only grow, and
 		// certification is monotone per match ref.
-		certified := map[interface{}]bool{}
 		for i, s := range snaps {
 			if s.Seq != i {
 				t.Fatalf("workers=%d: snapshot %d has seq %d", workers, i, s.Seq)
@@ -96,16 +107,23 @@ func TestProgressivePipeline(t *testing.T) {
 			if s.Stats.GroupsRefined < prev.Stats.GroupsRefined || s.Stats.MemberDTW < prev.Stats.MemberDTW {
 				t.Fatalf("workers=%d: snapshot %d stats went backwards", workers, i)
 			}
+		}
+		// A ref certified in snapshot i is present and certified in every
+		// later snapshot.
+		certifiedAt := map[ts.SubSeq]int{}
+		for i, s := range snaps {
+			now := map[ts.SubSeq]bool{}
 			for j, m := range s.Matches {
 				if s.Certified[j] {
-					certified[m.Ref] = true
+					now[m.Ref] = true
+					if _, ok := certifiedAt[m.Ref]; !ok {
+						certifiedAt[m.Ref] = i
+					}
 				}
 			}
-		}
-		for i, s := range snaps {
-			for j, m := range s.Matches {
-				if certified[m.Ref] && s.Final && !s.Certified[j] {
-					t.Fatalf("workers=%d: snapshot %d lost certification for %v", workers, i, m.Ref)
+			for ref, at := range certifiedAt {
+				if !now[ref] {
+					t.Fatalf("workers=%d: %v certified in snapshot %d, not certified (or absent) in snapshot %d", workers, ref, at, i)
 				}
 			}
 		}
@@ -213,5 +231,95 @@ func TestProgressiveApproxNeverEmits(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Fatalf("sink called %d times on approx/range calls", calls)
+	}
+}
+
+// TestGroupLowerBelowMembers checks the exact walk's group bound against
+// the chain it rests on — groupLower <= LBKeogh(m) <= DTWBanded(q, m) for
+// every member m within HalfST of the representative — on random groups.
+// Half the members are adversarial: they spend their whole ED budget moving
+// the representative toward the query envelope, which makes the first
+// inequality tight, so any over-estimate of the bound shows. The abandoned
+// form must agree with the full one about the abandon threshold.
+func TestGroupLowerBelowMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	walk := func(n int, start float64) []float64 {
+		v, out := start, make([]float64, n)
+		for i := range out {
+			v += rng.NormFloat64() * 0.2
+			out[i] = v
+		}
+		return out
+	}
+	for trial := 0; trial < 300; trial++ {
+		l, band := 4+rng.Intn(12), []int{-1, 0, 3}[rng.Intn(3)]
+		q := walk(4+rng.Intn(12), 0)
+		g := &grouping.Group{Length: l, Rep: walk(l, rng.NormFloat64())}
+		qU, qL := dist.Envelope(q, l, band)
+		full := dist.LBKeogh(g.Rep, qU, qL, math.Inf(1))
+		env := &lengthEnv{norm: 1, half: rng.Float64() * 1.2 * full, qU: qU, qL: qL}
+		lower := groupLower(g, env, math.Inf(1))
+		for mi := 0; mi < 8; mi++ {
+			m := append([]float64(nil), g.Rep...)
+			budget := env.half * rng.Float64()
+			if mi%2 == 0 {
+				// Adversarial: shrink hinges with the full budget.
+				budget = env.half
+				for j := range m {
+					step := 0.0
+					if m[j] > qU[j] {
+						step = math.Min(m[j]-qU[j], budget)
+						m[j] -= step
+					} else if m[j] < qL[j] {
+						step = math.Min(qL[j]-m[j], budget)
+						m[j] += step
+					}
+					budget -= step
+				}
+			} else {
+				// Random direction, ED = budget.
+				dir := make([]float64, l)
+				sum := 0.0
+				for j := range dir {
+					dir[j] = rng.NormFloat64()
+					sum += math.Abs(dir[j])
+				}
+				for j := range m {
+					m[j] += dir[j] * budget / sum
+				}
+			}
+			lbm := dist.LBKeogh(m, qU, qL, math.Inf(1))
+			dtw := dist.DTWBanded(q, m, band)
+			if lower > lbm+1e-9 || lower > dtw+1e-9 {
+				t.Fatalf("trial %d member %d: groupLower %g > LBKeogh %g or DTW %g (half %g)", trial, mi, lower, lbm, dtw, env.half)
+			}
+		}
+		ub := rng.Float64() * 1.5 * full
+		if got := groupLower(g, env, ub); (lower > ub) != (got > ub) || (lower <= ub && got != lower) {
+			t.Fatalf("trial %d: abandoned bound %g disagrees with full bound %g at ub %g", trial, got, lower, ub)
+		}
+	}
+}
+
+// TestExactModeSkipsRepresentativeDTW pins that an exact walk bounds its
+// unrefined groups without a representative DTW each: on a banded walk
+// base fewer representative DTWs run than there are groups, and every
+// group is either refined or certified-skipped exactly once.
+func TestExactModeSkipsRepresentativeDTW(t *testing.T) {
+	d, e := parallelWorld(t, ModeExact)
+	for _, q := range [][]float64{d.Series[0].Values[0:12], d.Series[5].Values[30:46]} {
+		res, err := e.Find(context.Background(), q, FindOptions{
+			Options: Options{Band: 3, Mode: ModeExact, LengthNorm: true, Workers: 1}, K: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st.RepDTW >= st.Groups {
+			t.Fatalf("exact walk ran %d representative DTWs for %d groups", st.RepDTW, st.Groups)
+		}
+		if st.GroupsLBPruned+st.GroupsRefined != st.Groups {
+			t.Fatalf("pruned %d + refined %d != groups %d", st.GroupsLBPruned, st.GroupsRefined, st.Groups)
+		}
 	}
 }

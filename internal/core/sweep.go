@@ -61,10 +61,12 @@ type SearchStats struct {
 	// Groups is the number of candidate groups considered.
 	Groups int
 	// GroupsLBPruned is how many groups were skipped without a member
-	// scan: by the LB cascade, by an early-abandoned representative DTW,
-	// or by the certified transfer bound / threshold slack (exact and
-	// range). A group later revisited by a fallback recompute is
-	// un-counted, so the tally stays disjoint from GroupsRefined.
+	// scan, each counted once. Exact mode: every group the walk
+	// certified-skipped by its envelope bound (stream.go groupLower), so
+	// GroupsLBPruned + GroupsRefined = Groups at every worker count.
+	// Approx mode: the groups whose representative the LB cascade or an
+	// early-abandoned DTW rejected and the walk never resolved. Range: the
+	// groups the envelope bound or the threshold slack skipped.
 	GroupsLBPruned int
 	// RepDTW is the number of representative DTW evaluations started.
 	RepDTW int

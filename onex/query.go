@@ -116,8 +116,9 @@ type QueryStats struct {
 	// Groups is the number of candidate groups considered.
 	Groups int `json:"groups"`
 	// GroupsPruned counts groups dropped without a member scan: by lower
-	// bounds, an abandoned representative DTW, or the certified transfer
-	// bound. Disjoint from GroupsRefined.
+	// bounds, an abandoned representative DTW, or (exact and range) the
+	// representative's certified envelope bound. Disjoint from
+	// GroupsRefined.
 	GroupsPruned int `json:"groups_pruned"`
 	// GroupsRefined counts groups whose members were scanned.
 	GroupsRefined int `json:"groups_refined"`

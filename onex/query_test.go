@@ -253,7 +253,7 @@ func TestFindStats(t *testing.T) {
 	if st.WallMicros < 0 {
 		t.Fatalf("negative wall time: %+v", st)
 	}
-	// Exact mode prunes via the certified transfer bound; the stats must
+	// Exact mode prunes via the certified envelope bound; the stats must
 	// reflect that work too, not just the approximate LB cascade.
 	exact, err := db.Find(context.Background(), Query{Values: raw[0:8], Mode: ModeExact})
 	if err != nil {
