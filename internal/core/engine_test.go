@@ -211,18 +211,19 @@ func walkWorld(t *testing.T, scale float64) (*ts.Dataset, *Engine) {
 }
 
 // oracleQuery is one differential-test query: a dataset window (so an
-// overlap exclusion is meaningful) with optional noise, at a length that
-// may fall outside the indexed range to exercise cross-length bands.
+// overlap exclusion is meaningful) with optional noise, at a length in
+// [minL, maxL], which may reach outside the indexed range to exercise
+// cross-length bands.
 type oracleQuery struct {
 	q   []float64
 	src ts.SubSeq
 }
 
-func oracleQueries(d *ts.Dataset, scale float64) []oracleQuery {
+func oracleQueries(d *ts.Dataset, scale float64, minL, maxL int) []oracleQuery {
 	rng := rand.New(rand.NewSource(777))
 	var out []oracleQuery
 	for i := 0; i < 4; i++ {
-		l := 6 + rng.Intn(11) // 6..16 against indexed 8..14
+		l := minL + rng.Intn(maxL-minL+1)
 		s := rng.Intn(len(d.Series))
 		src := ts.SubSeq{Series: s, Start: rng.Intn(d.Series[s].Len() - l + 1), Length: l}
 		q := append([]float64(nil), src.Values(d)...)
@@ -252,7 +253,7 @@ func TestPropertyExactModeEqualsBruteForce(t *testing.T) {
 		d, e := walkWorld(t, scale)
 		b := e.Base()
 		pruned, groups := 0, 0
-		for qi, oq := range oracleQueries(d, scale) {
+		for qi, oq := range oracleQueries(d, scale, 6, 16) { // against indexed 8..14
 			for _, band := range []int{-1, 0, 3} {
 				for _, ln := range []bool{false, true} {
 					for _, k := range []int{1, 5} {

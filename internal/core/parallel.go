@@ -25,11 +25,12 @@ import (
 //     every worker count. Accumulators break score ties by subsequence
 //     identity, so even the order is stable.
 //   - Groups, GroupsRefined, and Members are identical at every worker
-//     count, and so is GroupsLBPruned in exact mode (Groups minus
-//     GroupsRefined). The DTW counts (RepDTW, MemberDTW) and the
-//     approx-mode GroupsLBPruned can shift slightly at Workers > 1 because
-//     the shared best-so-far bound tightens in scheduling order; the
-//     totals still reconcile (GroupsLBPruned + GroupsRefined <= Groups).
+//     count, and so is a top-k search's GroupsLBPruned (Groups minus
+//     GroupsRefined, in approx and exact mode alike). Only the DTW counts
+//     (RepDTW, MemberDTW) can shift at Workers > 1: the shared best-so-far
+//     bound tightens in scheduling order, which decides which
+//     representatives the scoring pass prunes and the approximate walk
+//     later resolves.
 //
 // Cancellation: each worker polls ctx.Err() once per group it scores and
 // every ctxCheckStride members it refines, so a cancelled parallel scan
@@ -191,8 +192,9 @@ func (e *Engine) flattenGroups(q []float64, lengths []int, opts Options) []repSc
 // scoreJob runs the LB_Kim -> LB_Keogh -> early-abandon-DTW cascade for one
 // representative against the raw-distance bound ub, updating st (which may
 // be a worker-local accumulator). A pruned or abandoned representative
-// returns +Inf; the walk decides later whether its group counts as pruned
-// (kbestApprox, finishExact), so each group is counted once.
+// returns +Inf, and its DTW provably exceeds ub. Whether its group counts
+// as pruned is decided once, by the walk: every group it leaves unrefined
+// (kbestApprox, finishExact).
 func scoreJob(q []float64, job repScoreJob, ub float64, band int, st *SearchStats) (repDist float64) {
 	if st != nil {
 		st.Groups++
@@ -225,6 +227,7 @@ func (e *Engine) scoreRepsParallel(ctx context.Context, q []float64, k int, jobs
 	buffers := make([][]repCandidate, workers)
 	err := runWorkers(workers, func(w int) error {
 		var local SearchStats
+		var raw rawBounds
 		buf := make([]repCandidate, 0, (len(jobs)+workers-1)/workers)
 		for i := w; i < len(jobs); i += workers {
 			if err := ctx.Err(); err != nil {
@@ -232,12 +235,12 @@ func (e *Engine) scoreRepsParallel(ctx context.Context, q []float64, k int, jobs
 				return err
 			}
 			job := jobs[i]
-			repDist := scoreJob(q, job, shared.load()*job.env.norm, opts.Band, &local)
-			score := repDist / job.env.norm
-			if !math.IsInf(repDist, 1) {
-				shared.offer(score)
+			b := shared.load()
+			cand := scoredCandidate(job, scoreJob(q, job, raw.of(b, job.env.norm), opts.Band, &local), b)
+			if !math.IsInf(cand.repDist, 1) {
+				shared.offer(cand.repScore)
 			}
-			buf = append(buf, repCandidate{ref: job.ref, g: job.g, env: job.env, repDist: repDist, repScore: score})
+			buf = append(buf, cand)
 		}
 		locals[w], buffers[w] = local, buf
 		return nil
@@ -258,48 +261,6 @@ func (e *Engine) scoreRepsParallel(ctx context.Context, q []float64, k int, jobs
 		}
 	}
 	return cands, nil
-}
-
-// resolveCandidates recomputes the representative distance of every
-// LB-pruned (repDist = +Inf) candidate in cands, in parallel when the tail
-// is large, so the approximate walk can continue in true
-// representative-score order.
-func (e *Engine) resolveCandidates(ctx context.Context, q []float64, cands []repCandidate, opts Options, st *SearchStats) error {
-	var idx []int
-	for i := range cands {
-		if math.IsInf(cands[i].repDist, 1) {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
-		return nil
-	}
-	if st != nil {
-		st.RepDTW += len(idx)
-	}
-	workers := resolveWorkers(opts.Workers, len(idx))
-	recompute := func(i int) {
-		cands[i].repDist = dist.DTWBanded(q, cands[i].g.Rep, opts.Band)
-		cands[i].repScore = cands[i].repDist / cands[i].env.norm
-	}
-	if workers <= 1 || len(idx) < minParallelGroups {
-		for _, i := range idx {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			recompute(i)
-		}
-		return nil
-	}
-	return runWorkers(workers, func(w int) error {
-		for j := w; j < len(idx); j += workers {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			recompute(idx[j])
-		}
-		return nil
-	})
 }
 
 // refine dispatches one group's member scan to the serial or parallel

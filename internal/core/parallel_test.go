@@ -75,7 +75,7 @@ func TestKthTrackerOffer(t *testing.T) {
 
 // parallelWorld builds a base large enough (hundreds of groups, thousands
 // of members) that every parallel code path — sharded representative
-// scoring, tail resolution, in-group member fan-out, range scans — really
+// scoring, in-group member fan-out, exact waves, range scans — really
 // triggers.
 func parallelWorld(t testing.TB, mode Mode) (*ts.Dataset, *Engine) {
 	t.Helper()
@@ -116,7 +116,7 @@ func sameMatches(t *testing.T, label string, a, b []Match) {
 // TestFindWorkersEquivalence is the central parallel-correctness property:
 // at every worker count, Find returns the identical match list (same refs,
 // same distances, same order) and the identical deterministic work totals
-// (Groups, GroupsRefined, Members) as the serial engine — in approx mode,
+// (Groups, GroupsRefined, GroupsLBPruned, Members) as the serial engine — in approx mode,
 // exact mode, and range mode, with and without constraints.
 func TestFindWorkersEquivalence(t *testing.T) {
 	d, e := parallelWorld(t, ModeApprox)
@@ -155,6 +155,7 @@ func TestFindWorkersEquivalence(t *testing.T) {
 			sameMatches(t, label, serial.Matches, par.Matches)
 			if par.Stats.Groups != serial.Stats.Groups ||
 				par.Stats.GroupsRefined != serial.Stats.GroupsRefined ||
+				par.Stats.GroupsLBPruned != serial.Stats.GroupsLBPruned ||
 				par.Stats.Members != serial.Stats.Members {
 				t.Fatalf("%s: deterministic totals drifted: serial %+v, parallel %+v",
 					label, serial.Stats, par.Stats)
@@ -231,9 +232,11 @@ func TestAnalyticsWorkersEquivalence(t *testing.T) {
 // TestConstrainedFallbackBounded is the regression test for the approx-mode
 // fallback degeneration: a constrained query whose promising groups cannot
 // fill k used to refine every LB-pruned group in the base unconditionally.
-// The fixed walk recomputes the pruned representatives, continues in true
-// score order, and stops at the same cutoff as the main loop — so the
-// number of refined groups stays well below the total group count.
+// The walk now continues past the first k groups in true representative
+// order — scoring a pruned representative only once its lower bound
+// reaches the head of the walk — and stops at the same cutoff as the main
+// loop, so the number of refined groups stays well below the total group
+// count.
 func TestConstrainedFallbackBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	d := ts.NewDataset("fallback")

@@ -107,19 +107,64 @@ type repCandidate struct {
 	ref      GroupRef
 	g        *grouping.Group
 	env      *lengthEnv
-	repDist  float64 // raw DTW(q, rep); +Inf when pruned
+	repDist  float64 // raw DTW(q, rep); +Inf while pruned and unresolved
 	repScore float64 // repDist / env.norm
-	// lower is the certified score lower bound over the group's members
-	// (stream.go), set by finishExact on the groups the approximate walk
-	// left unrefined.
+	// lower is a score lower bound. A pruned candidate starts with the
+	// score bound it lost to (its score is above it), raised to
+	// LBKeogh(rep)/norm if the approximate walk keys it: the walk's order
+	// while it stays unresolved (stream.go walkTail). On the groups the walk
+	// leaves unrefined, finishExact overwrites it with the certified bound
+	// over the group's members (groupLower).
 	lower float64
+}
+
+// scoredCandidate wraps a job scored against the score bound b. A pruned
+// one keeps b as its lower bound: its DTW exceeds rawBound(b, norm), so its
+// score exceeds b.
+func scoredCandidate(job repScoreJob, repDist, b float64) repCandidate {
+	c := repCandidate{ref: job.ref, g: job.g, env: job.env, repDist: repDist, repScore: repDist / job.env.norm}
+	if math.IsInf(repDist, 1) {
+		c.lower = b
+	}
+	return c
+}
+
+// rawBound converts a score bound b into the raw distance the cascade
+// abandons against: the largest d with d/norm <= b in floating point. A
+// representative whose DTW exceeds it scores above b, rounding included —
+// which the plain product b*norm does not guarantee once norm != 1.
+func rawBound(b, norm float64) float64 {
+	d := b * norm
+	if math.IsInf(d, 1) {
+		return d
+	}
+	for d/norm > b {
+		d = math.Nextafter(d, math.Inf(-1))
+	}
+	for up := math.Nextafter(d, math.Inf(1)); up/norm <= b; up = math.Nextafter(up, math.Inf(1)) {
+		d = up
+	}
+	return d
+}
+
+// rawBounds caches rawBound across a scoring loop: the score bound changes
+// only when the k-th best improves, the norm only between lengths.
+type rawBounds struct{ b, norm, ub float64 }
+
+func (r *rawBounds) of(b, norm float64) float64 {
+	if b != r.b || norm != r.norm {
+		*r = rawBounds{b, norm, rawBound(b, norm)}
+	}
+	return r.ub
 }
 
 // scoreRepresentatives computes DTW(query, representative) for every group
 // of the candidate lengths, with an LB_Kim + LB_Keogh + early-abandon
-// cascade against the running k-th best representative score. Groups whose
-// representative provably cannot enter the top-k are returned with
-// repDist = +Inf. st, when non-nil, accumulates search statistics. The scan
+// cascade against the running k-th best representative score, converted by
+// rawBound. Groups whose representative provably cannot enter the top-k are
+// returned with repDist = +Inf and, as lower, the score bound they lost to:
+// their score is strictly above it, and the bound is never below the final
+// k-th best. st, when non-nil, accumulates search statistics. The scan
 // is sharded across Options.Workers goroutines when the group list is large
 // (see parallel.go); with one worker the context is checked once per group,
 // so a cancelled scan aborts before the next representative is scored.
@@ -130,19 +175,20 @@ func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, l
 		return e.scoreRepsParallel(ctx, q, k, jobs, opts, st, workers)
 	}
 	cands := make([]repCandidate, 0, len(jobs))
-	// kth tracks the k-th best representative score seen so far; the raw
-	// abandon bound per job is score bound * norm.
+	// kth tracks the k-th best representative score seen so far; each job
+	// abandons against its raw form.
 	kth := newKthTracker(k)
+	var raw rawBounds
 	for _, job := range jobs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		repDist := scoreJob(q, job, kth.bound()*job.env.norm, opts.Band, st)
-		score := repDist / job.env.norm
-		if !math.IsInf(repDist, 1) {
-			kth.offer(score)
+		b := kth.bound()
+		cand := scoredCandidate(job, scoreJob(q, job, raw.of(b, job.env.norm), opts.Band, st), b)
+		if !math.IsInf(cand.repDist, 1) {
+			kth.offer(cand.repScore)
 		}
-		cands = append(cands, repCandidate{ref: job.ref, g: job.g, env: job.env, repDist: repDist, repScore: score})
+		cands = append(cands, cand)
 	}
 	return cands, nil
 }
@@ -173,14 +219,9 @@ func (e *Engine) kbestApprox(ctx context.Context, q []float64, k int, c QueryCon
 		return nil, err
 	}
 	if st != nil {
-		// An approximate answer prunes the groups whose representative the
-		// cascade rejected and the walk never resolved.
-		//onex:nopoll O(1) count per group; the scoring pass polled per group
-		for _, cand := range w.cands[w.refined:] {
-			if math.IsInf(cand.repDist, 1) {
-				st.GroupsLBPruned++
-			}
-		}
+		// Every group the walk did not refine was pruned: the count is
+		// Groups - GroupsRefined, as in exact mode, at every worker count.
+		st.GroupsLBPruned += len(w.cands) - w.refined
 	}
 	if w.top.len() == 0 {
 		return nil, ErrNoMatch
@@ -355,6 +396,10 @@ func (t *topK) sorted() []Match {
 	return out
 }
 
+// maxTrackedK saturates the k-th-best tracker of representative scoring:
+// beyond it the bound is useless anyway.
+const maxTrackedK = 1024
+
 // kthTracker tracks the k-th smallest value offered, as the abandon bound
 // for representative scoring.
 type kthTracker struct {
@@ -363,18 +408,13 @@ type kthTracker struct {
 }
 
 func newKthTracker(k int) *kthTracker {
-	if k < 1 {
-		k = 1
-	}
-	if k > 1024 {
-		// Saturate: beyond this the bound is useless anyway. Over-pruning
-		// representatives is harmless: the approximate walk resolves every
-		// abandoned representative it reaches (startWalk), and exact mode
-		// needs no representative distance — finishExact bounds every
-		// unrefined group by its representative's LB_Keogh (groupLower).
-		k = 1024
-	}
-	return &kthTracker{k: k}
+	// Saturating only over-prunes representatives, which is harmless: the
+	// approximate walk takes only the first min(k, maxTrackedK) candidates
+	// as scored and resolves a pruned representative lazily, when its lower
+	// bound reaches the head of the walk (walkTail); exact mode needs no
+	// representative distance — finishExact bounds every unrefined group by
+	// its representative's LB_Keogh (groupLower).
+	return &kthTracker{k: min(max(k, 1), maxTrackedK)}
 }
 
 // offer inserts v with a single insertion shift (the slice is always

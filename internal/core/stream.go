@@ -23,7 +23,9 @@ import (
 //
 //   1. After the approximate phase — the paper's search (best groups by
 //      representative distance, refined best-first until the cutoff).
-//      This snapshot's matches equal what Find returns in approx mode.
+//      This snapshot's matches equal what Find returns in approx mode. The
+//      walk resolves the representatives the scoring pass pruned lazily,
+//      in lower-bound order, so it scores only those it may visit.
 //   2. After every certified refinement wave — the exact walk bounds every
 //      remaining group (groupLower), sorts the survivors by bound, and
 //      refines them in fixed 16-group waves (parallel.go exactWave) until
@@ -49,8 +51,10 @@ type Snapshot struct {
 	// Certified reports, per match, whether the match provably belongs to
 	// the final exact answer with its exact distance: its score is below
 	// the certified lower bound of every group the walk has not yet
-	// refined. Certification is monotone — once true for a match it stays
-	// true — and every flag is true in the final snapshot.
+	// refined. The approximate snapshot (Seq 0) certifies nothing: the
+	// bounds are set when the exact continuation starts, so certification
+	// starts at the first wave. It is monotone — once true for a match it
+	// stays true — and every flag is true in the final snapshot.
 	Certified []bool
 	// Stats is the cumulative work since the walk started.
 	Stats SearchStats
@@ -82,16 +86,12 @@ type progressiveWalk struct {
 	opts Options
 	st   *SearchStats
 
-	// cands is sorted by representative score (pruned-last before
-	// resolution) until finishExact re-sorts the unrefined tail by certified
-	// lower bound. cands[:refined] have had their members fully scanned or
-	// been certified-skipped; the walk resumes at cands[refined].
+	// cands[:refined] have had their members fully scanned or been
+	// certified-skipped, in no particular order; cands[refined:] are the
+	// groups still open, which finishExact sorts by certified lower bound.
 	cands   []repCandidate
 	top     *topK
 	refined int
-	// resolved records that every repDist in cands is an exact distance
-	// (no +Inf placeholders), so certLower applies to every candidate.
-	resolved bool
 	// bounded records that finishExact has set every unrefined candidate's
 	// lower bound and sorted the tail by it: the minimum bound over the
 	// unrefined tail is then cands[refined].lower.
@@ -111,51 +111,185 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 	sortCandidates(cands)
 	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: st, cands: cands, top: newTopK(k)}
 
-	// Refine within the most promising groups. To fill k results we may
-	// need more than k groups when constraints exclude members, so walk
-	// groups in rep order until k matches are collected (or candidates are
-	// exhausted).
-	for i := 0; i < len(cands); i++ {
-		if !w.resolved && (i >= k || math.IsInf(cands[i].repDist, 1)) {
-			// End of the deterministic prefix: the k best representatives are
-			// exactly scored in every run, but beyond them which groups the
-			// scoring pass LB-pruned depends on scan order (and, with
-			// Workers > 1, on scheduling). Resolve the tail — recompute every
-			// pruned representative and re-sort by true score — so the walk
-			// continues in true representative order regardless, and a
-			// constrained query that under-fills stops at the same cutoff as
-			// the main loop instead of degenerating into a near-exhaustive
-			// member scan of every pruned group.
-			if err := e.resolveCandidates(ctx, q, cands[i:], opts, st); err != nil {
-				return nil, err
-			}
-			sortCandidates(cands[i:])
-			w.resolved = true
-		}
-		cand := cands[i]
-		if w.top.full() && cand.repScore > w.top.worst().Score {
-			// A group whose representative already scores worse than every
-			// collected member cannot improve an approximate top-k
-			// (heuristic: members can score below their representative).
-			break
+	// Refine within the most promising groups, in representative order,
+	// until a representative scores worse than every collected member: such
+	// a group cannot improve an approximate top-k (heuristic: members can
+	// score below their representative). The first min(k, maxTrackedK)
+	// candidates are the best representatives, exactly scored in every run.
+	// To fill k results the walk may need more groups (constraints exclude
+	// members; on a singleton base a group yields one member), and walkTail
+	// continues it.
+	head := min(k, maxTrackedK, len(cands))
+	for ; w.refined < head; w.refined++ {
+		cand := cands[w.refined]
+		if cand.repScore > w.top.boundScore() {
+			return w, nil
 		}
 		if err := e.refine(ctx, q, cand, c, w.top, opts, st); err != nil {
 			return nil, err
 		}
-		w.refined = i + 1
+	}
+	if head < len(cands) {
+		if err := w.walkTail(ctx, cands[head-1].repScore); err != nil {
+			return nil, err
+		}
 	}
 	return w, nil
 }
 
-// certLower is the transfer lower bound for every member s of cand's
-// group: DTW(q,s) >= DTW(q,rep) - mu*ED(rep,s) >= repDist - mu*ST_l/2,
-// where mu is bounded by the band geometry of the (q,s) grid and ST_l is
-// the absolute threshold at the group's length. It needs the exact
-// representative distance.
-func (w *progressiveWalk) certLower(cand repCandidate) float64 {
-	bw := dist.EffectiveBand(len(w.q), cand.g.Length, w.opts.Band)
-	mu := float64(2*bw + 1)
-	return (cand.repDist - mu*cand.env.half) / cand.env.norm
+// walkTail continues the approximate walk past the first head candidates in
+// true representative order — (score, length, index), the order in which
+// sortCandidates would put the tail once every representative were scored —
+// and with the same cutoff, without scoring the representatives the walk
+// never reaches. Which groups the scoring pass pruned depends on scan order
+// and, with Workers > 1, on scheduling; the visit order does not. The walk
+// merges three sources:
+//
+//   - the finite tail, exactly scored and already sorted;
+//   - the pruned block. Every pruned representative lost to a k-th bound no
+//     smaller than kth, the head's last score, so the whole block scores
+//     above kth (scoreRepresentatives). While kth meets the cutoff or the
+//     next finite score, the block costs nothing: no LB_Keogh, no DTW;
+//   - once it does not, a min-heap of the pruned candidates, each keyed by
+//     the larger of its full LBKeogh(rep)/norm and the bound it was pruned
+//     against. A candidate whose key reaches the head without exceeding
+//     the cutoff gets its DTWBanded and is re-keyed by its score.
+//
+// Keys order as (key, unresolved first, length, index): a resolved
+// candidate reaches the head only when every unresolved bound is above its
+// score, so it is the true next candidate, ties included. The groups it
+// refines end up in cands[:w.refined].
+func (w *progressiveWalk) walkTail(ctx context.Context, kth float64) error {
+	cands := w.cands
+	next := w.refined // the finite tail is cands[next:nf]
+	nf := next + sort.Search(len(cands)-next, func(i int) bool { return math.IsInf(cands[next+i].repDist, 1) })
+	// The pruned block, in place: a heap once keyed, and popped candidates
+	// leave it to sit just past its end.
+	heap, keyed := cands[nf:], nf == len(cands)
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		cutoff := w.top.boundScore()
+		if !keyed {
+			x := cutoff
+			if next < nf {
+				x = math.Min(x, cands[next].repScore)
+			}
+			if kth < x {
+				if err := w.keyPruned(ctx, heap); err != nil {
+					return err
+				}
+				keyed = true
+			}
+		}
+		fromHeap := keyed && len(heap) > 0 && (next == nf || walkBefore(&heap[0], &cands[next]))
+		var cand *repCandidate
+		if fromHeap {
+			cand = &heap[0]
+		} else if next < nf {
+			cand = &cands[next]
+		} else {
+			break
+		}
+		if math.IsInf(cand.repDist, 1) {
+			if cand.lower > cutoff {
+				// Every open candidate scores at least this bound.
+				break
+			}
+			cand.repDist = dist.DTWBanded(w.q, cand.g.Rep, w.opts.Band)
+			cand.repScore = cand.repDist / cand.env.norm
+			if w.st != nil {
+				w.st.RepDTW++
+			}
+			siftDown(heap, 0)
+			continue
+		}
+		if cand.repScore > cutoff {
+			break
+		}
+		if err := w.e.refine(ctx, w.q, *cand, w.c, w.top, w.opts, w.st); err != nil {
+			return err
+		}
+		if fromHeap {
+			// Pop: the root moves just past the shrunk heap.
+			last := len(heap) - 1
+			heap[0], heap[last] = heap[last], heap[0]
+			heap = heap[:last]
+			siftDown(heap, 0)
+		} else {
+			next++
+		}
+	}
+	// cands[:next] are refined, and so are the heap candidates the walk
+	// popped, which sit past the heap: swap them in behind.
+	popped := cands[nf+len(heap):]
+	for i := range popped {
+		cands[next+i], popped[i] = popped[i], cands[next+i]
+	}
+	w.refined = next + len(popped)
+	return nil
+}
+
+// keyPruned raises every pruned candidate's lower bound (the score bound it
+// was pruned against) to its representative's full, unabandoned
+// LBKeogh/norm — LB_Keogh lower-bounds the DTW, floating point included —
+// and heapifies them.
+func (w *progressiveWalk) keyPruned(ctx context.Context, pruned []repCandidate) error {
+	for i := range pruned {
+		if i%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		c := &pruned[i]
+		c.lower = math.Max(c.lower, dist.LBKeogh(c.g.Rep, c.env.qU, c.env.qL, math.Inf(1))/c.env.norm)
+	}
+	for i := len(pruned)/2 - 1; i >= 0; i-- {
+		siftDown(pruned, i)
+	}
+	return nil
+}
+
+// walkBefore is walkTail's order: by key — the score once resolved, the
+// lower bound until then — with unresolved candidates first on a tie, then
+// by group identity.
+func walkBefore(a, b *repCandidate) bool {
+	ua, ub := math.IsInf(a.repDist, 1), math.IsInf(b.repDist, 1)
+	ka, kb := a.repScore, b.repScore
+	if ua {
+		ka = a.lower
+	}
+	if ub {
+		kb = b.lower
+	}
+	if ka != kb {
+		return ka < kb
+	}
+	if ua != ub {
+		return ua
+	}
+	if a.ref.Length != b.ref.Length {
+		return a.ref.Length < b.ref.Length
+	}
+	return a.ref.Index < b.ref.Index
+}
+
+// siftDown restores the min-heap (by walkBefore) below h[i].
+func siftDown(h []repCandidate, i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && walkBefore(&h[c], &h[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // groupLower is the envelope lower bound, in raw distance, for every member
@@ -176,11 +310,9 @@ func groupLower(g *grouping.Group, env *lengthEnv, ub float64) float64 {
 }
 
 // snapshot assembles the current emission. Certification needs a sound
-// lower bound for every unrefined group: the envelope bounds once
-// finishExact has set them, otherwise the transfer bound once every
-// representative distance is resolved. An unresolved (+Inf) candidate's
-// transfer bound is unknown, and guessing it could certify a match
-// unsoundly.
+// lower bound for every unrefined group, which exists once finishExact has
+// set the envelope bounds: before that (the approximate snapshot) nothing
+// is certified.
 func (w *progressiveWalk) snapshot(final bool) Snapshot {
 	var ms []Match
 	if final {
@@ -194,21 +326,11 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 		for i := range cert {
 			cert[i] = true
 		}
-	case w.bounded || w.resolved:
-		// The minimum certified lower bound over the unrefined tail: the
-		// head's own bound once the tail is sorted by bound, by a one-off
-		// scan for the single pre-wave emission.
+	case w.bounded:
+		// The unrefined tail is sorted by bound: its minimum is the head's.
 		minLower := math.Inf(1)
-		if w.bounded {
-			if w.refined < len(w.cands) {
-				minLower = w.cands[w.refined].lower
-			}
-		} else {
-			for i := w.refined; i < len(w.cands); i++ {
-				if l := w.certLower(w.cands[i]); l < minLower {
-					minLower = l
-				}
-			}
+		if w.refined < len(w.cands) {
+			minLower = w.cands[w.refined].lower
 		}
 		for i, m := range ms {
 			cert[i] = m.Score < minLower
@@ -290,12 +412,11 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 	return nil
 }
 
-// boundTail sets the certified lower bound of every unrefined candidate:
-// groupLower, raised to certLower where the representative distance is
-// resolved in every run (so the bound, like the refined set, never depends
-// on scheduling). Groups whose bound already exceeds the k-th best move in
-// front of the tail as certified-skipped — counted once, here — and the
-// survivors are sorted by (bound, length, index).
+// boundTail sets the certified lower bound of every unrefined candidate,
+// groupLower, which depends only on the query and the approximate answer,
+// never on scheduling. Groups whose bound already exceeds the k-th best
+// move in front of the tail as certified-skipped — counted once, here — and
+// the survivors are sorted by (bound, length, index).
 func (w *progressiveWalk) boundTail(ctx context.Context) error {
 	worst := w.top.boundScore()
 	tail := w.cands[w.refined:]
@@ -308,9 +429,6 @@ func (w *progressiveWalk) boundTail(ctx context.Context) error {
 		}
 		cand := &tail[i]
 		cand.lower = groupLower(cand.g, cand.env, worst*cand.env.norm) / cand.env.norm
-		if w.resolved {
-			cand.lower = math.Max(cand.lower, w.certLower(*cand))
-		}
 		if cand.lower > worst {
 			tail[skipped], tail[i] = tail[i], tail[skipped]
 			skipped++

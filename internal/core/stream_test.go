@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/gen"
 	"repro/internal/grouping"
 	"repro/internal/ts"
 )
@@ -298,6 +300,249 @@ func TestGroupLowerBelowMembers(t *testing.T) {
 		if got := groupLower(g, env, ub); (lower > ub) != (got > ub) || (lower <= ub && got != lower) {
 			t.Fatalf("trial %d: abandoned bound %g disagrees with full bound %g at ub %g", trial, got, lower, ub)
 		}
+	}
+}
+
+// eagerApprox is the approximate walk as it was before lazy resolution,
+// kept as the oracle of walkTail: past the first k candidates it runs
+// DTWBanded on every representative the scoring pass pruned, re-sorts the
+// tail by score and walks it with the same cutoff.
+func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options) ([]Match, SearchStats, error) {
+	ctx := context.Background()
+	var st SearchStats
+	cands, err := e.scoreRepresentatives(ctx, q, k, e.candidateLengths(c), opts, &st)
+	if err != nil {
+		return nil, st, err
+	}
+	sortCandidates(cands)
+	top := newTopK(k)
+	resolved := false
+	for i := range cands {
+		if !resolved && (i >= k || math.IsInf(cands[i].repDist, 1)) {
+			for j := i; j < len(cands); j++ {
+				if math.IsInf(cands[j].repDist, 1) {
+					cands[j].repDist = dist.DTWBanded(q, cands[j].g.Rep, opts.Band)
+					cands[j].repScore = cands[j].repDist / cands[j].env.norm
+					st.RepDTW++
+				}
+			}
+			sortCandidates(cands[i:])
+			resolved = true
+		}
+		if top.full() && cands[i].repScore > top.worst().Score {
+			break
+		}
+		if err := e.refine(ctx, q, cands[i], c, top, opts, &st); err != nil {
+			return nil, st, err
+		}
+	}
+	st.GroupsLBPruned = st.Groups - st.GroupsRefined
+	return top.sorted(), st, nil
+}
+
+// singletonWorld builds an all-singleton base — min-max normalized
+// cylinder-bell-funnel noise under a tiny ST, every window its own group —
+// on which an approximate walk must pass its first k groups to collect k
+// matches whenever a constraint excludes one.
+func singletonWorld(t *testing.T) (*ts.Dataset, *Engine) {
+	t.Helper()
+	d := gen.CBF(gen.CBFOptions{PerClass: 2, Length: 96, Seed: 31})
+	if err := ts.NormalizeMinMax(d); err != nil {
+		t.Fatal(err)
+	}
+	b, err := grouping.Build(d, grouping.Options{ST: 0.01, MinLength: 18, MaxLength: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, w := b.NumGroups(), d.NumSubsequences(18, 22); n != w {
+		t.Fatalf("singletonWorld compacts: %d groups for %d windows", n, w)
+	}
+	e, err := NewEngine(d, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, e
+}
+
+// lazyWorld is one base of the lazy-walk tests plus its queries.
+type lazyWorld struct {
+	name    string
+	e       *Engine
+	queries []oracleQuery
+}
+
+func lazyWorlds(t *testing.T) []lazyWorld {
+	var out []lazyWorld
+	d, e := singletonWorld(t)
+	out = append(out, lazyWorld{"singleton", e, oracleQueries(d, 1, 16, 24)})
+	for _, scale := range []float64{1, 1e6} {
+		d, e := walkWorld(t, scale)
+		out = append(out, lazyWorld{fmt.Sprintf("walk x%g", scale), e, oracleQueries(d, scale, 6, 16)})
+	}
+	return out
+}
+
+// TestApproxLazyMatchesEagerWalk is the differential oracle of the lazy
+// approximate walk: its answer is bit-identical to the eager walk's (refs,
+// distances, scores) and refines the same groups, for K in {1, 2, 5, 10},
+// LengthNorm on and off, bands -1/0/3, Workers 1 and 3, with and without
+// an overlap exclusion, on an all-singleton base, a compacting walk base
+// and its ×1e6 raw-unit copy.
+func TestApproxLazyMatchesEagerWalk(t *testing.T) {
+	ctx := context.Background()
+	for _, w := range lazyWorlds(t) {
+		for qi, oq := range w.queries {
+			for _, k := range []int{1, 2, 5, 10} {
+				for _, ln := range []bool{false, true} {
+					for _, band := range []int{-1, 0, 3} {
+						for _, exclude := range []bool{false, true} {
+							var c QueryConstraints
+							if exclude {
+								c.ExcludeOverlap = oq.src
+							}
+							opts := Options{Band: band, LengthNorm: ln, Workers: 1}
+							want, wantSt, err := eagerApprox(w.e, oq.q, k, c, opts)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, workers := range []int{1, 3} {
+								label := fmt.Sprintf("%s query %d k %d norm %v band %d exclude %v workers %d",
+									w.name, qi, k, ln, band, exclude, workers)
+								opts.Workers = workers
+								res, err := w.e.Find(ctx, oq.q, FindOptions{Options: opts, K: k, Constraints: c})
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								sameMatches(t, label, want, res.Matches)
+								st := res.Stats
+								if st.Groups != wantSt.Groups || st.GroupsRefined != wantSt.GroupsRefined ||
+									st.Members != wantSt.Members || st.GroupsLBPruned != wantSt.GroupsLBPruned {
+									t.Fatalf("%s: stats %+v, eager walk %+v", label, st, wantSt)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestApproxLazyRepDTWCounts pins the representative DTWs lazy resolution
+// saves, so a looser key on a pruned candidate shows as work. At K = 5 on
+// the all-singleton base the lazy walk runs at most a fifth of the eager
+// walk's representative DTWs for plain queries, and at most 42 % (41 %
+// measured; dropping the pruning bound from the key, or scaling LB_Keogh
+// by 0.9, gives 43-44 %) for queries that exclude their own window: the
+// walk then passes the excluded groups, resolving every representative
+// whose key undercuts them. On every base, over the same plain queries,
+// K = 1 costs no more of them than K = 5.
+func TestApproxLazyRepDTWCounts(t *testing.T) {
+	ctx := context.Background()
+	repDTW := func(e *Engine, q []float64, k int, c QueryConstraints, opts Options) int {
+		res, err := e.Find(ctx, q, FindOptions{Options: opts, K: k, Constraints: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.RepDTW
+	}
+	for _, w := range lazyWorlds(t) {
+		var lazy, eager [2]int // plain, self-excluding; K = 5
+		k1 := 0
+		for _, oq := range w.queries {
+			for _, ln := range []bool{false, true} {
+				opts := Options{Band: 3, LengthNorm: ln, Workers: 1}
+				for x, c := range []QueryConstraints{{}, {ExcludeOverlap: oq.src}} {
+					_, st, err := eagerApprox(w.e, oq.q, 5, c, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lazy[x] += repDTW(w.e, oq.q, 5, c, opts)
+					eager[x] += st.RepDTW
+				}
+				k1 += repDTW(w.e, oq.q, 1, QueryConstraints{}, opts)
+			}
+		}
+		t.Logf("%s: lazy %v, eager %v representative DTWs (plain, self-excluding); K = 1 %d", w.name, lazy, eager, k1)
+		if k1 > lazy[0] {
+			t.Fatalf("%s: K = 1 ran %d representative DTWs, K = 5 ran %d", w.name, k1, lazy[0])
+		}
+		if w.name == "singleton" && (5*lazy[0] > eager[0] || 100*lazy[1] > 42*eager[1]) {
+			t.Fatalf("singleton base: lazy walk ran %v representative DTWs, eager %v", lazy, eager)
+		}
+	}
+}
+
+// TestApproxSingletonTailUntouched pins the pruned block's bound, whose
+// looseness would cost LB_Keogh evaluations that no statistic counts. On an
+// all-singleton base a group's member scores what its representative does,
+// so a plain K = 5 query's cutoff is the 5th representative score: the
+// walk refines 5 groups and leaves every pruned representative as the
+// scoring pass left it, neither keyed by LB_Keogh nor resolved.
+func TestApproxSingletonTailUntouched(t *testing.T) {
+	ctx := context.Background()
+	w := lazyWorlds(t)[0]
+	lengths := w.e.candidateLengths(QueryConstraints{})
+	for qi, oq := range w.queries {
+		for _, ln := range []bool{false, true} {
+			opts := Options{Band: 3, LengthNorm: ln, Workers: 1}
+			var scoreSt SearchStats
+			scored, err := w.e.scoreRepresentatives(ctx, oq.q, 5, lengths, opts, &scoreSt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruned := map[GroupRef]float64{}
+			for _, c := range scored {
+				if math.IsInf(c.repDist, 1) {
+					pruned[c.ref] = c.lower
+				}
+			}
+			var st SearchStats
+			walk, err := w.e.startWalk(ctx, oq.q, 5, QueryConstraints{}, lengths, opts, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("query %d norm %v", qi, ln)
+			if walk.refined != 5 || st.RepDTW != scoreSt.RepDTW {
+				t.Fatalf("%s: refined %d groups with %d representative DTWs, scoring alone ran %d", label, walk.refined, st.RepDTW, scoreSt.RepDTW)
+			}
+			if len(pruned) == 0 {
+				t.Fatalf("%s: the scoring pass pruned nothing", label)
+			}
+			for _, c := range walk.cands {
+				if lower, ok := pruned[c.ref]; ok && (c.lower != lower || !math.IsInf(c.repDist, 1)) {
+					t.Fatalf("%s: pruned group %v was keyed or resolved (lower %g -> %g, dist %g)", label, c.ref, lower, c.lower, c.repDist)
+				}
+			}
+		}
+	}
+}
+
+// TestRawBound pins the conversion behind the pruned block's bound: for any
+// score bound b and norm, rawBound(b, norm) is the largest raw distance
+// whose score does not exceed b, so a DTW above it scores above b. The
+// plain product b*norm misses that on some norms, and the test requires
+// meeting them.
+func TestRawBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	differs := 0
+	for i := 0; i < 20000; i++ {
+		b := rng.Float64() * math.Pow(10, float64(rng.Intn(13)-6))
+		norm := float64(1 + rng.Intn(64))
+		d := rawBound(b, norm)
+		if d/norm > b || up(d)/norm <= b {
+			t.Fatalf("rawBound(%g, %g) = %g: scores %g, next float scores %g", b, norm, d, d/norm, up(d)/norm)
+		}
+		if d != b*norm {
+			differs++
+		}
+	}
+	if differs == 0 {
+		t.Fatal("b*norm was exact on every draw: the test proves nothing")
+	}
+	if d := rawBound(math.Inf(1), 7); !math.IsInf(d, 1) {
+		t.Fatalf("rawBound(+Inf, 7) = %g", d)
 	}
 }
 

@@ -61,12 +61,11 @@ type SearchStats struct {
 	// Groups is the number of candidate groups considered.
 	Groups int
 	// GroupsLBPruned is how many groups were skipped without a member
-	// scan, each counted once. Exact mode: every group the walk
-	// certified-skipped by its envelope bound (stream.go groupLower), so
-	// GroupsLBPruned + GroupsRefined = Groups at every worker count.
-	// Approx mode: the groups whose representative the LB cascade or an
-	// early-abandoned DTW rejected and the walk never resolved. Range: the
-	// groups the envelope bound or the threshold slack skipped.
+	// scan, each counted once. Top-k, approx and exact mode alike: every
+	// group the walk did not refine — past the approximate cutoff, or
+	// certified-skipped by its envelope bound (stream.go groupLower) — so
+	// GroupsLBPruned + GroupsRefined = Groups at every worker count. Range:
+	// the groups the envelope bound or the threshold slack skipped.
 	GroupsLBPruned int
 	// RepDTW is the number of representative DTW evaluations started.
 	RepDTW int

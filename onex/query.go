@@ -118,7 +118,8 @@ type QueryStats struct {
 	// GroupsPruned counts groups dropped without a member scan: by lower
 	// bounds, an abandoned representative DTW, or (exact and range) the
 	// representative's certified envelope bound. Disjoint from
-	// GroupsRefined.
+	// GroupsRefined; for a top-K query the two sum to Groups at every
+	// worker count.
 	GroupsPruned int `json:"groups_pruned"`
 	// GroupsRefined counts groups whose members were scanned.
 	GroupsRefined int `json:"groups_refined"`

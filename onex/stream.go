@@ -37,8 +37,9 @@ type Update struct {
 	// Certified is parallel to Matches: Certified[i] reports that
 	// Matches[i] provably belongs to the final exact answer with its
 	// exact distance — no unrefined group can contain a better candidate.
-	// Certification is monotone (once true it stays true) and every flag
-	// is true in the final update.
+	// The approximate update (Seq 0) certifies nothing; certification
+	// starts at the first wave. It is monotone (once true it stays true)
+	// and every flag is true in the final update.
 	Certified []bool `json:"certified"`
 	// Wave is the refinement wave this update closes: 0 for the
 	// approximate phase, then 1..N.
