@@ -174,7 +174,11 @@ type repScoreJob struct {
 // deterministic serial scan order, computing the query envelope once per
 // length.
 func (e *Engine) flattenGroups(q []float64, lengths []int, opts Options) []repScoreJob {
-	var jobs []repScoreJob
+	n := 0
+	for _, l := range lengths {
+		n += len(e.base.GroupsOfLength(l))
+	}
+	jobs := make([]repScoreJob, 0, n)
 	for _, l := range lengths {
 		groups := e.base.GroupsOfLength(l)
 		if len(groups) == 0 {

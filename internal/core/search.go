@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/grouping"
@@ -193,20 +194,38 @@ func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, l
 	return cands, nil
 }
 
-// sortCandidates orders group candidates by representative score, pruned
-// (+Inf) candidates last, breaking ties by group identity so the walk order
-// — and with it the refined set — is deterministic at every worker count.
-func sortCandidates(cands []repCandidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := &cands[i], &cands[j]
-		if a.repScore != b.repScore {
-			return a.repScore < b.repScore
+// partitionScored moves the scored candidates in front of the pruned (+Inf)
+// ones in one pass, sorts the scored prefix by (score, length, index), and
+// returns its length. The pruned block is left in whatever order the pass
+// leaves it: the walk never reads that order. walkTail heapifies the block
+// under walkBefore and boundTail re-sorts exact-mode survivors, both total
+// orders, so either sees the same sequence from any starting arrangement.
+func partitionScored(cands []repCandidate) int {
+	nf := 0
+	for i := range cands {
+		if !math.IsInf(cands[i].repDist, 1) {
+			cands[nf], cands[i] = cands[i], cands[nf]
+			nf++
 		}
-		if a.ref.Length != b.ref.Length {
-			return a.ref.Length < b.ref.Length
-		}
-		return a.ref.Index < b.ref.Index
+	}
+	slices.SortFunc(cands[:nf], func(a, b repCandidate) int {
+		return candidateOrder(a.repScore, b.repScore, a.ref, b.ref)
 	})
+	return nf
+}
+
+// candidateOrder is the candidate order of the walk: by key (a score or a
+// lower bound), ties broken by group identity. The order is total, so a sort
+// under it does not depend on the arrangement it starts from, which scan
+// order and, with Workers > 1, scheduling decide.
+func candidateOrder(ka, kb float64, a, b GroupRef) int {
+	if c := cmp.Compare(ka, kb); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Length, b.Length); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
 }
 
 // kbestApprox implements the paper's search: pick the top-k groups by

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/grouping"
@@ -108,7 +108,12 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 	if err != nil {
 		return nil, err
 	}
-	sortCandidates(cands)
+	return e.walkCandidates(ctx, q, k, c, cands, partitionScored(cands), opts, st)
+}
+
+// walkCandidates runs the best-first member walk over candidates partitioned
+// by partitionScored: cands[:nf] scored and sorted, cands[nf:] pruned.
+func (e *Engine) walkCandidates(ctx context.Context, q []float64, k int, c QueryConstraints, cands []repCandidate, nf int, opts Options, st *SearchStats) (*progressiveWalk, error) {
 	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: st, cands: cands, top: newTopK(k)}
 
 	// Refine within the most promising groups, in representative order,
@@ -130,7 +135,7 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 		}
 	}
 	if head < len(cands) {
-		if err := w.walkTail(ctx, cands[head-1].repScore); err != nil {
+		if err := w.walkTail(ctx, cands[head-1].repScore, nf); err != nil {
 			return nil, err
 		}
 	}
@@ -138,18 +143,18 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 }
 
 // walkTail continues the approximate walk past the first head candidates in
-// true representative order — (score, length, index), the order in which
-// sortCandidates would put the tail once every representative were scored —
-// and with the same cutoff, without scoring the representatives the walk
-// never reaches. Which groups the scoring pass pruned depends on scan order
-// and, with Workers > 1, on scheduling; the visit order does not. The walk
-// merges three sources:
+// true representative order — (score, length, index), the order a fully
+// scored and sorted tail would have — and with the same cutoff, without
+// scoring the representatives the walk never reaches. Which groups the
+// scoring pass pruned depends on scan order and, with Workers > 1, on
+// scheduling; the visit order does not. The walk merges three sources:
 //
-//   - the finite tail, exactly scored and already sorted;
-//   - the pruned block. Every pruned representative lost to a k-th bound no
-//     smaller than kth, the head's last score, so the whole block scores
-//     above kth (scoreRepresentatives). While kth meets the cutoff or the
-//     next finite score, the block costs nothing: no LB_Keogh, no DTW;
+//   - the finite tail cands[w.refined:nf], exactly scored and sorted;
+//   - the pruned block cands[nf:]. Every pruned representative lost to a
+//     k-th bound no smaller than kth, the head's last score, so the whole
+//     block scores above kth (scoreRepresentatives). While kth meets the
+//     cutoff or the next finite score, the block costs nothing: no LB_Keogh,
+//     no DTW, and its order is never read;
 //   - once it does not, a min-heap of the pruned candidates, each keyed by
 //     the larger of its full LBKeogh(rep)/norm and the bound it was pruned
 //     against. A candidate whose key reaches the head without exceeding
@@ -159,10 +164,9 @@ func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConst
 // candidate reaches the head only when every unresolved bound is above its
 // score, so it is the true next candidate, ties included. The groups it
 // refines end up in cands[:w.refined].
-func (w *progressiveWalk) walkTail(ctx context.Context, kth float64) error {
+func (w *progressiveWalk) walkTail(ctx context.Context, kth float64, nf int) error {
 	cands := w.cands
 	next := w.refined // the finite tail is cands[next:nf]
-	nf := next + sort.Search(len(cands)-next, func(i int) bool { return math.IsInf(cands[next+i].repDist, 1) })
 	// The pruned block, in place: a heap once keyed, and popped candidates
 	// leave it to sit just past its end.
 	heap, keyed := cands[nf:], nf == len(cands)
@@ -263,16 +267,10 @@ func walkBefore(a, b *repCandidate) bool {
 	if ub {
 		kb = b.lower
 	}
-	if ka != kb {
-		return ka < kb
-	}
-	if ua != ub {
+	if ka == kb && ua != ub {
 		return ua
 	}
-	if a.ref.Length != b.ref.Length {
-		return a.ref.Length < b.ref.Length
-	}
-	return a.ref.Index < b.ref.Index
+	return candidateOrder(ka, kb, a.ref, b.ref) < 0
 }
 
 // siftDown restores the min-heap (by walkBefore) below h[i].
@@ -439,15 +437,8 @@ func (w *progressiveWalk) boundTail(ctx context.Context) error {
 	}
 	w.refined += skipped
 	survivors := w.cands[w.refined:]
-	sort.Slice(survivors, func(i, j int) bool {
-		a, b := &survivors[i], &survivors[j]
-		if a.lower != b.lower {
-			return a.lower < b.lower
-		}
-		if a.ref.Length != b.ref.Length {
-			return a.ref.Length < b.ref.Length
-		}
-		return a.ref.Index < b.ref.Index
+	slices.SortFunc(survivors, func(a, b repCandidate) int {
+		return candidateOrder(a.lower, b.lower, a.ref, b.ref)
 	})
 	w.bounded = true
 	return nil

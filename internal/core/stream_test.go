@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dist"
@@ -303,6 +305,23 @@ func TestGroupLowerBelowMembers(t *testing.T) {
 	}
 }
 
+// fullSortCandidates sorts the whole candidate array as the walk once did:
+// by representative score, pruned (+Inf) candidates last, ties broken by
+// group identity. It is the reference order of partitionScored and the
+// eager walk's sort.
+func fullSortCandidates(cands []repCandidate) {
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := &cands[i], &cands[j]
+		if a.repScore != b.repScore {
+			return a.repScore < b.repScore
+		}
+		if a.ref.Length != b.ref.Length {
+			return a.ref.Length < b.ref.Length
+		}
+		return a.ref.Index < b.ref.Index
+	})
+}
+
 // eagerApprox is the approximate walk as it was before lazy resolution,
 // kept as the oracle of walkTail: past the first k candidates it runs
 // DTWBanded on every representative the scoring pass pruned, re-sorts the
@@ -314,7 +333,7 @@ func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options
 	if err != nil {
 		return nil, st, err
 	}
-	sortCandidates(cands)
+	fullSortCandidates(cands)
 	top := newTopK(k)
 	resolved := false
 	for i := range cands {
@@ -326,7 +345,7 @@ func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options
 					st.RepDTW++
 				}
 			}
-			sortCandidates(cands[i:])
+			fullSortCandidates(cands[i:])
 			resolved = true
 		}
 		if top.full() && cands[i].repScore > top.worst().Score {
@@ -516,6 +535,151 @@ func TestApproxSingletonTailUntouched(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestApproxCandidateOrderMatchesFullSort pins partitionScored against a
+// full sort of the same scored array: the scored prefix is bit-identical to
+// the full sort's, and the pruned block holds the same groups with the same
+// bounds, for K in {1, 5, 1025} (the last saturates the k-th tracker),
+// LengthNorm on and off and Workers 1 and 3, on the all-singleton base, the
+// compacting walk base and its ×1e6 copy. Some scored prefix must reach
+// past the first K candidates, or a sort of only those would pass.
+func TestApproxCandidateOrderMatchesFullSort(t *testing.T) {
+	ctx := context.Background()
+	longTail := false
+	for _, w := range lazyWorlds(t) {
+		lengths := w.e.candidateLengths(QueryConstraints{})
+		for qi, oq := range w.queries {
+			for _, k := range []int{1, 5, 1025} {
+				for _, ln := range []bool{false, true} {
+					for _, workers := range []int{1, 3} {
+						label := fmt.Sprintf("%s query %d k %d norm %v workers %d", w.name, qi, k, ln, workers)
+						cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, Options{Band: 3, LengthNorm: ln, Workers: workers}, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := slices.Clone(cands)
+						fullSortCandidates(want)
+						nf := partitionScored(cands)
+						if nf < len(want) && !math.IsInf(want[nf].repDist, 1) || nf > 0 && math.IsInf(want[nf-1].repDist, 1) {
+							t.Fatalf("%s: partition point %d is not the full sort's first pruned candidate", label, nf)
+						}
+						for i := range nf {
+							if !sameCandidate(cands[i], want[i]) {
+								t.Fatalf("%s: scored candidate %d is %+v, full sort has %+v", label, i, cands[i], want[i])
+							}
+						}
+						pruned := map[GroupRef]uint64{}
+						for _, c := range want[nf:] {
+							pruned[c.ref] = math.Float64bits(c.lower)
+						}
+						for _, c := range cands[nf:] {
+							lower, ok := pruned[c.ref]
+							if !ok || lower != math.Float64bits(c.lower) || !math.IsInf(c.repDist, 1) {
+								t.Fatalf("%s: pruned block holds %+v, not in the full sort's", label, c)
+							}
+							delete(pruned, c.ref)
+						}
+						if len(pruned) != 0 {
+							t.Fatalf("%s: %d pruned groups missing from the block", label, len(pruned))
+						}
+						longTail = longTail || nf > 2*k
+					}
+				}
+			}
+		}
+	}
+	if !longTail {
+		t.Fatal("no scored prefix reaches past 2K candidates: the test proves nothing about the tail's order")
+	}
+}
+
+// sameCandidate compares two candidates field by field, floats by bits.
+func sameCandidate(a, b repCandidate) bool {
+	return a.ref == b.ref && a.g == b.g && a.env == b.env &&
+		math.Float64bits(a.repDist) == math.Float64bits(b.repDist) &&
+		math.Float64bits(a.repScore) == math.Float64bits(b.repScore) &&
+		math.Float64bits(a.lower) == math.Float64bits(b.lower)
+}
+
+// TestApproxPrunedBlockOrderIrrelevant pins what lets partitionScored leave
+// the pruned block unsorted: the walk never reads its order. Walks fed a
+// seeded shuffle of the block return the same approximate and exact matches,
+// GroupsRefined, GroupsLBPruned and RepDTW as walks fed the block as
+// partitioned, for K in {1, 5, 1025}, LengthNorm on and off, Workers 1 and
+// 3, with and without an overlap exclusion, on every lazy-walk base. Some
+// walk must resolve a pruned representative — the only path that reads the
+// block as a heap — or the shuffle proves nothing.
+func TestApproxPrunedBlockOrderIrrelevant(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(34))
+	type outcome struct {
+		approx, exact     []Match
+		approxSt, exactSt SearchStats
+	}
+	resolved := 0
+	for _, w := range lazyWorlds(t) {
+		lengths := w.e.candidateLengths(QueryConstraints{})
+		for qi, oq := range w.queries {
+			for _, k := range []int{1, 5, 1025} {
+				for _, ln := range []bool{false, true} {
+					for _, workers := range []int{1, 3} {
+						for _, exclude := range []bool{false, true} {
+							var c QueryConstraints
+							if exclude {
+								c.ExcludeOverlap = oq.src
+							}
+							label := fmt.Sprintf("%s query %d k %d norm %v workers %d exclude %v", w.name, qi, k, ln, workers, exclude)
+							opts := Options{Band: 3, LengthNorm: ln, Workers: workers}
+							var scoreSt SearchStats
+							cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, opts, &scoreSt)
+							if err != nil {
+								t.Fatal(err)
+							}
+							nf := partitionScored(cands)
+							run := func(shuffle bool) outcome {
+								cs, st := slices.Clone(cands), scoreSt
+								if shuffle {
+									block := cs[nf:]
+									rng.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
+								}
+								walk, err := w.e.walkCandidates(ctx, oq.q, k, c, cs, nf, opts, &st)
+								if err != nil {
+									t.Fatal(err)
+								}
+								o := outcome{approx: walk.top.sorted(), approxSt: st}
+								o.approxSt.GroupsLBPruned += len(cs) - walk.refined
+								if err := walk.finishExact(ctx, nil); err != nil {
+									t.Fatal(err)
+								}
+								o.exact, o.exactSt = walk.top.sorted(), st
+								return o
+							}
+							want := run(false)
+							if want.approxSt.RepDTW > scoreSt.RepDTW {
+								resolved++
+							}
+							for trial := 0; trial < 2; trial++ {
+								got := run(true)
+								sameMatches(t, label+" approx", want.approx, got.approx)
+								sameMatches(t, label+" exact", want.exact, got.exact)
+								for _, p := range [][2]SearchStats{{want.approxSt, got.approxSt}, {want.exactSt, got.exactSt}} {
+									a, b := p[0], p[1]
+									if a.GroupsRefined != b.GroupsRefined || a.GroupsLBPruned != b.GroupsLBPruned || a.RepDTW != b.RepDTW {
+										t.Fatalf("%s: shuffled block gives stats %+v, partitioned %+v", label, b, a)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if resolved == 0 {
+		t.Fatal("no walk resolved a pruned representative: the shuffle proves nothing")
+	}
+	t.Logf("%d walks resolved pruned representatives", resolved)
 }
 
 // TestRawBound pins the conversion behind the pruned block's bound: for any
