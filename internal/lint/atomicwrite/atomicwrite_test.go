@@ -35,7 +35,7 @@ func TestMatch(t *testing.T) {
 		"repro/internal/fsutil":   true,
 		"repro/internal/mmapdata": true,
 		"repro/internal/core":     false,
-		"repro/cmd/onexload":      false,
+		"repro/cmd/onexd":         false,
 	} {
 		if got := atomicwrite.Analyzer.Match(path); got != want {
 			t.Errorf("Match(%q) = %v, want %v", path, got, want)

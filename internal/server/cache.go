@@ -35,8 +35,8 @@ func cacheKey(kind, dataset string, id, version uint64, canonical string) string
 
 // noCacheRequest reports whether the client opted out of a cache read for
 // this request (Cache-Control: no-cache). The response is still computed
-// fresh and stored, mirroring HTTP revalidation semantics; the load
-// harness uses this to cross-check cached answers against fresh ones.
+// fresh and stored, mirroring HTTP revalidation semantics; the cache tests
+// use this to cross-check cached answers against fresh ones.
 func noCacheRequest(r *http.Request) bool {
 	return strings.Contains(strings.ToLower(r.Header.Get("Cache-Control")), "no-cache")
 }

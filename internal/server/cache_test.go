@@ -324,14 +324,31 @@ func TestCachedServerEquivalence(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentIngestNoStaleRead races cached queries against
+// TestCacheConcurrentIngestNoStaleRead races cached traffic against
 // ingests under heavy eviction pressure (a tiny byte budget) and asserts
 // the linearizability oracle: with a fixed exact-mode probe, each client's
 // observed best distance never increases, because ingest only ever adds
-// candidates. Run under -race in CI.
+// candidates. Between probes every client also sends a repeated query, an
+// analysis or a progressive stream, so the probe's entries compete with
+// mixed traffic for the budget. Afterwards the cache must have both hit
+// and evicted, and each repeated query must be answered from the cache
+// exactly as a no-cache recomputation answers it. Run under -race in CI.
 func TestCacheConcurrentIngestNoStaleRead(t *testing.T) {
-	_, hts := newServingTestServer(t, WithCache(8<<10)) // small: constant eviction
+	s, hts := newServingTestServer(t, WithCache(8<<10)) // small: constant eviction
 	qURL := hts.URL + "/api/v1/datasets/growth/query"
+	pool := []string{
+		`{"window":{"series":"MA","start":0,"length":8},"k":2}`,
+		`{"window":{"series":"CT","start":3,"length":6},"k":1,"mode":"exact"}`,
+		`{"window":{"series":"NY","start":1,"length":5},"k":3,"exclude":{"self":true}}`,
+	}
+	mixed := []struct{ path, body string }{
+		{"/query", pool[0]},
+		{"/query", pool[1]},
+		{"/query", pool[2]},
+		{"/analyze", `{"kind":"overview","k":6}`},
+		{"/analyze", `{"kind":"length-summaries"}`},
+		{"/query/stream", `{"window":{"series":"MA","start":2,"length":8},"k":2}`},
+	}
 
 	var sv struct {
 		Values []float64 `json:"values"`
@@ -369,8 +386,14 @@ func TestCacheConcurrentIngestNoStaleRead(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c)))
 			best := -1.0
 			for r := range rounds {
+				op := mixed[rng.Intn(len(mixed))]
+				if st, body := postBody(t, hts.URL+"/api/v1/datasets/growth"+op.path, op.body, nil); st != 200 {
+					t.Errorf("client %d round %d %s status = %d (%s)", c, r, op.path, st, body)
+					return
+				}
 				st, body := postBody(t, qURL, probe, nil)
 				if st != 200 {
 					t.Errorf("client %d round %d status = %d", c, r, st)
@@ -391,4 +414,23 @@ func TestCacheConcurrentIngestNoStaleRead(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// Nothing else runs now, so the second request of each pair is a hit.
+	for _, q := range pool {
+		postBody(t, qURL, q, nil)
+		st, cached := postBody(t, qURL, q, nil)
+		stF, fresh := postBody(t, qURL, q, http.Header{"Cache-Control": []string{"no-cache"}})
+		if st != 200 || stF != 200 {
+			t.Fatalf("%s: statuses cached=%d fresh=%d", q, st, stF)
+		}
+		if !bytes.Equal(stripVolatile(cached), stripVolatile(fresh)) {
+			t.Errorf("cached answer differs from a fresh recomputation:\ncached: %s\nfresh:  %s", cached, fresh)
+		}
+	}
+	if st := s.cache.Stats(); st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("cache stats = %+v, want hits and evictions", st)
+	}
 }

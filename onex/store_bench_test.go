@@ -22,8 +22,7 @@ var benchCfg = Config{MinLength: 8, MaxLength: 24}
 // BenchmarkOpenSnapshot compares the two ways to reach a queryable DB:
 // "rebuild" pays the full grouping construction; "warm" decodes the
 // snapshot and checksum-verifies it against the rebuilt index. The ratio is
-// the restart-latency win a deployment buys by passing -store. Results are
-// tracked in BENCH_store.json.
+// the restart-latency win a deployment buys by passing -store.
 func BenchmarkOpenSnapshot(b *testing.B) {
 	d := benchDataset()
 
@@ -73,7 +72,7 @@ func BenchmarkOpenSnapshot(b *testing.B) {
 // one untimed query so a broken open can't benchmark well. The untimed
 // live_heap_bytes metric is the steady-state heap an open DB retains — the
 // beyond-RAM headline: the mapped open keeps the raw value arrays out of
-// it. Results are tracked in BENCH_store.json.
+// it.
 func BenchmarkOpenMmap(b *testing.B) {
 	d := benchDataset()
 	dir := b.TempDir()
