@@ -299,6 +299,66 @@ func TestPropertyExactModeEqualsBruteForce(t *testing.T) {
 	}
 }
 
+// TestExactModeTieMatchesBruteForce pins the member-level bound against a
+// tie that rounding splits: under LengthNorm a score bound b converted back
+// by the product b*norm can fall below the raw distance that scored b, and
+// a member scoring exactly the k-th best was then abandoned — so which of
+// two tied windows an exact search returned hinged on visit order. A
+// constant zero query of length 11 is DTW-equidistant (the window sum, 15)
+// from two windows in different groups: series 1's, a singleton the walk
+// refines first, and series 0's, in a group whose representative a third
+// window pulls further off. (15/11)*11 < 15 in floating point, and the
+// answer must be series 0's window, as brute force breaks the tie.
+func TestExactModeTieMatchesBruteForce(t *testing.T) {
+	const n, sum = 11, 15
+	if raw, norm := float64(sum), float64(n); raw/norm*norm >= raw {
+		t.Fatalf("(%g/%g)*%g does not round below %g: the tie is not split", raw, norm, norm, raw)
+	}
+	d := ts.NewDataset("tie")
+	d.MustAdd(ts.NewSeries("a", []float64{1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1}))
+	d.MustAdd(ts.NewSeries("b", []float64{3, 0, 0, 0, 3, 3, 0, 0, 0, 3, 3}))
+	d.MustAdd(ts.NewSeries("a+", []float64{1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 2}))
+	b, err := grouping.Build(d, grouping.Options{ST: 0.2, MinLength: n, MaxLength: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupOf := map[int]int{}
+	for gi, g := range b.GroupsOfLength(n) {
+		for _, m := range g.Members {
+			groupOf[m.Series] = gi
+		}
+	}
+	if groupOf[0] != groupOf[2] || groupOf[0] == groupOf[1] {
+		t.Fatalf("grouping %v: want series 0 and 2 together, series 1 apart", groupOf)
+	}
+	e, err := NewEngine(d, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := make([]float64, n)
+	for _, band := range []int{-1, 3} {
+		want, err := bruteforce.KBest(d, q, 2, bruteforce.Options{Band: band, MinLength: n, MaxLength: n, LengthNormalize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[0].Dist != sum || want[1].Dist != sum || want[0].Ref.Series != 0 {
+			t.Fatalf("band %d: brute force %+v, want series 0 then 1 at distance %d", band, want, sum)
+		}
+		for _, workers := range []int{1, 4} {
+			res, err := e.Find(context.Background(), q, FindOptions{
+				Options: Options{Band: band, Mode: ModeExact, LengthNorm: true, Workers: workers}, K: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Matches[0]; got.Ref != want[0].Ref || got.Dist != sum {
+				t.Fatalf("band %d workers %d: exact top-1 %v at %g, brute force %v at %g",
+					band, workers, got.Ref, got.Dist, want[0].Ref, want[0].Dist)
+			}
+		}
+	}
+}
+
 // sameAsOracle checks got (an exact top-k) against the oracle's k+1 best:
 // equal length, distances and scores to 1e-9, and refs at every position
 // whose oracle score ties neither neighbour (the two tie-break orders

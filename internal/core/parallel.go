@@ -8,14 +8,15 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dist"
-	"repro/internal/grouping"
 )
 
-// Parallel execution layer for the online search path. Every group scan the
-// engine runs — representative scoring, member refinement, range scans, and
-// the seasonal / common-pattern mines — can shard its work across a bounded
+// Parallel execution layer for the online search path. The member scans the
+// engine runs — member refinement, exact-mode waves, range scans, and the
+// seasonal / common-pattern mines — can shard their work across a bounded
 // worker pool, sized per call by Options.Workers (and its analytics
-// equivalents).
+// equivalents). Representative scoring is serial at every setting: its
+// best-first pass (search.go scoreRepresentatives) visits representatives
+// in lower-bound order, which a shard cannot share.
 //
 // The determinism contract, enforced by tests:
 //
@@ -24,15 +25,14 @@ import (
 //   - The result set (matches, patterns, sweep counts) is identical at
 //     every worker count. Accumulators break score ties by subsequence
 //     identity, so even the order is stable.
-//   - Groups, GroupsRefined, and Members are identical at every worker
-//     count, and so is a top-k search's GroupsLBPruned (Groups minus
-//     GroupsRefined, in approx and exact mode alike). Only the DTW counts
-//     (RepDTW, MemberDTW) can shift at Workers > 1: the shared best-so-far
-//     bound tightens in scheduling order, which decides which
-//     representatives the scoring pass prunes and the approximate walk
-//     later resolves.
+//   - Groups, GroupsRefined, Members and RepDTW are identical at every
+//     worker count, and so is a top-k search's GroupsLBPruned (Groups minus
+//     GroupsRefined, in approx and exact mode alike). Only MemberDTW can
+//     shift at Workers > 1: a shared accumulator's bound tightens in
+//     scheduling order, which decides which members a parallel scan
+//     abandons before their DTW.
 //
-// Cancellation: each worker polls ctx.Err() once per group it scores and
+// Cancellation: each worker polls ctx.Err() once per group it scans and
 // every ctxCheckStride members it refines, so a cancelled parallel scan
 // aborts within one pruning round per worker.
 
@@ -90,34 +90,6 @@ func runWorkers(workers int, fn func(w int) error) error {
 	return nil
 }
 
-// sharedKth is the cross-worker k-th-best representative score: a mutex-
-// guarded kthTracker fed by every worker, with the current bound mirrored
-// into an atomic so the hot pruning path reads it lock-free. The bound is
-// monotonically non-increasing and always >= the final global k-th best,
-// so early-abandon pruning against it stays sound while tightening across
-// workers. Offers only happen for finite (unpruned) scores, so contention
-// stays far below the group count.
-type sharedKth struct {
-	mu    sync.Mutex
-	kth   *kthTracker
-	bound atomic.Uint64 // float bits of the current k-th best score
-}
-
-func newSharedKth(k int) *sharedKth {
-	s := &sharedKth{kth: newKthTracker(k)}
-	s.bound.Store(math.Float64bits(math.Inf(1)))
-	return s
-}
-
-func (s *sharedKth) load() float64 { return math.Float64frombits(s.bound.Load()) }
-
-func (s *sharedKth) offer(v float64) {
-	s.mu.Lock()
-	s.kth.offer(v)
-	s.bound.Store(math.Float64bits(s.kth.bound()))
-	s.mu.Unlock()
-}
-
 // sharedTopK guards a topK for concurrent offers during parallel member
 // refinement. The worst-score bound is mirrored into an atomic so the hot
 // LB cascade reads it without taking the mutex; it is always >= the final
@@ -149,124 +121,6 @@ func (s *sharedTopK) offer(m Match) {
 	s.mu.Unlock()
 }
 
-// lengthEnv is the per-length query precomputation shared (read-only) by
-// every group of one candidate length.
-type lengthEnv struct {
-	norm   float64 // score divisor (Options.norm)
-	half   float64 // HalfST(l): the §3.1 member-to-representative ED bound
-	qU, qL []float64
-}
-
-// lengthEnvFor computes the query envelope and constants for length l.
-func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
-	qU, qL := dist.Envelope(q, l, opts.Band)
-	return &lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
-}
-
-// repScoreJob is one group to score plus its length's shared precomputation.
-type repScoreJob struct {
-	ref GroupRef
-	g   *grouping.Group
-	env *lengthEnv
-}
-
-// flattenGroups lists every candidate group of the given lengths in the
-// deterministic serial scan order, computing the query envelope once per
-// length.
-func (e *Engine) flattenGroups(q []float64, lengths []int, opts Options) []repScoreJob {
-	n := 0
-	for _, l := range lengths {
-		n += len(e.base.GroupsOfLength(l))
-	}
-	jobs := make([]repScoreJob, 0, n)
-	for _, l := range lengths {
-		groups := e.base.GroupsOfLength(l)
-		if len(groups) == 0 {
-			continue
-		}
-		env := e.lengthEnvFor(q, l, opts)
-		//onex:nopoll O(1) job enumeration per group; the scoring pass that consumes the jobs polls per group
-		for gi, g := range groups {
-			jobs = append(jobs, repScoreJob{ref: GroupRef{Length: l, Index: gi}, g: g, env: env})
-		}
-	}
-	return jobs
-}
-
-// scoreJob runs the LB_Kim -> LB_Keogh -> early-abandon-DTW cascade for one
-// representative against the raw-distance bound ub, updating st (which may
-// be a worker-local accumulator). A pruned or abandoned representative
-// returns +Inf, and its DTW provably exceeds ub. Whether its group counts
-// as pruned is decided once, by the walk: every group it leaves unrefined
-// (kbestApprox, finishExact).
-func scoreJob(q []float64, job repScoreJob, ub float64, band int, st *SearchStats) (repDist float64) {
-	if st != nil {
-		st.Groups++
-	}
-	if dist.LBKim(q, job.g.Rep) > ub {
-		return math.Inf(1)
-	}
-	if dist.LBKeogh(job.g.Rep, job.env.qU, job.env.qL, ub) > ub {
-		return math.Inf(1)
-	}
-	if st != nil {
-		st.RepDTW++
-	}
-	return dist.DTWEarlyAbandon(q, job.g.Rep, band, ub)
-}
-
-// scoreRepsParallel shards the group list across a worker pool. Each worker
-// keeps local statistics, merged at the barrier; a shared atomic
-// best-so-far bound (the global k-th best score seen by any worker) lets
-// early-abandon pruning tighten across workers. Worker w scores jobs w,
-// w+workers, w+2*workers, … and the shards are stitched back by index, so
-// the returned candidate order matches the serial scan exactly.
-func (e *Engine) scoreRepsParallel(ctx context.Context, q []float64, k int, jobs []repScoreJob, opts Options, st *SearchStats, workers int) ([]repCandidate, error) {
-	shared := newSharedKth(k) // normalized score units
-	locals := make([]SearchStats, workers)
-	// Workers score interleaved shards (job i -> worker i % workers) for
-	// load balance, but accumulate into worker-local buffers — writing
-	// adjacent entries of one shared slice from different cores would
-	// false-share cache lines on every job.
-	buffers := make([][]repCandidate, workers)
-	err := runWorkers(workers, func(w int) error {
-		var local SearchStats
-		var raw rawBounds
-		buf := make([]repCandidate, 0, (len(jobs)+workers-1)/workers)
-		for i := w; i < len(jobs); i += workers {
-			if err := ctx.Err(); err != nil {
-				locals[w], buffers[w] = local, buf
-				return err
-			}
-			job := jobs[i]
-			b := shared.load()
-			cand := scoredCandidate(job, scoreJob(q, job, raw.of(b, job.env.norm), opts.Band, &local), b)
-			if !math.IsInf(cand.repDist, 1) {
-				shared.offer(cand.repScore)
-			}
-			buf = append(buf, cand)
-		}
-		locals[w], buffers[w] = local, buf
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st != nil {
-		for _, local := range locals {
-			st.add(local)
-		}
-	}
-	// Stitch the shards back into the serial scan order.
-	cands := make([]repCandidate, len(jobs))
-	for w, buf := range buffers {
-		for j, cand := range buf {
-			cands[w+j*workers] = cand
-		}
-	}
-	return cands, nil
-}
-
 // refine dispatches one group's member scan to the serial or parallel
 // implementation. The choice depends only on the member count and the
 // Workers knob, never on scheduling, so the refined set stays deterministic.
@@ -295,6 +149,7 @@ func (e *Engine) refineGroupParallel(ctx context.Context, q []float64, cand repC
 	localDTW := make([]int, workers)
 	err := runWorkers(workers, func(w int) error {
 		seen, dtws := 0, 0
+		var raw rawBounds
 		defer func() { localDTW[w] = dtws }()
 		for mi := w; mi < len(members); mi += workers {
 			if seen%ctxCheckStride == 0 {
@@ -308,7 +163,7 @@ func (e *Engine) refineGroupParallel(ctx context.Context, q []float64, cand repC
 				continue
 			}
 			mv := m.Values(e.ds)
-			ub := shared.boundScore() * norm // raw-distance bound
+			ub := raw.of(shared.boundScore(), norm)
 			if dist.LBKim(q, mv) > ub {
 				continue
 			}

@@ -74,9 +74,8 @@ func TestKthTrackerOffer(t *testing.T) {
 }
 
 // parallelWorld builds a base large enough (hundreds of groups, thousands
-// of members) that every parallel code path — sharded representative
-// scoring, in-group member fan-out, exact waves, range scans — really
-// triggers.
+// of members) that every parallel code path — in-group member fan-out,
+// exact waves, range scans — really triggers.
 func parallelWorld(t testing.TB, mode Mode) (*ts.Dataset, *Engine) {
 	t.Helper()
 	d := gen.RandomWalks(gen.WalkOptions{Num: 8, Length: 96, Seed: 11})
@@ -116,8 +115,9 @@ func sameMatches(t *testing.T, label string, a, b []Match) {
 // TestFindWorkersEquivalence is the central parallel-correctness property:
 // at every worker count, Find returns the identical match list (same refs,
 // same distances, same order) and the identical deterministic work totals
-// (Groups, GroupsRefined, GroupsLBPruned, Members) as the serial engine — in approx mode,
-// exact mode, and range mode, with and without constraints.
+// (Groups, GroupsRefined, GroupsLBPruned, Members, RepDTW) as the serial
+// engine — in approx mode, exact mode, and range mode, with and without
+// constraints. Only MemberDTW may shift.
 func TestFindWorkersEquivalence(t *testing.T) {
 	d, e := parallelWorld(t, ModeApprox)
 	queries := []struct {
@@ -156,7 +156,8 @@ func TestFindWorkersEquivalence(t *testing.T) {
 			if par.Stats.Groups != serial.Stats.Groups ||
 				par.Stats.GroupsRefined != serial.Stats.GroupsRefined ||
 				par.Stats.GroupsLBPruned != serial.Stats.GroupsLBPruned ||
-				par.Stats.Members != serial.Stats.Members {
+				par.Stats.Members != serial.Stats.Members ||
+				par.Stats.RepDTW != serial.Stats.RepDTW {
 				t.Fatalf("%s: deterministic totals drifted: serial %+v, parallel %+v",
 					label, serial.Stats, par.Stats)
 			}

@@ -103,6 +103,20 @@ func (o Options) norm(qlen, l int) float64 {
 	return float64(l)
 }
 
+// lengthEnv is the per-length query precomputation shared (read-only) by
+// every group of one candidate length.
+type lengthEnv struct {
+	norm   float64 // score divisor (Options.norm)
+	half   float64 // HalfST(l): the §3.1 member-to-representative ED bound
+	qU, qL []float64
+}
+
+// lengthEnvFor computes the query envelope and constants for length l.
+func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
+	qU, qL := dist.Envelope(q, l, opts.Band)
+	return &lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
+}
+
 // repCandidate is a group scored by its representative's DTW distance.
 type repCandidate struct {
 	ref      GroupRef
@@ -110,24 +124,14 @@ type repCandidate struct {
 	env      *lengthEnv
 	repDist  float64 // raw DTW(q, rep); +Inf while pruned and unresolved
 	repScore float64 // repDist / env.norm
-	// lower is a score lower bound. A pruned candidate starts with the
-	// score bound it lost to (its score is above it), raised to
-	// LBKeogh(rep)/norm if the approximate walk keys it: the walk's order
-	// while it stays unresolved (stream.go walkTail). On the groups the walk
-	// leaves unrefined, finishExact overwrites it with the certified bound
-	// over the group's members (groupLower).
+	// lower is a score lower bound. A pruned candidate leaves the scoring
+	// pass with the larger of its LB_Kim key (at most its score) and the
+	// score bound it lost to (below its score), raised to LBKeogh(rep)/norm
+	// if the approximate walk keys it: the walk's order while it stays
+	// unresolved (stream.go walkTail). On the groups the walk leaves
+	// unrefined, finishExact overwrites it with the certified bound over the
+	// group's members (groupLower).
 	lower float64
-}
-
-// scoredCandidate wraps a job scored against the score bound b. A pruned
-// one keeps b as its lower bound: its DTW exceeds rawBound(b, norm), so its
-// score exceeds b.
-func scoredCandidate(job repScoreJob, repDist, b float64) repCandidate {
-	c := repCandidate{ref: job.ref, g: job.g, env: job.env, repDist: repDist, repScore: repDist / job.env.norm}
-	if math.IsInf(repDist, 1) {
-		c.lower = b
-	}
-	return c
 }
 
 // rawBound converts a score bound b into the raw distance the cascade
@@ -148,8 +152,9 @@ func rawBound(b, norm float64) float64 {
 	return d
 }
 
-// rawBounds caches rawBound across a scoring loop: the score bound changes
-// only when the k-th best improves, the norm only between lengths.
+// rawBounds caches rawBound for the last (bound, norm) pair: the score bound
+// changes only when the k-th best improves, and the norm takes one value
+// per length.
 type rawBounds struct{ b, norm, ub float64 }
 
 func (r *rawBounds) of(b, norm float64) float64 {
@@ -159,39 +164,209 @@ func (r *rawBounds) of(b, norm float64) float64 {
 	return r.ub
 }
 
-// scoreRepresentatives computes DTW(query, representative) for every group
-// of the candidate lengths, with an LB_Kim + LB_Keogh + early-abandon
-// cascade against the running k-th best representative score, converted by
-// rawBound. Groups whose representative provably cannot enter the top-k are
-// returned with repDist = +Inf and, as lower, the score bound they lost to:
-// their score is strictly above it, and the bound is never below the final
-// k-th best. st, when non-nil, accumulates search statistics. The scan
-// is sharded across Options.Workers goroutines when the group list is large
-// (see parallel.go); with one worker the context is checked once per group,
-// so a cancelled scan aborts before the next representative is scored.
+// scoreRepresentatives scores the representatives of every group of the
+// candidate lengths best-first, so the running k-th best representative
+// score — the bound every step abandons against, converted by rawBound — is
+// tight before most DTWs run:
+//
+//  1. One pass keys every representative by its LB_Kim score bound,
+//     LBKim/norm, and buckets the keys in order (lbBuckets).
+//  2. Representatives are visited bucket by bucket, in ascending key order.
+//     A visited one whose key is still within the k-th best gets LB_Keogh,
+//     abandoned at the bound; a survivor waits in a min-heap keyed by
+//     max(LB_Kim, LB_Keogh)/norm.
+//  3. A waiting representative gets its early-abandoning DTW once its key
+//     is no higher than the least unvisited key: nothing unvisited can beat
+//     it to the head.
+//  4. The pass stops when the least unvisited key and the heap head both
+//     exceed the k-th best.
+//
+// A group whose representative provably cannot enter the top-k leaves with
+// repDist = +Inf and, as lower, the larger of its key and the score bound it
+// lost to: its score is strictly above the final k-th best. The pass is
+// serial at every Workers setting, so its statistics are deterministic; the
+// context is checked once per visited representative and per DTW.
 func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, lengths []int, opts Options, st *SearchStats) ([]repCandidate, error) {
-	jobs := e.flattenGroups(q, lengths, opts)
-	workers := resolveWorkers(opts.Workers, len(jobs))
-	if workers > 1 && len(jobs) >= minParallelGroups {
-		return e.scoreRepsParallel(ctx, q, k, jobs, opts, st, workers)
+	n := 0
+	for _, l := range lengths {
+		n += len(e.base.GroupsOfLength(l))
 	}
-	cands := make([]repCandidate, 0, len(jobs))
-	// kth tracks the k-th best representative score seen so far; each job
-	// abandons against its raw form.
+	cands := make([]repCandidate, 0, n)
+	for _, l := range lengths {
+		groups := e.base.GroupsOfLength(l)
+		if len(groups) == 0 {
+			continue
+		}
+		env := e.lengthEnvFor(q, l, opts)
+		//onex:nopoll O(1) LB_Kim per group; the best-first visit below polls per representative
+		for gi, g := range groups {
+			cands = append(cands, repCandidate{
+				ref: GroupRef{Length: l, Index: gi}, g: g, env: env,
+				repDist: math.Inf(1), repScore: math.Inf(1),
+				lower: dist.LBKim(q, g.Rep) / env.norm,
+			})
+		}
+	}
+	if st != nil {
+		st.Groups += len(cands)
+	}
+	// kth tracks the k-th best representative score seen so far.
 	kth := newKthTracker(k)
 	var raw rawBounds
-	for _, job := range jobs {
-		if err := ctx.Err(); err != nil {
+	waiting := keyHeap{cands: cands}
+	// resolve runs the DTW of every waiting representative keyed at or
+	// below limit and the k-th best, least key first.
+	resolve := func(limit float64) error {
+		for len(waiting.idx) > 0 {
+			b := kth.bound()
+			c := &cands[waiting.idx[0]]
+			if c.lower > limit || c.lower > b {
+				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			waiting.pop()
+			if st != nil {
+				st.RepDTW++
+			}
+			d := dist.DTWEarlyAbandon(q, c.g.Rep, opts.Band, raw.of(b, c.env.norm))
+			if math.IsInf(d, 1) {
+				c.lower = math.Max(c.lower, b)
+				continue
+			}
+			c.repDist, c.repScore = d, d/c.env.norm
+			kth.offer(c.repScore)
+		}
+		return nil
+	}
+	buckets := newLBBuckets(cands)
+	for bi := range buckets.min {
+		next := buckets.min[bi] // the least unvisited key
+		if err := resolve(next); err != nil {
 			return nil, err
 		}
-		b := kth.bound()
-		cand := scoredCandidate(job, scoreJob(q, job, raw.of(b, job.env.norm), opts.Band, st), b)
-		if !math.IsInf(cand.repDist, 1) {
-			kth.offer(cand.repScore)
+		if next > kth.bound() {
+			// resolve left no waiting key at or below the k-th best either.
+			break
 		}
-		cands = append(cands, cand)
+		for _, i := range buckets.of(bi) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			c := &cands[i]
+			b := kth.bound()
+			if c.lower > b {
+				continue
+			}
+			ub := raw.of(b, c.env.norm)
+			if lb := dist.LBKeogh(c.g.Rep, c.env.qU, c.env.qL, ub); lb > ub {
+				c.lower = math.Max(c.lower, b)
+			} else {
+				c.lower = math.Max(c.lower, lb/c.env.norm)
+				waiting.push(i)
+			}
+		}
+	}
+	if err := resolve(math.Inf(1)); err != nil {
+		return nil, err
 	}
 	return cands, nil
+}
+
+// lbBuckets orders candidate indices by their LB_Kim key (repCandidate.lower)
+// with one counting sort over about n/8 equal-width buckets: the bucket of a
+// key is monotone in it, so every key of a bucket is at most every key of a
+// later one. The order inside a bucket is scan order.
+type lbBuckets struct {
+	order []int32 // candidate indices, bucket by bucket
+	start []int32 // bucket bi holds order[start[bi]:start[bi+1]]
+	// min[bi] is the least key in buckets bi and later (+Inf past the last
+	// key): the least unvisited key when the visit reaches bucket bi, empty
+	// buckets included.
+	min []float64
+}
+
+func newLBBuckets(cands []repCandidate) lbBuckets {
+	nb := max(len(cands)/8, 1)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := range cands {
+		lo, hi = min(lo, cands[i].lower), max(hi, cands[i].lower)
+	}
+	scale := float64(nb) / (hi - lo)
+	if !(scale < math.Inf(1)) {
+		scale = 0 // a single key value (or NaN keys): one bucket
+	}
+	bucket := func(key float64) int { return min(max(int((key-lo)*scale), 0), nb-1) }
+	bs := lbBuckets{order: make([]int32, len(cands)), start: make([]int32, nb+1), min: make([]float64, nb+1)}
+	for i := range bs.min {
+		bs.min[i] = math.Inf(1)
+	}
+	for i := range cands {
+		bi := bucket(cands[i].lower)
+		bs.start[bi+1]++
+		bs.min[bi] = min(bs.min[bi], cands[i].lower)
+	}
+	for bi := 0; bi < nb; bi++ {
+		bs.start[bi+1] += bs.start[bi]
+	}
+	for bi := nb - 1; bi >= 0; bi-- {
+		bs.min[bi] = min(bs.min[bi], bs.min[bi+1])
+	}
+	fill := slices.Clone(bs.start[:nb])
+	for i := range cands {
+		bi := bucket(cands[i].lower)
+		bs.order[fill[bi]] = int32(i)
+		fill[bi]++
+	}
+	bs.min = bs.min[:nb]
+	return bs
+}
+
+// of returns the candidate indices of bucket bi.
+func (bs lbBuckets) of(bi int) []int32 { return bs.order[bs.start[bi]:bs.start[bi+1]] }
+
+// keyHeap is a min-heap of candidate indices by (lower, index): the
+// representatives that passed LB_Keogh and wait for their DTW.
+type keyHeap struct {
+	cands []repCandidate
+	idx   []int32
+}
+
+func (h *keyHeap) less(a, b int32) bool {
+	ka, kb := h.cands[a].lower, h.cands[b].lower
+	return ka < kb || ka == kb && a < b
+}
+
+func (h *keyHeap) push(i int32) {
+	h.idx = append(h.idx, i)
+	for j := len(h.idx) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !h.less(h.idx[j], h.idx[p]) {
+			break
+		}
+		h.idx[j], h.idx[p] = h.idx[p], h.idx[j]
+		j = p
+	}
+}
+
+func (h *keyHeap) pop() {
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	for j := 0; ; {
+		least := j
+		for _, c := range [2]int{2*j + 1, 2*j + 2} {
+			if c < len(h.idx) && h.less(h.idx[c], h.idx[least]) {
+				least = c
+			}
+		}
+		if least == j {
+			return
+		}
+		h.idx[j], h.idx[least] = h.idx[least], h.idx[j]
+		j = least
+	}
 }
 
 // partitionScored moves the scored candidates in front of the pruned (+Inf)
@@ -216,8 +391,8 @@ func partitionScored(cands []repCandidate) int {
 
 // candidateOrder is the candidate order of the walk: by key (a score or a
 // lower bound), ties broken by group identity. The order is total, so a sort
-// under it does not depend on the arrangement it starts from, which scan
-// order and, with Workers > 1, scheduling decide.
+// under it does not depend on the arrangement it starts from, which the
+// scoring pass decides.
 func candidateOrder(ka, kb float64, a, b GroupRef) int {
 	if c := cmp.Compare(ka, kb); c != 0 {
 		return c
@@ -301,6 +476,7 @@ func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate
 		st.GroupsRefined++
 		st.Members += len(cand.g.Members)
 	}
+	var raw rawBounds
 	for mi, m := range cand.g.Members {
 		if mi%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -311,7 +487,7 @@ func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate
 			continue
 		}
 		mv := m.Values(e.ds)
-		ub := top.boundScore() * norm // raw-distance bound
+		ub := raw.of(top.boundScore(), norm)
 		if dist.LBKim(q, mv) > ub {
 			continue
 		}

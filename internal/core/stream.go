@@ -146,19 +146,19 @@ func (e *Engine) walkCandidates(ctx context.Context, q []float64, k int, c Query
 // true representative order — (score, length, index), the order a fully
 // scored and sorted tail would have — and with the same cutoff, without
 // scoring the representatives the walk never reaches. Which groups the
-// scoring pass pruned depends on scan order and, with Workers > 1, on
-// scheduling; the visit order does not. The walk merges three sources:
+// scoring pass pruned depends on the order it scored them in; the visit
+// order does not. The walk merges three sources:
 //
 //   - the finite tail cands[w.refined:nf], exactly scored and sorted;
-//   - the pruned block cands[nf:]. Every pruned representative lost to a
-//     k-th bound no smaller than kth, the head's last score, so the whole
-//     block scores above kth (scoreRepresentatives). While kth meets the
-//     cutoff or the next finite score, the block costs nothing: no LB_Keogh,
-//     no DTW, and its order is never read;
+//   - the pruned block cands[nf:]. Every pruned representative scores
+//     strictly above kth, the head's last score and the scoring pass's
+//     final k-th best (scoreRepresentatives). While kth meets the cutoff
+//     or the next finite score, the block costs nothing: no LB_Keogh, no
+//     DTW, and its order is never read;
 //   - once it does not, a min-heap of the pruned candidates, each keyed by
-//     the larger of its full LBKeogh(rep)/norm and the bound it was pruned
-//     against. A candidate whose key reaches the head without exceeding
-//     the cutoff gets its DTWBanded and is re-keyed by its score.
+//     the larger of its full LBKeogh(rep)/norm and the lower bound the
+//     scoring pass left it. A candidate whose key reaches the head without
+//     exceeding the cutoff gets its DTWBanded and is re-keyed by its score.
 //
 // Keys order as (key, unresolved first, length, index): a resolved
 // candidate reaches the head only when every unresolved bound is above its
@@ -235,10 +235,10 @@ func (w *progressiveWalk) walkTail(ctx context.Context, kth float64, nf int) err
 	return nil
 }
 
-// keyPruned raises every pruned candidate's lower bound (the score bound it
-// was pruned against) to its representative's full, unabandoned
-// LBKeogh/norm — LB_Keogh lower-bounds the DTW, floating point included —
-// and heapifies them.
+// keyPruned raises every pruned candidate's lower bound (its LB_Kim key or
+// the score bound it was pruned against, whichever is larger) to its
+// representative's full, unabandoned LBKeogh/norm — LB_Keogh lower-bounds
+// the DTW, floating point included — and heapifies them.
 func (w *progressiveWalk) keyPruned(ctx context.Context, pruned []repCandidate) error {
 	for i := range pruned {
 		if i%ctxCheckStride == 0 {
