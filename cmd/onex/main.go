@@ -7,13 +7,12 @@
 //
 //	onex gen       -kind matters -indicator GrowthRate -out growth.csv
 //	onex build     -data growth.csv [-st 0.1 -minlen 4 -maxlen 12]         # build and print base stats
-//	onex query     -data growth.csv -series MA -start 0 -len 12 [-k 5] [-exclude-source] [-mode exact] [-workers 4] [-stats]
+//	onex query     -data growth.csv -series MA -start 0 -len 12 [-k 5] [-exclude-source] [-mode exact] [-stats]
 //	onex query     -data growth.csv -series MA -len 12 -progressive        # stream approx → exact
-//	onex range     -data growth.csv -series MA -len 12 -maxdist 0.05 [-workers 4] [-stats]
+//	onex range     -data growth.csv -series MA -len 12 -maxdist 0.05 [-stats]
 //
 // query and range both map their flags onto the library's unified
-// onex.Query and run it through DB.Find; Ctrl-C cancels a long search and
-// -workers bounds the per-query worker pool (0 = all cores, 1 = serial).
+// onex.Query and run it through DB.Find; Ctrl-C cancels a long search.
 // -progressive switches query to DB.Stream: the approximate answer prints
 // immediately and refines line by line — one line per certified wave —
 // until the exact result, so a long exact search shows progress instead
@@ -241,7 +240,6 @@ func cmdRange(args []string) error {
 	length := fs.Int("len", 0, "query window length (required)")
 	maxDist := fs.Float64("maxdist", 0.1, "inclusive distance threshold (normalized per-point units)")
 	limit := fs.Int("limit", 20, "maximum matches to print (0 = all)")
-	workers := fs.Int("workers", 0, "worker pool for the scan (0 = all cores, 1 = serial)")
 	stats := fs.Bool("stats", false, "print search statistics after the results")
 	_ = fs.Parse(args)
 	if *series == "" || *length <= 0 {
@@ -261,7 +259,6 @@ func cmdRange(args []string) error {
 		Window:  onex.Window{Series: *series, Start: *start, Length: *length},
 		MaxDist: *maxDist,
 		K:       *limit,
-		Workers: *workers,
 	})
 	if err != nil {
 		return err
@@ -286,7 +283,6 @@ func cmdQuery(args []string) error {
 	k := fs.Int("k", 1, "number of matches to return")
 	excludeSource := fs.Bool("exclude-source", false, "exclude the whole source series")
 	mode := fs.String("mode", "", "per-query mode override: approx|exact (default: as opened)")
-	workers := fs.Int("workers", 0, "worker pool for the scan (0 = all cores, 1 = serial)")
 	progressive := fs.Bool("progressive", false, "stream the answer: approximate first, refined per certified wave, exact last")
 	stats := fs.Bool("stats", false, "print search statistics after the results")
 	_ = fs.Parse(args)
@@ -302,7 +298,6 @@ func cmdQuery(args []string) error {
 		K:       *k,
 		Exclude: onex.Exclude{Self: true},
 		Mode:    onex.QueryMode(*mode),
-		Workers: *workers,
 	}
 	if *excludeSource {
 		q.Exclude = onex.Exclude{Series: []string{*series}}
@@ -406,7 +401,6 @@ func cmdAnalyze(args []string) error {
 	start := fs.Int("start", 0, "sweep-query window start (similarity-sweep)")
 	qlen := fs.Int("len", 0, "sweep-query window length (similarity-sweep)")
 	thresholds := fs.String("thresholds", "", "comma-separated sweep thresholds, normalized per-point units (similarity-sweep)")
-	workers := fs.Int("workers", 0, "worker pool for the walk (0 = all cores, 1 = serial)")
 	stats := fs.Bool("stats", false, "print walk statistics after the results")
 	_ = fs.Parse(args)
 	if *kind == "" {
@@ -421,7 +415,6 @@ func cmdAnalyze(args []string) error {
 		Lengths:        onex.Lengths{Min: *of.minLen, Max: *of.maxLen},
 		MinOccurrences: *minOcc,
 		MinSeries:      *minSeries,
-		Workers:        *workers,
 	}
 	if *thresholds != "" {
 		for _, f := range strings.Split(*thresholds, ",") {

@@ -13,14 +13,13 @@
 //	onexbench -exp e6             # certified transfer bound check
 //	onexbench -exp ablations      # A1 repair, A2 band sweep, A3 LB cascade
 //	onexbench -exp e1 -quick      # reduced sizes for a fast smoke run
-//	onexbench -exp e1 -mode exact -workers 4   # certified search on a 4-worker pool
-//	onexbench -exp e1 -mode stream             # progressive pipeline; first_us column reports first-update latency
+//	onexbench -exp e1 -mode exact   # certified search
+//	onexbench -exp e1 -mode stream  # progressive pipeline; first_us column reports first-update latency
 //
 // The E1 latency experiment runs the ONEX side through the public API —
 // onex.Query executed by DB.Find, or DB.Stream when -mode stream — so the
 // numbers measure the path real clients use. -mode selects approx (the
-// paper's configuration, the default), exact, or stream; -workers bounds
-// the per-query worker pool (0 = all cores, 1 = the serial engine).
+// paper's configuration, the default), exact, or stream.
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: e1..e6 or all")
 	quick := flag.Bool("quick", false, "use reduced sizes for a fast smoke run")
 	mode := flag.String("mode", "", "E1 query path: approx (default) | exact | stream")
-	workers := flag.Int("workers", 0, "E1 per-query worker pool (0 = all cores, 1 = serial)")
 	flag.Parse()
 
 	which := strings.ToLower(*exp)
@@ -50,14 +48,13 @@ func main() {
 			cfg.Queries = 5
 		}
 		cfg.Mode = *mode
-		cfg.Workers = *workers
 		onexPath := cfg.Mode
 		if onexPath == "" {
 			onexPath = "approx"
 		}
 		fmt.Printf("== E1: best-match latency — ONEX (%s) vs UCR-Suite-style exact vs naive DTW scan ==\n", onexPath)
-		fmt.Printf("   series length %d, query length %d, band %d, %d queries per row, workers %d (0 = all cores)\n\n",
-			cfg.SeriesLen, cfg.QueryLen, cfg.Band, cfg.Queries, cfg.Workers)
+		fmt.Printf("   series length %d, query length %d, band %d, %d queries per row\n\n",
+			cfg.SeriesLen, cfg.QueryLen, cfg.Band, cfg.Queries)
 		rows, err := bench.RunE1(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "E1:", err)

@@ -6,7 +6,6 @@
 //	onexd -addr :8080
 //	onexd -addr :8080 -preload growth=matters:GrowthRate,power=electricity
 //	onexd -addr :8080 -data-dir /srv/onex/data
-//	onexd -addr :8080 -max-workers 2
 //
 // Preloaded sources accept the same syntax as POST /api/v1/datasets/load:
 // "matters:<Indicator>", "electricity", "cbf", "walks", "file:<path>".
@@ -18,9 +17,9 @@
 // stream duration).
 // -data-dir restricts the load endpoint's file: sources to one directory;
 // without it any server-readable path may be loaded (the historical demo
-// behaviour, fine when operator == analyst). -max-workers caps the worker
-// pool any single query or analyze request may claim, so one client cannot
-// monopolize the box (default: GOMAXPROCS).
+// behaviour, fine when operator == analyst). Every query, stream and
+// analysis runs on its request's goroutine, so concurrent clients share the
+// cores and -max-inflight bounds the total.
 //
 // The serving tier for heavy traffic is opt-in per knob:
 //
@@ -104,7 +103,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	preload := flag.String("preload", "", "comma-separated name=source pairs to load at startup")
 	dataDir := flag.String("data-dir", "", "restrict file: load sources to this directory (default: unrestricted)")
-	maxWorkers := flag.Int("max-workers", 0, "per-request cap on query/analyze worker pools (0 = GOMAXPROCS)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result-cache byte budget for query/analyze responses (0 = caching off)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client query-class requests per second (0 = rate limiting off)")
 	rateBurst := flag.Int("rate-burst", 0, "per-client token-bucket burst (default: ceil of -rate-limit)")
@@ -133,9 +131,6 @@ func main() {
 	}
 	if *dataDir != "" {
 		opts = append(opts, server.WithDataDir(*dataDir))
-	}
-	if *maxWorkers > 0 {
-		opts = append(opts, server.WithMaxWorkers(*maxWorkers))
 	}
 	if *cacheBytes > 0 {
 		opts = append(opts, server.WithCache(*cacheBytes))
@@ -188,7 +183,6 @@ func main() {
 		followers = make(map[string]*replica.Follower, len(names))
 		for _, name := range names {
 			followers[name] = replica.New(*follow, name, replica.Options{
-				Workers:  *maxWorkers,
 				SpoolDir: spoolDir,
 				Logf:     log.Printf,
 				OnDB:     func(db *onex.DB) { srv.AddDB(name, db) },

@@ -59,7 +59,6 @@ func TestRunE1Modes(t *testing.T) {
 		Queries:      3,
 		Band:         3,
 		Seed:         1,
-		Workers:      2,
 	}
 	for _, mode := range []string{"exact", "stream"} {
 		cfg := base

@@ -37,9 +37,6 @@ type E1Config struct {
 	// progressive pipeline, drained to its exact answer; first-update
 	// latency is reported in the first_us column).
 	Mode string
-	// Workers bounds the per-query worker pool (0 = all cores, 1 = the
-	// serial engine), exercising the parallel search path.
-	Workers int
 }
 
 // DefaultE1 is the paper-scale configuration cmd/onexbench runs.
@@ -155,7 +152,7 @@ func runE1One(cfg E1Config, n int) (E1Row, error) {
 	for _, q := range queries {
 		// NormRaw ranks by raw DTW cost, the unit the exact baselines
 		// report.
-		oq := onex.Query{Values: q, LengthNorm: onex.NormRaw, Mode: mode, Workers: cfg.Workers}
+		oq := onex.Query{Values: q, LengthNorm: onex.NormRaw, Mode: mode}
 		var om onex.Match
 		if cfg.Mode == "stream" {
 			onexT.Time(func() {

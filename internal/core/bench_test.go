@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -107,7 +108,7 @@ func benchmarkFind(b *testing.B, mode Mode) {
 	for _, bb := range benchBases {
 		b.Run(bb.name, func(b *testing.B) {
 			e := bb.engine(b)
-			fo := FindOptions{Options: Options{Band: 4, Mode: mode, LengthNorm: true, Workers: 1}, K: 5}
+			fo := FindOptions{Options: Options{Band: 4, Mode: mode, LengthNorm: true}, K: 5}
 			var dtws int
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -123,10 +124,36 @@ func benchmarkFind(b *testing.B, mode Mode) {
 	}
 }
 
-// BenchmarkFindApprox times one approximate top-5 query at Workers 1 on a
-// compacting walk base (8.9k groups over 17 lengths) and an all-singleton
+// BenchmarkFindApprox times one approximate top-5 query on a compacting walk base (8.9k groups over 17 lengths) and an all-singleton
 // one; dtws/op is the representative plus member DTW count.
 func BenchmarkFindApprox(b *testing.B) { benchmarkFind(b, ModeApprox) }
 
 // BenchmarkFindExact is BenchmarkFindApprox in exact mode.
 func BenchmarkFindExact(b *testing.B) { benchmarkFind(b, ModeExact) }
+
+// BenchmarkFindClients measures query throughput under concurrent clients:
+// b.RunParallel runs one client per GOMAXPROCS, so -cpu 1,2 prints one
+// client next to two. Each client issues the bench bases' top-5 queries
+// (band 4) round robin; ns/op is wall time per query across all clients.
+func BenchmarkFindClients(b *testing.B) {
+	for _, mode := range []Mode{ModeApprox, ModeExact} {
+		for _, bb := range benchBases {
+			b.Run(mode.String()+"/"+bb.name, func(b *testing.B) {
+				e := bb.engine(b)
+				fo := FindOptions{Options: Options{Band: 4, Mode: mode, LengthNorm: true}, K: 5}
+				var next atomic.Int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						q := bb.queries[int(next.Add(1))%len(bb.queries)]
+						if _, err := e.Find(context.Background(), q, fo); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+			})
+		}
+	}
+}

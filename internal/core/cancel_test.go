@@ -33,9 +33,8 @@ func cancelWorld(t testing.TB) (*ts.Dataset, *Engine) {
 
 // countingCtx reports cancellation after its Err method has been consulted
 // limit times, simulating a context cancelled mid-search at an exact,
-// reproducible point. It is not goroutine-safe, so every test using it
-// pins Workers: 1 (parallel scans poll the context from several workers;
-// their prompt-abort behaviour is covered by parallel_test.go).
+// reproducible point. It is not goroutine-safe; every search polls it from
+// the caller's goroutine.
 type countingCtx struct {
 	context.Context
 	calls int
@@ -81,7 +80,7 @@ func TestFindCancelsWithinOneRound(t *testing.T) {
 	for _, mode := range []Mode{ModeApprox, ModeExact} {
 		ctx := &countingCtx{Context: context.Background(), limit: 10}
 		_, err := e.Find(ctx, q, FindOptions{
-			Options: Options{Band: -1, Mode: mode, LengthNorm: true, Workers: 1}, K: 3,
+			Options: Options{Band: -1, Mode: mode, LengthNorm: true}, K: 3,
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mode %v: err = %v, want context.Canceled", mode, err)
@@ -96,7 +95,7 @@ func TestFindCancelsWithinOneRound(t *testing.T) {
 	// Range flavour too.
 	ctx := &countingCtx{Context: context.Background(), limit: 10}
 	_, err := e.Find(ctx, q, FindOptions{
-		Options: Options{Band: -1, LengthNorm: true, Workers: 1}, Range: true, MaxDist: 0.5,
+		Options: Options{Band: -1, LengthNorm: true}, Range: true, MaxDist: 0.5,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("range: err = %v, want context.Canceled", err)
@@ -161,17 +160,15 @@ func TestAnalyticsCancelWithinOneRound(t *testing.T) {
 	q := d.Series[0].Values[0:24]
 	for label, run := range map[string]func(ctx context.Context) error{
 		"seasonal": func(ctx context.Context) error {
-			_, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: 1}, nil)
+			_, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{}, nil)
 			return err
 		},
 		"common": func(ctx context.Context) error {
-			_, err := e.CommonPatternsContext(ctx, CommonOptions{Workers: 1}, nil)
+			_, err := e.CommonPatternsContext(ctx, CommonOptions{}, nil)
 			return err
 		},
 		"sweep": func(ctx context.Context) error {
-			opts := e.Options()
-			opts.Workers = 1
-			_, err := e.SimilaritySweepContext(ctx, q, []float64{0.5}, QueryConstraints{}, opts, nil)
+			_, err := e.SimilaritySweepContext(ctx, q, []float64{0.5}, QueryConstraints{}, e.Options(), nil)
 			return err
 		},
 	} {

@@ -40,11 +40,6 @@ type CommonOptions struct {
 	MinLength, MaxLength int
 	// MaxPatterns caps the result list (default 16).
 	MaxPatterns int
-	// Workers bounds the worker pool the group scan is sharded across
-	// (values < 1 select GOMAXPROCS, 1 forces the serial path). The mine is
-	// a pure read of the base, so results and statistics are identical at
-	// every worker count.
-	Workers int
 }
 
 // CommonPatternsContext finds shapes shared across series, ranked by the
@@ -94,9 +89,8 @@ func (e *Engine) CommonPatternsContext(ctx context.Context, opts CommonOptions, 
 			jobs = append(jobs, job{l: l, gi: gi, g: g})
 		}
 	}
-	// mineGroup reduces one group to its per-series exemplars; st may be a
-	// worker-local accumulator.
-	mineGroup := func(j job, st *SearchStats) (CommonPattern, bool, error) {
+	// mineGroup reduces one group to its per-series exemplars.
+	mineGroup := func(j job) (CommonPattern, bool, error) {
 		if st != nil {
 			st.Groups++
 			st.Members += len(j.g.Members)
@@ -134,7 +128,7 @@ func (e *Engine) CommonPatternsContext(ctx context.Context, opts CommonOptions, 
 		}, true, nil
 	}
 
-	out, err := scanGroups(ctx, opts.Workers, jobs, st, mineGroup)
+	out, err := scanGroups(ctx, jobs, mineGroup)
 	if err != nil {
 		return nil, err
 	}

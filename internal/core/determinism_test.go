@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -15,23 +16,6 @@ import (
 	"repro/internal/grouping"
 	"repro/internal/ts"
 )
-
-func TestResolveWorkers(t *testing.T) {
-	for _, tc := range []struct{ requested, n, min, max int }{
-		{1, 100, 1, 1},        // explicit serial
-		{4, 100, 4, 4},        // explicit pool
-		{4, 2, 2, 2},          // clamped to item count
-		{0, 100, 1, 1 << 20},  // GOMAXPROCS, whatever it is
-		{-3, 100, 1, 1 << 20}, // negative behaves like 0
-		{8, 0, 1, 1},          // no items still yields a sane pool
-	} {
-		got := resolveWorkers(tc.requested, tc.n)
-		if got < tc.min || got > tc.max {
-			t.Fatalf("resolveWorkers(%d, %d) = %d, want in [%d, %d]",
-				tc.requested, tc.n, got, tc.min, tc.max)
-		}
-	}
-}
 
 // TestKthTrackerOffer pins the insertion-shift rewrite against a sorted-
 // slice reference: same bound after every offer, for many k values and
@@ -73,10 +57,10 @@ func TestKthTrackerOffer(t *testing.T) {
 	}
 }
 
-// parallelWorld builds a base large enough (hundreds of groups, thousands
-// of members) that every parallel code path — in-group member fan-out,
-// exact waves, range scans — really triggers.
-func parallelWorld(t testing.TB, mode Mode) (*ts.Dataset, *Engine) {
+// manyGroupsWorld builds a base with hundreds of groups and thousands of
+// members, so every scan — member refinement, exact waves, range scans,
+// the mining walks — runs over many groups.
+func manyGroupsWorld(t testing.TB, mode Mode) (*ts.Dataset, *Engine) {
 	t.Helper()
 	d := gen.RandomWalks(gen.WalkOptions{Num: 8, Length: 96, Seed: 11})
 	if err := ts.NormalizeMinMax(d); err != nil {
@@ -86,8 +70,8 @@ func parallelWorld(t testing.TB, mode Mode) (*ts.Dataset, *Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumGroups() < minParallelGroups {
-		t.Fatalf("parallelWorld too small: %d groups", b.NumGroups())
+	if b.NumGroups() < 256 {
+		t.Fatalf("manyGroupsWorld too small: %d groups", b.NumGroups())
 	}
 	e, err := NewEngine(d, b, Options{Band: -1, Mode: mode, LengthNorm: true})
 	if err != nil {
@@ -112,19 +96,16 @@ func sameMatches(t *testing.T, label string, a, b []Match) {
 	}
 }
 
-// TestFindWorkersEquivalence is the central parallel-correctness property:
-// at every worker count, Find returns the identical match list (same refs,
-// same distances, same order) and the identical deterministic work totals
-// (Groups, GroupsRefined, GroupsLBPruned, Members, RepDTW) as the serial
-// engine — in approx mode, exact mode, and range mode, with and without
-// constraints. Only MemberDTW may shift.
-func TestFindWorkersEquivalence(t *testing.T) {
-	d, e := parallelWorld(t, ModeApprox)
-	queries := []struct {
-		name string
-		fo   FindOptions
-		q    []float64
-	}{
+type namedQuery struct {
+	name string
+	fo   FindOptions
+	q    []float64
+}
+
+// determinismQueries are approx, exact and range queries, with and without
+// constraints, over manyGroupsWorld's dataset.
+func determinismQueries(d *ts.Dataset) []namedQuery {
+	return []namedQuery{
 		{"approx top3", FindOptions{Options: Options{Band: -1, LengthNorm: true}, K: 3}, d.Series[0].Values[0:12]},
 		{"approx k10", FindOptions{Options: Options{Band: -1, LengthNorm: true}, K: 10}, d.Series[3].Values[20:36]},
 		{"approx constrained", FindOptions{
@@ -136,96 +117,90 @@ func TestFindWorkersEquivalence(t *testing.T) {
 		{"exact banded", FindOptions{Options: Options{Band: 3, Mode: ModeExact, LengthNorm: true}, K: 5}, d.Series[2].Values[10:28]},
 		{"range", FindOptions{Options: Options{Band: -1, LengthNorm: true}, Range: true, MaxDist: 0.08}, d.Series[4].Values[0:16]},
 	}
+}
+
+// TestFindWorkersEquivalence is the search's determinism property: repeated
+// runs of one query return the identical match list (same refs, same
+// distances, same order) and the identical SearchStats, MemberDTW included
+// — in approx, exact and range mode, with and without constraints. The
+// deprecated Options.Workers is ignored, so no value changes either. CI
+// runs it at several GOMAXPROCS values.
+func TestFindWorkersEquivalence(t *testing.T) {
+	d, e := manyGroupsWorld(t, ModeApprox)
 	ctx := context.Background()
-	for _, tc := range queries {
-		serialFO := tc.fo
-		serialFO.Workers = 1
-		serial, err := e.Find(ctx, tc.q, serialFO)
+	for _, tc := range determinismQueries(d) {
+		first, err := e.Find(ctx, tc.q, tc.fo)
 		if err != nil {
-			t.Fatalf("%s: serial: %v", tc.name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, workers := range []int{2, 4, 0} {
+		if !tc.fo.Range && first.Stats.GroupsLBPruned+first.Stats.GroupsRefined != first.Stats.Groups {
+			t.Fatalf("%s: counters don't reconcile: %+v", tc.name, first.Stats)
+		}
+		for _, workers := range []int{0, 4, -1} {
 			fo := tc.fo
 			fo.Workers = workers
-			par, err := e.Find(ctx, tc.q, fo)
+			again, err := e.Find(ctx, tc.q, fo)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
 			label := tc.name + " workers=" + strconv.Itoa(workers)
-			sameMatches(t, label, serial.Matches, par.Matches)
-			if par.Stats.Groups != serial.Stats.Groups ||
-				par.Stats.GroupsRefined != serial.Stats.GroupsRefined ||
-				par.Stats.GroupsLBPruned != serial.Stats.GroupsLBPruned ||
-				par.Stats.Members != serial.Stats.Members ||
-				par.Stats.RepDTW != serial.Stats.RepDTW {
-				t.Fatalf("%s: deterministic totals drifted: serial %+v, parallel %+v",
-					label, serial.Stats, par.Stats)
-			}
-			if tc.fo.Range {
-				// Range scans prune against a fixed threshold, so the full
-				// statistics block is scheduling-independent.
-				if par.Stats != serial.Stats {
-					t.Fatalf("%s: range stats drifted: serial %+v, parallel %+v",
-						label, serial.Stats, par.Stats)
-				}
-			}
-			if par.Stats.GroupsLBPruned+par.Stats.GroupsRefined > par.Stats.Groups {
-				t.Fatalf("%s: counters don't reconcile: %+v", label, par.Stats)
+			sameMatches(t, label, first.Matches, again.Matches)
+			if again.Stats != first.Stats {
+				t.Fatalf("%s: stats drifted: %+v != %+v", label, again.Stats, first.Stats)
 			}
 		}
 	}
 }
 
-// TestAnalyticsWorkersEquivalence covers the mining walks: seasonal and
-// common-pattern scans are pure reads against fixed thresholds, so results
-// and the full statistics block must be identical at every worker count.
-func TestAnalyticsWorkersEquivalence(t *testing.T) {
-	_, e := parallelWorld(t, ModeApprox)
+// TestAnalyticsDeterministic covers the mining walks: repeated seasonal and
+// common-pattern scans return identical patterns and identical SearchStats.
+func TestAnalyticsDeterministic(t *testing.T) {
+	_, e := manyGroupsWorld(t, ModeApprox)
 	ctx := context.Background()
 
-	var serialSt SearchStats
-	serialPats, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: 1}, &serialSt)
+	var firstSt SearchStats
+	firstPats, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{}, &firstSt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var serialCommonSt SearchStats
-	serialCommon, err := e.CommonPatternsContext(ctx, CommonOptions{Workers: 1}, &serialCommonSt)
+	var firstCommonSt SearchStats
+	firstCommon, err := e.CommonPatternsContext(ctx, CommonOptions{}, &firstCommonSt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 0} {
+	for run := 1; run < 3; run++ {
 		var st SearchStats
-		pats, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: workers}, &st)
+		pats, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{}, &st)
 		if err != nil {
-			t.Fatalf("seasonal workers=%d: %v", workers, err)
+			t.Fatalf("seasonal run %d: %v", run, err)
 		}
-		if len(pats) != len(serialPats) {
-			t.Fatalf("seasonal workers=%d: %d patterns != %d", workers, len(pats), len(serialPats))
+		if len(pats) != len(firstPats) {
+			t.Fatalf("seasonal run %d: %d patterns != %d", run, len(pats), len(firstPats))
 		}
 		for i := range pats {
-			if pats[i].Group != serialPats[i].Group || pats[i].Count() != serialPats[i].Count() {
-				t.Fatalf("seasonal workers=%d: pattern %d diverged", workers, i)
+			if pats[i].Group != firstPats[i].Group || pats[i].Count() != firstPats[i].Count() {
+				t.Fatalf("seasonal run %d: pattern %d diverged", run, i)
 			}
 		}
-		if st != serialSt {
-			t.Fatalf("seasonal workers=%d: stats %+v != %+v", workers, st, serialSt)
+		if st != firstSt {
+			t.Fatalf("seasonal run %d: stats %+v != %+v", run, st, firstSt)
 		}
 
 		st = SearchStats{}
-		common, err := e.CommonPatternsContext(ctx, CommonOptions{Workers: workers}, &st)
+		common, err := e.CommonPatternsContext(ctx, CommonOptions{}, &st)
 		if err != nil {
-			t.Fatalf("common workers=%d: %v", workers, err)
+			t.Fatalf("common run %d: %v", run, err)
 		}
-		if len(common) != len(serialCommon) {
-			t.Fatalf("common workers=%d: %d patterns != %d", workers, len(common), len(serialCommon))
+		if len(common) != len(firstCommon) {
+			t.Fatalf("common run %d: %d patterns != %d", run, len(common), len(firstCommon))
 		}
 		for i := range common {
-			if common[i].Group != serialCommon[i].Group || common[i].SeriesCount != serialCommon[i].SeriesCount {
-				t.Fatalf("common workers=%d: pattern %d diverged", workers, i)
+			if common[i].Group != firstCommon[i].Group || common[i].SeriesCount != firstCommon[i].SeriesCount {
+				t.Fatalf("common run %d: pattern %d diverged", run, i)
 			}
 		}
-		if st != serialCommonSt {
-			t.Fatalf("common workers=%d: stats %+v != %+v", workers, st, serialCommonSt)
+		if st != firstCommonSt {
+			t.Fatalf("common run %d: stats %+v != %+v", run, st, firstCommonSt)
 		}
 	}
 }
@@ -279,7 +254,7 @@ func TestConstrainedFallbackBounded(t *testing.T) {
 	var st SearchStats
 	ms, err := e.search(context.Background(), probe[0:8], 3,
 		QueryConstraints{ExcludeSeries: map[int]bool{0: true}},
-		Options{Band: -1, Mode: ModeApprox, LengthNorm: true, Workers: 1}, &st, nil)
+		Options{Band: -1, Mode: ModeApprox, LengthNorm: true}, &st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,28 +275,28 @@ func TestConstrainedFallbackBounded(t *testing.T) {
 	}
 }
 
-// TestParallelCancellation cancels live parallel scans (top-k, exact,
-// range, seasonal) and requires each to surface ctx.Err() promptly — every
-// worker polls per group / per member stride, so a cancelled scan may not
-// run to completion.
+// TestParallelCancellation cancels live scans (top-k, exact, range,
+// seasonal) from another goroutine and requires each to surface ctx.Err()
+// promptly — every scan polls per group / per member stride, so a
+// cancelled scan may not run to completion.
 func TestParallelCancellation(t *testing.T) {
-	d, e := parallelWorld(t, ModeExact)
+	d, e := manyGroupsWorld(t, ModeExact)
 	q := d.Series[0].Values[0:20]
 	for label, run := range map[string]func(ctx context.Context) error{
 		"find": func(ctx context.Context) error {
 			_, err := e.Find(ctx, q, FindOptions{
-				Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true, Workers: 4}, K: 5,
+				Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true}, K: 5,
 			})
 			return err
 		},
 		"range": func(ctx context.Context) error {
 			_, err := e.Find(ctx, q, FindOptions{
-				Options: Options{Band: -1, LengthNorm: true, Workers: 4}, Range: true, MaxDist: 0.5,
+				Options: Options{Band: -1, LengthNorm: true}, Range: true, MaxDist: 0.5,
 			})
 			return err
 		},
 		"seasonal": func(ctx context.Context) error {
-			_, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{Workers: 4}, nil)
+			_, err := e.SeasonalByIndexContext(ctx, 0, SeasonalOptions{}, nil)
 			return err
 		},
 	} {
@@ -348,19 +323,30 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelFinds drives many simultaneous Workers > 1 queries
-// (plus mid-flight cancellations) against one engine; run with -race to
-// make it meaningful.
+// TestConcurrentParallelFinds drives many simultaneous queries (plus
+// mid-flight cancellations) against one engine and requires every query
+// that completes to return exactly what it returns alone: the same matches
+// and the same SearchStats. Run with -race to make it meaningful.
 func TestConcurrentParallelFinds(t *testing.T) {
-	d, e := parallelWorld(t, ModeApprox)
+	d, e := manyGroupsWorld(t, ModeApprox)
+	queries := determinismQueries(d)
+	want := make([]FindResult, len(queries))
+	for i, tc := range queries {
+		res, err := e.Find(context.Background(), tc.q, tc.fo)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want[i] = res
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			q := d.Series[w%len(d.Series)].Values[w : w+16]
 			for i := 0; i < 4; i++ {
+				qi := (w + i) % len(queries)
+				tc := queries[qi]
 				ctx := context.Background()
 				var cancel context.CancelFunc
 				if i == 3 {
@@ -368,15 +354,28 @@ func TestConcurrentParallelFinds(t *testing.T) {
 					ctx, cancel = context.WithCancel(ctx)
 					go cancel()
 				}
-				_, err := e.Find(ctx, q, FindOptions{
-					Options: Options{Band: -1, LengthNorm: true, Workers: 3}, K: 4,
-				})
+				res, err := e.Find(ctx, tc.q, tc.fo)
 				if cancel != nil {
 					cancel()
 				}
-				if err != nil && !errors.Is(err, context.Canceled) {
-					errs <- err
+				if errors.Is(err, context.Canceled) {
+					continue
+				}
+				if err != nil {
+					errs <- fmt.Errorf("%s: %w", tc.name, err)
 					return
+				}
+				if res.Stats != want[qi].Stats || len(res.Matches) != len(want[qi].Matches) {
+					errs <- fmt.Errorf("%s: concurrent run %+v (%d matches) != alone %+v (%d matches)",
+						tc.name, res.Stats, len(res.Matches), want[qi].Stats, len(want[qi].Matches))
+					return
+				}
+				for j, m := range res.Matches {
+					if wm := want[qi].Matches[j]; m.Ref != wm.Ref || m.Dist != wm.Dist {
+						errs <- fmt.Errorf("%s: concurrent match %d %+v at %g != alone %+v at %g",
+							tc.name, j, m.Ref, m.Dist, wm.Ref, wm.Dist)
+						return
+					}
 				}
 			}
 		}(w)

@@ -71,11 +71,7 @@ type Options struct {
 	// per-point discrepancy. Match.Score carries the ranking value either
 	// way.
 	LengthNorm bool
-	// Workers bounds the worker pool one search may shard its group scans
-	// across (representative scoring, member refinement, range scans).
-	// Values < 1 select GOMAXPROCS; 1 forces the serial code paths. Small
-	// scans stay serial regardless — see parallel.go for the thresholds and
-	// the determinism contract.
+	// Deprecated: ignored. Every search runs on its caller's goroutine.
 	Workers int
 }
 

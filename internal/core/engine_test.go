@@ -243,7 +243,7 @@ func closeTo(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.
 // TestPropertyExactModeEqualsBruteForce is the differential oracle of exact
 // mode: the whole top-K equals bruteforce.KBest — distances to 1e-9, refs
 // wherever the oracle's score is untied — for K in {1, 5}, LengthNorm on and
-// off, bands -1/0/3, Workers 1 and 4, with and without an overlap
+// off, bands -1/0/3, with and without an overlap
 // exclusion, on a compacting walk base and its ×1e6 raw-unit copy. The
 // certified bound must also actually prune there, or the test proves
 // nothing about it.
@@ -269,25 +269,23 @@ func TestPropertyExactModeEqualsBruteForce(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							for _, workers := range []int{1, 4} {
-								label := fmt.Sprintf("scale %g query %d band %d norm %v k %d exclude %v workers %d",
-									scale, qi, band, ln, k, exclude, workers)
-								res, err := e.Find(ctx, oq.q, FindOptions{
-									Options:     Options{Band: band, Mode: ModeExact, LengthNorm: ln, Workers: workers},
-									K:           k,
-									Constraints: c,
-								})
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								sameAsOracle(t, label, res.Matches, want, k)
-								st := res.Stats
-								if st.GroupsLBPruned+st.GroupsRefined != st.Groups {
-									t.Fatalf("%s: pruned %d + refined %d != groups %d", label, st.GroupsLBPruned, st.GroupsRefined, st.Groups)
-								}
-								pruned += st.GroupsLBPruned
-								groups += st.Groups
+							label := fmt.Sprintf("scale %g query %d band %d norm %v k %d exclude %v",
+								scale, qi, band, ln, k, exclude)
+							res, err := e.Find(ctx, oq.q, FindOptions{
+								Options:     Options{Band: band, Mode: ModeExact, LengthNorm: ln},
+								K:           k,
+								Constraints: c,
+							})
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
 							}
+							sameAsOracle(t, label, res.Matches, want, k)
+							st := res.Stats
+							if st.GroupsLBPruned+st.GroupsRefined != st.Groups {
+								t.Fatalf("%s: pruned %d + refined %d != groups %d", label, st.GroupsLBPruned, st.GroupsRefined, st.Groups)
+							}
+							pruned += st.GroupsLBPruned
+							groups += st.Groups
 						}
 					}
 				}
@@ -344,17 +342,15 @@ func TestExactModeTieMatchesBruteForce(t *testing.T) {
 		if want[0].Dist != sum || want[1].Dist != sum || want[0].Ref.Series != 0 {
 			t.Fatalf("band %d: brute force %+v, want series 0 then 1 at distance %d", band, want, sum)
 		}
-		for _, workers := range []int{1, 4} {
-			res, err := e.Find(context.Background(), q, FindOptions{
-				Options: Options{Band: band, Mode: ModeExact, LengthNorm: true, Workers: workers}, K: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.Matches[0]; got.Ref != want[0].Ref || got.Dist != sum {
-				t.Fatalf("band %d workers %d: exact top-1 %v at %g, brute force %v at %g",
-					band, workers, got.Ref, got.Dist, want[0].Ref, want[0].Dist)
-			}
+		res, err := e.Find(context.Background(), q, FindOptions{
+			Options: Options{Band: band, Mode: ModeExact, LengthNorm: true}, K: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Matches[0]; got.Ref != want[0].Ref || got.Dist != sum {
+			t.Fatalf("band %d: exact top-1 %v at %g, brute force %v at %g",
+				band, got.Ref, got.Dist, want[0].Ref, want[0].Dist)
 		}
 	}
 }

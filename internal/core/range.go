@@ -40,11 +40,9 @@ type rangeJob struct {
 // callOpts.Mode: a group is skipped only when a certified bound — the
 // representative's envelope bound (groupLower) or the transfer bound —
 // proves every member lies beyond the threshold. st, when non-nil,
-// accumulates the search statistics. The group scan is sharded across
-// callOpts.Workers goroutines when the base is large; the threshold bound
-// is fixed, so results and statistics are identical at every worker count.
-// Each worker checks the context once per group and every ctxCheckStride
-// members, so cancelled range scans abort within one pruning round.
+// accumulates the search statistics. The scan checks the context once per
+// group and every ctxCheckStride members, so cancelled range scans abort
+// within one pruning round.
 func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOptions, callOpts Options, st *SearchStats) ([]Match, error) {
 	if len(q) < 2 {
 		return nil, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
@@ -82,8 +80,8 @@ func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOpt
 		}
 	}
 
-	perGroup, err := scanGroups(ctx, callOpts.Workers, jobs, st,
-		func(job rangeJob, st *SearchStats) ([]Match, bool, error) {
+	perGroup, err := scanGroups(ctx, jobs,
+		func(job rangeJob) ([]Match, bool, error) {
 			ms, err := e.rangeScanGroup(ctx, q, job, opts.Constraints, callOpts, st)
 			return ms, len(ms) > 0, err
 		})
@@ -105,7 +103,7 @@ func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOpt
 
 // rangeScanGroup applies the certified group skips and, when the group
 // survives, scans its members against the fixed threshold, returning every
-// in-range match. st may be a worker-local accumulator.
+// in-range match.
 func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, c QueryConstraints, callOpts Options, st *SearchStats) ([]Match, error) {
 	if st != nil {
 		st.Groups++
@@ -113,8 +111,7 @@ func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, 
 	// Certified skips, cheapest first: the representative's envelope bound
 	// (groupLower, one LB_Keogh), then the transfer bound — if
 	// DTW(q, rep) - slack > rawMax every member is provably outside the
-	// threshold. Both depend only on the fixed threshold, so the statistics
-	// stay scheduling-independent.
+	// threshold. Both depend only on the fixed threshold.
 	if groupLower(job.g, job.env, job.rawMax) > job.rawMax {
 		if st != nil {
 			st.GroupsLBPruned++

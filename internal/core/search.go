@@ -183,9 +183,8 @@ func (r *rawBounds) of(b, norm float64) float64 {
 //
 // A group whose representative provably cannot enter the top-k leaves with
 // repDist = +Inf and, as lower, the larger of its key and the score bound it
-// lost to: its score is strictly above the final k-th best. The pass is
-// serial at every Workers setting, so its statistics are deterministic; the
-// context is checked once per visited representative and per DTW.
+// lost to: its score is strictly above the final k-th best. The context is
+// checked once per visited representative and per DTW.
 func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, lengths []int, opts Options, st *SearchStats) ([]repCandidate, error) {
 	n := 0
 	for _, l := range lengths {
@@ -414,7 +413,7 @@ func (e *Engine) kbestApprox(ctx context.Context, q []float64, k int, c QueryCon
 	}
 	if st != nil {
 		// Every group the walk did not refine was pruned: the count is
-		// Groups - GroupsRefined, as in exact mode, at every worker count.
+		// Groups - GroupsRefined, as in exact mode.
 		st.GroupsLBPruned += len(w.cands) - w.refined
 	}
 	if w.top.len() == 0 {
@@ -451,15 +450,8 @@ func (e *Engine) kbestExact(ctx context.Context, q []float64, k int, c QueryCons
 	return final.Matches, nil
 }
 
-// matchSink abstracts the accumulator a member scan offers into: the plain
-// topK on serial walks, the mutex-guarded sharedTopK when several workers
-// feed one accumulator (parallel.go). boundScore is the current k-th best
-// score (+Inf until full), the member-level pruning bound.
-type matchSink interface {
-	offer(Match)
-	boundScore() float64
-}
-
+// boundScore is the current k-th best score (+Inf until full), the
+// member-level pruning bound.
 func (t *topK) boundScore() float64 {
 	if t.full() {
 		return t.worst().Score
@@ -470,7 +462,7 @@ func (t *topK) boundScore() float64 {
 // refineGroup scans a group's members with an LB cascade and early-abandon
 // DTW, offering improvements to the top-k accumulator. The context is
 // re-checked every ctxCheckStride members so large groups abandon promptly.
-func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top matchSink, opts Options, st *SearchStats) error {
+func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top *topK, opts Options, st *SearchStats) error {
 	qU, qL, norm := cand.env.qU, cand.env.qL, cand.env.norm
 	if st != nil {
 		st.GroupsRefined++
@@ -512,6 +504,27 @@ func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate
 	return nil
 }
 
+// scanGroups runs fn over every job in order and collects the accepted
+// results, polling ctx before each job. It is the shared scan of the range,
+// seasonal and common-pattern walks, whose per-group work needs no
+// cross-group state.
+func scanGroups[J, R any](ctx context.Context, jobs []J, fn func(J) (R, bool, error)) ([]R, error) {
+	var out []R
+	for _, j := range jobs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, ok, err := fn(j)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
+
 // finishMatches fills in warping paths (presentation data) for the final
 // result set only, so inner loops never pay the full-matrix cost.
 func (e *Engine) finishMatches(q []float64, ms []Match, opts Options) []Match {
@@ -524,8 +537,7 @@ func (e *Engine) finishMatches(q []float64, ms []Match, opts Options) []Match {
 
 // matchBefore is the total result order: ascending Score, ties broken by
 // subsequence identity. A total order keeps accumulators (and final result
-// lists) deterministic regardless of offer order, which parallel member
-// refinement depends on.
+// lists) deterministic regardless of offer order.
 func matchBefore(a, b Match) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score

@@ -47,11 +47,6 @@ type SeasonalOptions struct {
 	// overlapping some occurrence of Q). Multi-length mining otherwise
 	// reports every sub-window of a long motif as its own pattern.
 	Dedup bool
-	// Workers bounds the worker pool the group scan is sharded across
-	// (values < 1 select GOMAXPROCS, 1 forces the serial path). The mine is
-	// a pure read of the base, so results and statistics are identical at
-	// every worker count.
-	Workers int
 }
 
 // SeasonalContext finds repeating patterns within the named series by
@@ -116,9 +111,8 @@ func (e *Engine) SeasonalByIndexContext(ctx context.Context, si int, opts Season
 			jobs = append(jobs, job{l: l, gi: gi, g: g})
 		}
 	}
-	// mineGroup scans one group for this series' recurrences; st may be a
-	// worker-local accumulator.
-	mineGroup := func(j job, st *SearchStats) (Pattern, bool, error) {
+	// mineGroup scans one group for this series' recurrences.
+	mineGroup := func(j job) (Pattern, bool, error) {
 		if st != nil {
 			st.Groups++
 			st.Members += len(j.g.Members)
@@ -152,7 +146,7 @@ func (e *Engine) SeasonalByIndexContext(ctx context.Context, si int, opts Season
 		}, true, nil
 	}
 
-	patterns, err := scanGroups(ctx, opts.Workers, jobs, st, mineGroup)
+	patterns, err := scanGroups(ctx, jobs, mineGroup)
 	if err != nil {
 		return nil, err
 	}

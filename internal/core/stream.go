@@ -28,8 +28,8 @@ import (
 //      in lower-bound order, so it scores only those it may visit.
 //   2. After every certified refinement wave — the exact walk bounds every
 //      remaining group (groupLower), sorts the survivors by bound, and
-//      refines them in fixed 16-group waves (parallel.go exactWave) until
-//      the next bound exceeds the k-th best; each wave boundary yields the
+//      refines them one by one until the next bound exceeds the k-th best;
+//      every exactWave refined groups close a wave, which yields the
 //      current top-k plus per-match certification.
 //   3. A terminating snapshot (Final = true) whose matches carry warping
 //      paths and equal Find's exact-mode result exactly.
@@ -69,6 +69,10 @@ type Snapshot struct {
 	// the exact-mode Find result.
 	Final bool
 }
+
+// exactWave is how many groups the exact walk refines between two
+// progressive snapshots.
+const exactWave = 16
 
 // ProgressFunc receives pipeline snapshots. It is invoked synchronously
 // from the search goroutine; blocking in the sink blocks the walk.
@@ -130,7 +134,7 @@ func (e *Engine) walkCandidates(ctx context.Context, q []float64, k int, c Query
 		if cand.repScore > w.top.boundScore() {
 			return w, nil
 		}
-		if err := e.refine(ctx, q, cand, c, w.top, opts, st); err != nil {
+		if err := e.refineGroup(ctx, q, cand, c, w.top, opts, st); err != nil {
 			return nil, err
 		}
 	}
@@ -212,7 +216,7 @@ func (w *progressiveWalk) walkTail(ctx context.Context, kth float64, nf int) err
 		if cand.repScore > cutoff {
 			break
 		}
-		if err := w.e.refine(ctx, w.q, *cand, w.c, w.top, w.opts, w.st); err != nil {
+		if err := w.e.refineGroup(ctx, w.q, *cand, w.c, w.top, w.opts, w.st); err != nil {
 			return err
 		}
 		if fromHeap {
@@ -353,68 +357,50 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 
 // finishExact resumes the walk to a certified-exact answer. It bounds every
 // group the approximate phase left unrefined (boundTail), then refines the
-// survivors in ascending bound order, in fixed-size waves, and stops at the
-// first group whose bound exceeds the current k-th best: the tail is
-// sorted, so every later group is out too. After each wave emit (when
-// non-nil) receives a snapshot. The bounds depend only on the query and the
-// approximate answer, and the wave size is a constant (parallel.go
-// exactWave), never derived from the worker count, so the refined set —
-// and with it every deterministic work total — is identical at every
-// Workers setting.
+// survivors in ascending bound order and stops at the first group whose
+// bound exceeds the current k-th best: the tail is sorted, so every later
+// group is out too. After every exactWave refined groups, and after the
+// last, emit (when non-nil) receives a snapshot.
 func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) error {
-	e := w.e
 	if err := w.boundTail(ctx); err != nil {
 		return err
 	}
-	workers := resolveWorkers(w.opts.Workers, exactWave)
-	wave := make([]repCandidate, 0, exactWave)
-	for w.refined < len(w.cands) {
-		// Collect the next wave of groups the certified bound cannot skip.
-		wave = wave[:0]
-		idx := w.refined
-		for idx < len(w.cands) && len(wave) < exactWave {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if w.top.full() && w.cands[idx].lower > w.top.worst().Score {
-				// Provably cannot improve the top-k, and neither can any
-				// group after it.
-				if w.st != nil {
-					w.st.GroupsLBPruned += len(w.cands) - idx
-				}
-				idx = len(w.cands)
-				break
-			}
-			wave = append(wave, w.cands[idx])
-			idx++
-		}
-		if len(wave) > 0 {
-			if workers > 1 && len(wave) > 1 {
-				if err := e.refineWaveParallel(ctx, w.q, wave, w.c, w.top, w.opts, w.st, workers); err != nil {
-					return err
-				}
-			} else {
-				for _, cand := range wave {
-					if err := e.refine(ctx, w.q, cand, w.c, w.top, w.opts, w.st); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		w.refined = idx
-		if len(wave) > 0 && emit != nil {
+	inWave := 0
+	closeWave := func() {
+		if inWave > 0 && emit != nil {
 			w.wave++
 			emit(w.snapshot(false))
 		}
+		inWave = 0
 	}
+	for w.refined < len(w.cands) {
+		cand := w.cands[w.refined]
+		if w.top.full() && cand.lower > w.top.worst().Score {
+			// Provably cannot improve the top-k, and neither can any group
+			// after it.
+			if w.st != nil {
+				w.st.GroupsLBPruned += len(w.cands) - w.refined
+			}
+			w.refined = len(w.cands)
+			break
+		}
+		if err := w.e.refineGroup(ctx, w.q, cand, w.c, w.top, w.opts, w.st); err != nil {
+			return err
+		}
+		w.refined++
+		if inWave++; inWave == exactWave {
+			closeWave()
+		}
+	}
+	closeWave()
 	return nil
 }
 
 // boundTail sets the certified lower bound of every unrefined candidate,
-// groupLower, which depends only on the query and the approximate answer,
-// never on scheduling. Groups whose bound already exceeds the k-th best
-// move in front of the tail as certified-skipped — counted once, here — and
-// the survivors are sorted by (bound, length, index).
+// groupLower, which depends only on the query and the approximate answer.
+// Groups whose bound already exceeds the k-th best move in front of the
+// tail as certified-skipped — counted once, here — and the survivors are
+// sorted by (bound, length, index).
 func (w *progressiveWalk) boundTail(ctx context.Context) error {
 	worst := w.top.boundScore()
 	tail := w.cands[w.refined:]

@@ -30,13 +30,13 @@ func collectSnapshots(t *testing.T, e *Engine, q []float64, fo FindOptions) ([]S
 	return snaps, res
 }
 
-// TestProgressivePipeline pins the emission contract at every worker
-// count: the first snapshot is the approximate answer (equal to an
-// approx-mode Find, emitted before any refinement wave), intermediate
-// snapshots refine monotonically, and the final snapshot equals the
-// one-shot exact Find — matches, order, and stats.
+// TestProgressivePipeline pins the emission contract: the first snapshot
+// is the approximate answer (equal to an approx-mode Find, emitted before
+// any refinement wave), intermediate snapshots refine monotonically, and
+// the final snapshot equals the one-shot exact Find — matches, order, and
+// stats.
 func TestProgressivePipeline(t *testing.T) {
-	d, e := parallelWorld(t, ModeExact)
+	d, e := manyGroupsWorld(t, ModeExact)
 	// The second query certifies part of its answer two waves before the
 	// walk ends, so certification monotonicity is tested mid-stream.
 	for _, q := range [][]float64{d.Series[0].Values[0:16], d.Series[1].Values[0:20]} {
@@ -46,140 +46,136 @@ func TestProgressivePipeline(t *testing.T) {
 
 func checkProgressivePipeline(t *testing.T, e *Engine, q []float64) {
 	ctx := context.Background()
-	for _, workers := range []int{1, 4} {
-		fo := FindOptions{Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true, Workers: workers}, K: 5}
-		snaps, res := collectSnapshots(t, e, q, fo)
-		if len(snaps) < 3 {
-			t.Fatalf("workers=%d: only %d snapshots; want approx + waves + final", workers, len(snaps))
-		}
+	fo := FindOptions{Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true}, K: 5}
+	snaps, res := collectSnapshots(t, e, q, fo)
+	if len(snaps) < 3 {
+		t.Fatalf("only %d snapshots; want approx + waves + final", len(snaps))
+	}
 
-		// The approximate snapshot comes first, before any wave.
-		first := snaps[0]
-		if first.Seq != 0 || first.Wave != 0 || first.Final {
-			t.Fatalf("workers=%d: first snapshot = seq %d wave %d final %v", workers, first.Seq, first.Wave, first.Final)
-		}
-		if first.GroupsRemaining == 0 {
-			t.Fatalf("workers=%d: approximate snapshot claims the walk already finished", workers)
-		}
-		approxFO := FindOptions{Options: Options{Band: -1, Mode: ModeApprox, LengthNorm: true, Workers: workers}, K: 5}
-		approx, err := e.Find(ctx, q, approxFO)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameMatches(t, "approx snapshot vs approx Find", approx.Matches, first.Matches)
-		// Stats prove the emission point: the approximate phase has done
-		// exactly the work an approx-mode Find does — no wave has run yet.
-		if first.Stats.Groups != approx.Stats.Groups ||
-			first.Stats.GroupsRefined != approx.Stats.GroupsRefined ||
-			first.Stats.Members != approx.Stats.Members {
-			t.Fatalf("workers=%d: approx snapshot stats %+v != approx Find stats %+v",
-				workers, first.Stats, approx.Stats)
-		}
+	// The approximate snapshot comes first, before any wave.
+	first := snaps[0]
+	if first.Seq != 0 || first.Wave != 0 || first.Final {
+		t.Fatalf("first snapshot = seq %d wave %d final %v", first.Seq, first.Wave, first.Final)
+	}
+	if first.GroupsRemaining == 0 {
+		t.Fatalf("approximate snapshot claims the walk already finished")
+	}
+	approxFO := FindOptions{Options: Options{Band: -1, Mode: ModeApprox, LengthNorm: true}, K: 5}
+	approx, err := e.Find(ctx, q, approxFO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMatches(t, "approx snapshot vs approx Find", approx.Matches, first.Matches)
+	// Stats prove the emission point: the approximate phase has done
+	// exactly the work an approx-mode Find does — no wave has run yet.
+	if first.Stats.Groups != approx.Stats.Groups ||
+		first.Stats.GroupsRefined != approx.Stats.GroupsRefined ||
+		first.Stats.Members != approx.Stats.Members {
+		t.Fatalf("approx snapshot stats %+v != approx Find stats %+v",
+			first.Stats, approx.Stats)
+	}
 
-		// The final snapshot equals the one-shot exact result.
-		last := snaps[len(snaps)-1]
-		if !last.Final || last.GroupsRemaining != 0 {
-			t.Fatalf("workers=%d: last snapshot final=%v remaining=%d", workers, last.Final, last.GroupsRemaining)
+	// The final snapshot equals the one-shot exact result.
+	last := snaps[len(snaps)-1]
+	if !last.Final || last.GroupsRemaining != 0 {
+		t.Fatalf("last snapshot final=%v remaining=%d", last.Final, last.GroupsRemaining)
+	}
+	sameMatches(t, "final snapshot vs Find", res.Matches, last.Matches)
+	if last.Stats != res.Stats {
+		t.Fatalf("final snapshot stats %+v != Find stats %+v", last.Stats, res.Stats)
+	}
+	for i, c := range last.Certified {
+		if !c {
+			t.Fatalf("final snapshot match %d not certified", i)
 		}
-		sameMatches(t, "final snapshot vs Find", res.Matches, last.Matches)
-		if last.Stats != res.Stats {
-			t.Fatalf("workers=%d: final snapshot stats %+v != Find stats %+v", workers, last.Stats, res.Stats)
+	}
+
+	// Emission invariants across the run: seq increments, waves only
+	// move forward, remaining only shrinks, stats only grow, and
+	// certification is monotone per match ref.
+	for i, s := range snaps {
+		if s.Seq != i {
+			t.Fatalf("snapshot %d has seq %d", i, s.Seq)
 		}
-		for i, c := range last.Certified {
-			if !c {
-				t.Fatalf("workers=%d: final snapshot match %d not certified", workers, i)
+		if len(s.Certified) != len(s.Matches) {
+			t.Fatalf("snapshot %d: %d flags for %d matches", i, len(s.Certified), len(s.Matches))
+		}
+		if i == 0 {
+			continue
+		}
+		prev := snaps[i-1]
+		if s.GroupsRemaining > prev.GroupsRemaining {
+			t.Fatalf("snapshot %d remaining grew %d -> %d", i, prev.GroupsRemaining, s.GroupsRemaining)
+		}
+		if s.Stats.GroupsRefined < prev.Stats.GroupsRefined || s.Stats.MemberDTW < prev.Stats.MemberDTW {
+			t.Fatalf("snapshot %d stats went backwards", i)
+		}
+	}
+	// A ref certified in snapshot i is present and certified in every
+	// later snapshot.
+	certifiedAt := map[ts.SubSeq]int{}
+	for i, s := range snaps {
+		now := map[ts.SubSeq]bool{}
+		for j, m := range s.Matches {
+			if s.Certified[j] {
+				now[m.Ref] = true
+				if _, ok := certifiedAt[m.Ref]; !ok {
+					certifiedAt[m.Ref] = i
+				}
 			}
 		}
+		for ref, at := range certifiedAt {
+			if !now[ref] {
+				t.Fatalf("%v certified in snapshot %d, not certified (or absent) in snapshot %d", ref, at, i)
+			}
+		}
+	}
 
-		// Emission invariants across the run: seq increments, waves only
-		// move forward, remaining only shrinks, stats only grow, and
-		// certification is monotone per match ref.
-		for i, s := range snaps {
-			if s.Seq != i {
-				t.Fatalf("workers=%d: snapshot %d has seq %d", workers, i, s.Seq)
-			}
-			if len(s.Certified) != len(s.Matches) {
-				t.Fatalf("workers=%d: snapshot %d: %d flags for %d matches", workers, i, len(s.Certified), len(s.Matches))
-			}
-			if i == 0 {
+	// Certification soundness: a match certified in any snapshot
+	// appears in the final exact result with the same distance.
+	finalByRef := map[interface{}]float64{}
+	for _, m := range res.Matches {
+		finalByRef[m.Ref] = m.Dist
+	}
+	for i, s := range snaps {
+		for j, m := range s.Matches {
+			if !s.Certified[j] {
 				continue
 			}
-			prev := snaps[i-1]
-			if s.GroupsRemaining > prev.GroupsRemaining {
-				t.Fatalf("workers=%d: snapshot %d remaining grew %d -> %d", workers, i, prev.GroupsRemaining, s.GroupsRemaining)
+			d, ok := finalByRef[m.Ref]
+			if !ok {
+				t.Fatalf("snapshot %d certified %v, absent from final result", i, m.Ref)
 			}
-			if s.Stats.GroupsRefined < prev.Stats.GroupsRefined || s.Stats.MemberDTW < prev.Stats.MemberDTW {
-				t.Fatalf("workers=%d: snapshot %d stats went backwards", workers, i)
-			}
-		}
-		// A ref certified in snapshot i is present and certified in every
-		// later snapshot.
-		certifiedAt := map[ts.SubSeq]int{}
-		for i, s := range snaps {
-			now := map[ts.SubSeq]bool{}
-			for j, m := range s.Matches {
-				if s.Certified[j] {
-					now[m.Ref] = true
-					if _, ok := certifiedAt[m.Ref]; !ok {
-						certifiedAt[m.Ref] = i
-					}
-				}
-			}
-			for ref, at := range certifiedAt {
-				if !now[ref] {
-					t.Fatalf("workers=%d: %v certified in snapshot %d, not certified (or absent) in snapshot %d", workers, ref, at, i)
-				}
-			}
-		}
-
-		// Certification soundness: a match certified in any snapshot
-		// appears in the final exact result with the same distance.
-		finalByRef := map[interface{}]float64{}
-		for _, m := range res.Matches {
-			finalByRef[m.Ref] = m.Dist
-		}
-		for i, s := range snaps {
-			for j, m := range s.Matches {
-				if !s.Certified[j] {
-					continue
-				}
-				d, ok := finalByRef[m.Ref]
-				if !ok {
-					t.Fatalf("workers=%d: snapshot %d certified %v, absent from final result", workers, i, m.Ref)
-				}
-				if d != m.Dist {
-					t.Fatalf("workers=%d: snapshot %d certified %v at %g, final has %g", workers, i, m.Ref, m.Dist, d)
-				}
+			if d != m.Dist {
+				t.Fatalf("snapshot %d certified %v at %g, final has %g", i, m.Ref, m.Dist, d)
 			}
 		}
 	}
 }
 
 // TestProgressiveSnapshotsDeterministic pins that the emission sequence
-// itself — wave boundaries, remaining counts, per-wave match sets — is
-// identical at every worker count, not just the final answer.
+// itself — wave boundaries, remaining counts, per-wave match sets and
+// statistics — repeats exactly, not just the final answer.
 func TestProgressiveSnapshotsDeterministic(t *testing.T) {
-	d, e := parallelWorld(t, ModeExact)
+	d, e := manyGroupsWorld(t, ModeExact)
 	q := d.Series[2].Values[10:26]
-	base := FindOptions{Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true, Workers: 1}, K: 4}
-	serial, _ := collectSnapshots(t, e, q, base)
-	for _, workers := range []int{2, 4} {
-		fo := base
-		fo.Workers = workers
-		par, _ := collectSnapshots(t, e, q, fo)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d snapshots != %d", workers, len(par), len(serial))
+	fo := FindOptions{Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true}, K: 4}
+	first, _ := collectSnapshots(t, e, q, fo)
+	again, _ := collectSnapshots(t, e, q, fo)
+	if len(again) != len(first) {
+		t.Fatalf("%d snapshots != %d", len(again), len(first))
+	}
+	for i := range again {
+		if again[i].Wave != first[i].Wave || again[i].GroupsRemaining != first[i].GroupsRemaining ||
+			again[i].Stats != first[i].Stats {
+			t.Fatalf("snapshot %d (wave %d, remaining %d, %+v) != (wave %d, remaining %d, %+v)", i,
+				again[i].Wave, again[i].GroupsRemaining, again[i].Stats,
+				first[i].Wave, first[i].GroupsRemaining, first[i].Stats)
 		}
-		for i := range par {
-			if par[i].Wave != serial[i].Wave || par[i].GroupsRemaining != serial[i].GroupsRemaining {
-				t.Fatalf("workers=%d: snapshot %d shape (%d, %d) != (%d, %d)", workers, i,
-					par[i].Wave, par[i].GroupsRemaining, serial[i].Wave, serial[i].GroupsRemaining)
-			}
-			sameMatches(t, "snapshot", serial[i].Matches, par[i].Matches)
-			for j := range par[i].Certified {
-				if par[i].Certified[j] != serial[i].Certified[j] {
-					t.Fatalf("workers=%d: snapshot %d certification %d diverged", workers, i, j)
-				}
+		sameMatches(t, "snapshot", first[i].Matches, again[i].Matches)
+		for j := range again[i].Certified {
+			if again[i].Certified[j] != first[i].Certified[j] {
+				t.Fatalf("snapshot %d certification %d diverged", i, j)
 			}
 		}
 	}
@@ -189,37 +185,35 @@ func TestProgressiveSnapshotsDeterministic(t *testing.T) {
 // and requires the walk to abort within one wave: at most one further
 // emission, then ctx.Err().
 func TestProgressiveCancelMidStream(t *testing.T) {
-	d, e := parallelWorld(t, ModeExact)
+	d, e := manyGroupsWorld(t, ModeExact)
 	q := d.Series[1].Values[0:20]
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		emissions := 0
-		_, err := e.Find(ctx, q, FindOptions{
-			Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true, Workers: workers},
-			K:       5,
-			Progress: func(s Snapshot) {
-				emissions++
-				if s.Seq == 1 {
-					cancel() // give up after the first refinement wave
-				}
-			},
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		// Seq 0 (approx), seq 1 (first wave, cancels), and at most one
-		// in-flight wave that raced the cancellation.
-		if emissions > 3 {
-			t.Fatalf("workers=%d: %d emissions after cancelling at the first wave", workers, emissions)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	emissions := 0
+	_, err := e.Find(ctx, q, FindOptions{
+		Options: Options{Band: -1, Mode: ModeExact, LengthNorm: true},
+		K:       5,
+		Progress: func(s Snapshot) {
+			emissions++
+			if s.Seq == 1 {
+				cancel() // give up after the first refinement wave
+			}
+		},
+	})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Seq 0 (approx), seq 1 (first wave, cancels), and at most one
+	// in-flight wave that raced the cancellation.
+	if emissions > 3 {
+		t.Fatalf("%d emissions after cancelling at the first wave", emissions)
 	}
 }
 
 // TestProgressiveApproxNeverEmits pins that approx-mode and range calls
 // ignore the sink: the approximate answer is the whole result.
 func TestProgressiveApproxNeverEmits(t *testing.T) {
-	d, e := parallelWorld(t, ModeApprox)
+	d, e := manyGroupsWorld(t, ModeApprox)
 	q := d.Series[0].Values[0:12]
 	calls := 0
 	sink := func(Snapshot) { calls++ }
@@ -345,7 +339,7 @@ func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options
 		if top.full() && cand.repScore > top.worst().Score {
 			break
 		}
-		if err := e.refine(ctx, q, cand, c, top, opts, &st); err != nil {
+		if err := e.refineGroup(ctx, q, cand, c, top, opts, &st); err != nil {
 			return nil, st, err
 		}
 	}
@@ -398,8 +392,8 @@ func lazyWorlds(t *testing.T) []lazyWorld {
 // TestApproxLazyMatchesEagerWalk is the differential oracle of the lazy
 // approximate walk: its answer is bit-identical to the eager walk's (refs,
 // distances, scores) and refines the same groups, for K in {1, 2, 5, 10},
-// LengthNorm on and off, bands -1/0/3, Workers 1 and 3, with and without
-// an overlap exclusion, on an all-singleton base, a compacting walk base
+// LengthNorm on and off, bands -1/0/3, with and without an overlap
+// exclusion, on an all-singleton base, a compacting walk base
 // and its ×1e6 raw-unit copy.
 func TestApproxLazyMatchesEagerWalk(t *testing.T) {
 	ctx := context.Background()
@@ -413,25 +407,22 @@ func TestApproxLazyMatchesEagerWalk(t *testing.T) {
 							if exclude {
 								c.ExcludeOverlap = oq.src
 							}
-							opts := Options{Band: band, LengthNorm: ln, Workers: 1}
+							opts := Options{Band: band, LengthNorm: ln}
 							want, wantSt, err := eagerApprox(w.e, oq.q, k, c, opts)
 							if err != nil {
 								t.Fatal(err)
 							}
-							for _, workers := range []int{1, 3} {
-								label := fmt.Sprintf("%s query %d k %d norm %v band %d exclude %v workers %d",
-									w.name, qi, k, ln, band, exclude, workers)
-								opts.Workers = workers
-								res, err := w.e.Find(ctx, oq.q, FindOptions{Options: opts, K: k, Constraints: c})
-								if err != nil {
-									t.Fatalf("%s: %v", label, err)
-								}
-								sameMatches(t, label, want, res.Matches)
-								st := res.Stats
-								if st.Groups != wantSt.Groups || st.GroupsRefined != wantSt.GroupsRefined ||
-									st.Members != wantSt.Members || st.GroupsLBPruned != wantSt.GroupsLBPruned {
-									t.Fatalf("%s: stats %+v, eager walk %+v", label, st, wantSt)
-								}
+							label := fmt.Sprintf("%s query %d k %d norm %v band %d exclude %v",
+								w.name, qi, k, ln, band, exclude)
+							res, err := w.e.Find(ctx, oq.q, FindOptions{Options: opts, K: k, Constraints: c})
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							sameMatches(t, label, want, res.Matches)
+							st := res.Stats
+							if st.Groups != wantSt.Groups || st.GroupsRefined != wantSt.GroupsRefined ||
+								st.Members != wantSt.Members || st.GroupsLBPruned != wantSt.GroupsLBPruned {
+								t.Fatalf("%s: stats %+v, eager walk %+v", label, st, wantSt)
 							}
 						}
 					}
@@ -464,7 +455,7 @@ func TestApproxLazyRepDTWCounts(t *testing.T) {
 		k1 := 0
 		for _, oq := range w.queries {
 			for _, ln := range []bool{false, true} {
-				opts := Options{Band: 3, LengthNorm: ln, Workers: 1}
+				opts := Options{Band: 3, LengthNorm: ln}
 				for x, c := range []QueryConstraints{{}, {ExcludeOverlap: oq.src}} {
 					_, st, err := eagerApprox(w.e, oq.q, 5, c, opts)
 					if err != nil {
@@ -503,7 +494,7 @@ func TestApproxScoringBestFirstDTWs(t *testing.T) {
 		for _, oq := range w.queries {
 			for _, k := range []int{1, 5} {
 				for _, ln := range []bool{false, true} {
-					opts := Options{Band: 3, LengthNorm: ln, Workers: 1}
+					opts := Options{Band: 3, LengthNorm: ln}
 					var st SearchStats
 					if _, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, opts, &st); err != nil {
 						t.Fatal(err)
@@ -546,7 +537,7 @@ func TestApproxSingletonTailUntouched(t *testing.T) {
 	lengths := w.e.candidateLengths(QueryConstraints{})
 	for qi, oq := range w.queries {
 		for _, ln := range []bool{false, true} {
-			opts := Options{Band: 3, LengthNorm: ln, Workers: 1}
+			opts := Options{Band: 3, LengthNorm: ln}
 			var scoreSt SearchStats
 			scored, err := w.e.scoreRepresentatives(ctx, oq.q, 5, lengths, opts, &scoreSt)
 			if err != nil {
@@ -583,7 +574,7 @@ func TestApproxSingletonTailUntouched(t *testing.T) {
 // full sort of the same scored array: the scored prefix is bit-identical to
 // the full sort's, and the pruned block holds the same groups with the same
 // bounds, for K in {1, 5, 1025} (the last saturates the k-th tracker),
-// LengthNorm on and off and Workers 1 and 3, on the all-singleton base, the
+// LengthNorm on and off, on the all-singleton base, the
 // compacting walk base and its ×1e6 copy. Some scored prefix must reach
 // past the first K candidates, or a sort of only those would pass.
 func TestApproxCandidateOrderMatchesFullSort(t *testing.T) {
@@ -594,39 +585,37 @@ func TestApproxCandidateOrderMatchesFullSort(t *testing.T) {
 		for qi, oq := range w.queries {
 			for _, k := range []int{1, 5, 1025} {
 				for _, ln := range []bool{false, true} {
-					for _, workers := range []int{1, 3} {
-						label := fmt.Sprintf("%s query %d k %d norm %v workers %d", w.name, qi, k, ln, workers)
-						cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, Options{Band: 3, LengthNorm: ln, Workers: workers}, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := slices.Clone(cands)
-						fullSortCandidates(want)
-						nf := partitionScored(cands)
-						if nf < len(want) && !math.IsInf(want[nf].repDist, 1) || nf > 0 && math.IsInf(want[nf-1].repDist, 1) {
-							t.Fatalf("%s: partition point %d is not the full sort's first pruned candidate", label, nf)
-						}
-						for i := range nf {
-							if !sameCandidate(cands[i], want[i]) {
-								t.Fatalf("%s: scored candidate %d is %+v, full sort has %+v", label, i, cands[i], want[i])
-							}
-						}
-						pruned := map[GroupRef]uint64{}
-						for _, c := range want[nf:] {
-							pruned[c.ref] = math.Float64bits(c.lower)
-						}
-						for _, c := range cands[nf:] {
-							lower, ok := pruned[c.ref]
-							if !ok || lower != math.Float64bits(c.lower) || !math.IsInf(c.repDist, 1) {
-								t.Fatalf("%s: pruned block holds %+v, not in the full sort's", label, c)
-							}
-							delete(pruned, c.ref)
-						}
-						if len(pruned) != 0 {
-							t.Fatalf("%s: %d pruned groups missing from the block", label, len(pruned))
-						}
-						longTail = longTail || nf > 2*k
+					label := fmt.Sprintf("%s query %d k %d norm %v", w.name, qi, k, ln)
+					cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, Options{Band: 3, LengthNorm: ln}, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
+					want := slices.Clone(cands)
+					fullSortCandidates(want)
+					nf := partitionScored(cands)
+					if nf < len(want) && !math.IsInf(want[nf].repDist, 1) || nf > 0 && math.IsInf(want[nf-1].repDist, 1) {
+						t.Fatalf("%s: partition point %d is not the full sort's first pruned candidate", label, nf)
+					}
+					for i := range nf {
+						if !sameCandidate(cands[i], want[i]) {
+							t.Fatalf("%s: scored candidate %d is %+v, full sort has %+v", label, i, cands[i], want[i])
+						}
+					}
+					pruned := map[GroupRef]uint64{}
+					for _, c := range want[nf:] {
+						pruned[c.ref] = math.Float64bits(c.lower)
+					}
+					for _, c := range cands[nf:] {
+						lower, ok := pruned[c.ref]
+						if !ok || lower != math.Float64bits(c.lower) || !math.IsInf(c.repDist, 1) {
+							t.Fatalf("%s: pruned block holds %+v, not in the full sort's", label, c)
+						}
+						delete(pruned, c.ref)
+					}
+					if len(pruned) != 0 {
+						t.Fatalf("%s: %d pruned groups missing from the block", label, len(pruned))
+					}
+					longTail = longTail || nf > 2*k
 				}
 			}
 		}
@@ -648,8 +637,8 @@ func sameCandidate(a, b repCandidate) bool {
 // the pruned block unsorted: the walk never reads its order. Walks fed a
 // seeded shuffle of the block return the same approximate and exact matches,
 // GroupsRefined, GroupsLBPruned and RepDTW as walks fed the block as
-// partitioned, for K in {1, 5, 1025}, LengthNorm on and off, Workers 1 and
-// 3, with and without an overlap exclusion, on every lazy-walk base. Some
+// partitioned, for K in {1, 5, 1025}, LengthNorm on and off, with and
+// without an overlap exclusion, on every lazy-walk base. Some
 // walk must resolve a pruned representative — the only path that reads the
 // block as a heap — or the shuffle proves nothing.
 func TestApproxPrunedBlockOrderIrrelevant(t *testing.T) {
@@ -665,51 +654,49 @@ func TestApproxPrunedBlockOrderIrrelevant(t *testing.T) {
 		for qi, oq := range w.queries {
 			for _, k := range []int{1, 5, 1025} {
 				for _, ln := range []bool{false, true} {
-					for _, workers := range []int{1, 3} {
-						for _, exclude := range []bool{false, true} {
-							var c QueryConstraints
-							if exclude {
-								c.ExcludeOverlap = oq.src
+					for _, exclude := range []bool{false, true} {
+						var c QueryConstraints
+						if exclude {
+							c.ExcludeOverlap = oq.src
+						}
+						label := fmt.Sprintf("%s query %d k %d norm %v exclude %v", w.name, qi, k, ln, exclude)
+						opts := Options{Band: 3, LengthNorm: ln}
+						var scoreSt SearchStats
+						cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, opts, &scoreSt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						nf := partitionScored(cands)
+						run := func(shuffle bool) outcome {
+							cs, st := slices.Clone(cands), scoreSt
+							if shuffle {
+								block := cs[nf:]
+								rng.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
 							}
-							label := fmt.Sprintf("%s query %d k %d norm %v workers %d exclude %v", w.name, qi, k, ln, workers, exclude)
-							opts := Options{Band: 3, LengthNorm: ln, Workers: workers}
-							var scoreSt SearchStats
-							cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, opts, &scoreSt)
+							walk, err := w.e.walkCandidates(ctx, oq.q, k, c, cs, nf, opts, &st)
 							if err != nil {
 								t.Fatal(err)
 							}
-							nf := partitionScored(cands)
-							run := func(shuffle bool) outcome {
-								cs, st := slices.Clone(cands), scoreSt
-								if shuffle {
-									block := cs[nf:]
-									rng.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
-								}
-								walk, err := w.e.walkCandidates(ctx, oq.q, k, c, cs, nf, opts, &st)
-								if err != nil {
-									t.Fatal(err)
-								}
-								o := outcome{approx: walk.top.sorted(), approxSt: st}
-								o.approxSt.GroupsLBPruned += len(cs) - walk.refined
-								if err := walk.finishExact(ctx, nil); err != nil {
-									t.Fatal(err)
-								}
-								o.exact, o.exactSt = walk.top.sorted(), st
-								return o
+							o := outcome{approx: walk.top.sorted(), approxSt: st}
+							o.approxSt.GroupsLBPruned += len(cs) - walk.refined
+							if err := walk.finishExact(ctx, nil); err != nil {
+								t.Fatal(err)
 							}
-							want := run(false)
-							if want.approxSt.RepDTW > scoreSt.RepDTW {
-								resolved++
-							}
-							for trial := 0; trial < 2; trial++ {
-								got := run(true)
-								sameMatches(t, label+" approx", want.approx, got.approx)
-								sameMatches(t, label+" exact", want.exact, got.exact)
-								for _, p := range [][2]SearchStats{{want.approxSt, got.approxSt}, {want.exactSt, got.exactSt}} {
-									a, b := p[0], p[1]
-									if a.GroupsRefined != b.GroupsRefined || a.GroupsLBPruned != b.GroupsLBPruned || a.RepDTW != b.RepDTW {
-										t.Fatalf("%s: shuffled block gives stats %+v, partitioned %+v", label, b, a)
-									}
+							o.exact, o.exactSt = walk.top.sorted(), st
+							return o
+						}
+						want := run(false)
+						if want.approxSt.RepDTW > scoreSt.RepDTW {
+							resolved++
+						}
+						for trial := 0; trial < 2; trial++ {
+							got := run(true)
+							sameMatches(t, label+" approx", want.approx, got.approx)
+							sameMatches(t, label+" exact", want.exact, got.exact)
+							for _, p := range [][2]SearchStats{{want.approxSt, got.approxSt}, {want.exactSt, got.exactSt}} {
+								a, b := p[0], p[1]
+								if a.GroupsRefined != b.GroupsRefined || a.GroupsLBPruned != b.GroupsLBPruned || a.RepDTW != b.RepDTW {
+									t.Fatalf("%s: shuffled block gives stats %+v, partitioned %+v", label, b, a)
 								}
 							}
 						}
@@ -757,10 +744,10 @@ func TestRawBound(t *testing.T) {
 // base fewer representative DTWs run than there are groups, and every
 // group is either refined or certified-skipped exactly once.
 func TestExactModeSkipsRepresentativeDTW(t *testing.T) {
-	d, e := parallelWorld(t, ModeExact)
+	d, e := manyGroupsWorld(t, ModeExact)
 	for _, q := range [][]float64{d.Series[0].Values[0:12], d.Series[5].Values[30:46]} {
 		res, err := e.Find(context.Background(), q, FindOptions{
-			Options: Options{Band: 3, Mode: ModeExact, LengthNorm: true, Workers: 1}, K: 5,
+			Options: Options{Band: 3, Mode: ModeExact, LengthNorm: true}, K: 5,
 		})
 		if err != nil {
 			t.Fatal(err)

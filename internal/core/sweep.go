@@ -64,8 +64,8 @@ type SearchStats struct {
 	// scan, each counted once. Top-k, approx and exact mode alike: every
 	// group the walk did not refine — past the approximate cutoff, or
 	// certified-skipped by its envelope bound (stream.go groupLower) — so
-	// GroupsLBPruned + GroupsRefined = Groups at every worker count. Range:
-	// the groups the envelope bound or the threshold slack skipped.
+	// GroupsLBPruned + GroupsRefined = Groups. Range: the groups the
+	// envelope bound or the threshold slack skipped.
 	GroupsLBPruned int
 	// RepDTW is the number of representative DTW evaluations started.
 	RepDTW int

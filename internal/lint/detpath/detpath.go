@@ -1,9 +1,8 @@
 // Package detpath enforces ONEX's determinism contract on the scoring and
-// pruning packages: search results must be identical at every worker
-// count and across runs (the PR 4/5 invariant the equivalence tests pin),
-// so the kernel and core packages may not consult the wall clock, draw
-// from an unseeded random source, or let map iteration order reach an
-// ordered output.
+// pruning packages: search results and statistics must be identical across
+// runs (the invariant the determinism tests pin), so the kernel and core
+// packages may not consult the wall clock, draw from an unseeded random
+// source, or let map iteration order reach an ordered output.
 package detpath
 
 import (

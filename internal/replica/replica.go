@@ -70,8 +70,6 @@ type Options struct {
 	// client with no global timeout (per-request contexts bound each
 	// call, sized to the long-poll wait).
 	Client *http.Client
-	// Workers forwards to the follower DB's onex.Config.
-	Workers int
 	// SpoolDir, when set, routes snapshot bootstraps through the mmap
 	// path: each shipped snapshot is streamed to <SpoolDir>/<dataset>.snap
 	// (atomic temp+rename, never held in memory) and the follower DB is
@@ -326,7 +324,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 		}); err != nil {
 			return fmt.Errorf("replica: spool snapshot: %w", err)
 		}
-		db, err = onex.OpenReplicaFile(path, onex.Config{Workers: f.opt.Workers, MmapValues: true})
+		db, err = onex.OpenReplicaFile(path, onex.Config{MmapValues: true})
 		if err != nil {
 			return fmt.Errorf("replica: %w", err)
 		}
@@ -336,7 +334,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 			return fmt.Errorf("replica: snapshot body: %w", err)
 		}
 		size = int64(len(blob))
-		db, err = onex.OpenReplica(blob, onex.Config{Workers: f.opt.Workers})
+		db, err = onex.OpenReplica(blob, onex.Config{})
 		if err != nil {
 			return fmt.Errorf("replica: %w", err)
 		}

@@ -19,9 +19,8 @@ import (
 // depends on the DB configuration (Mode, Band) or on the base (Lengths)
 // are kept verbatim: merging those would still return correct matches,
 // but the conservative choice costs only a duplicate cache entry, never a
-// wrong answer. Workers is expected to be pre-resolved by the caller (the
-// server caps it per request before keying), so requests that resolve to
-// the same pool size share an entry.
+// wrong answer. The deprecated Workers field is ignored by Find and never
+// echoed, so it is not part of the key.
 //
 // Injectivity comes from the fixed field order, explicit tags, quoted
 // strings, length-prefixed lists, and hex float formatting (every float64
@@ -49,7 +48,6 @@ func CanonicalQuery(q onex.Query) string {
 		norm = onex.NormLength // the documented default, echoed as "length"
 	}
 	writeString(&b, "norm", string(norm))
-	writeInt(&b, "w", q.Workers)
 	return b.String()
 }
 
@@ -89,7 +87,6 @@ func CanonicalAnalysis(a onex.Analysis) string {
 	writeFloats(&b, "th", a.Thresholds)
 	writeString(&b, "mode", string(a.Mode))
 	writeInt(&b, "band", a.Band)
-	writeInt(&b, "w", a.Workers)
 	return b.String()
 }
 

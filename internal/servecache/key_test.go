@@ -40,6 +40,12 @@ func TestCanonicalQueryEqualPairs(t *testing.T) {
 			onex.Query{Values: []float64{1, 2, 3}, K: 1, Exclude: onex.Exclude{Series: nil}},
 			onex.Query{Values: []float64{1, 2, 3}, K: 1, Exclude: onex.Exclude{Series: []string{}}},
 		},
+		{
+			// The deprecated Workers field is ignored and never echoed.
+			"workers ignored",
+			onex.Query{Values: []float64{1, 2, 3}, K: 1, Workers: 2},
+			onex.Query{Values: []float64{1, 2, 3}, K: 1},
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,7 +87,6 @@ func TestCanonicalQueryDistinct(t *testing.T) {
 	add("mode", func(q *onex.Query) { q.Mode = onex.ModeExact })
 	add("band", func(q *onex.Query) { q.Band = 3 })
 	add("norm", func(q *onex.Query) { q.LengthNorm = onex.NormRaw })
-	add("workers", func(q *onex.Query) { q.Workers = 2 })
 
 	baseKey := CanonicalQuery(base)
 	seen := map[string]string{"base": baseKey}
@@ -148,7 +153,6 @@ func TestCanonicalAnalysisDistinct(t *testing.T) {
 		{Kind: onex.AnalysisOverview, K: 8, Length: 6},
 		{Kind: onex.AnalysisOverview, K: 8, Series: "MA"},
 		{Kind: onex.AnalysisOverview, K: 8, Mode: onex.ModeExact},
-		{Kind: onex.AnalysisOverview, K: 8, Workers: 2},
 		{Kind: onex.AnalysisSeasonal, Series: "MA", Index: 1, K: 8},
 		{Kind: onex.AnalysisSeasonal, Series: "MA", Index: 2, K: 8},
 		{Kind: onex.AnalysisSimilaritySweep, Thresholds: []float64{0.1, 0.2}, K: 8},

@@ -15,10 +15,7 @@
 // Keys are produced by CanonicalQuery / CanonicalAnalysis (key.go), which
 // map semantically equal requests — field order, whitespace, resolvable
 // defaults — onto one deterministic string while keeping requests that
-// can produce different response bytes on distinct strings. Workers is
-// part of the key: it is echoed in the response's resolved request, so
-// two values below the server's cap are distinct responses (the server
-// caps it before keying, collapsing everything at or above the cap).
+// can produce different response bytes on distinct strings.
 package servecache
 
 import (

@@ -20,9 +20,9 @@ var errOverloaded = errors.New("server at capacity")
 // gate is the concurrent-query admission controller: n executing slots
 // plus a bounded wait queue layered on top of them. It bounds the
 // server-side cost of a traffic burst — at most n query-class requests
-// execute at once (each itself capped at WithMaxWorkers workers), at most
-// maxQueue more wait, and everything beyond that is turned away
-// immediately instead of piling onto the box.
+// execute at once (each on its own goroutine), at most maxQueue more wait,
+// and everything beyond that is turned away immediately instead of piling
+// onto the box.
 type gate struct {
 	slots    chan struct{} // buffered to n; holding a token = executing
 	maxQueue int64

@@ -59,19 +59,15 @@ func postBody(t testing.TB, url, body string, header http.Header) (int, []byte) 
 
 var (
 	wallMicrosRE  = regexp.MustCompile(`"wall_micros":\d+`)
-	dtwsRE        = regexp.MustCompile(`"dtws":\d+`)
 	buildMillisRE = regexp.MustCompile(`"BuildMillis":\d+`)
 )
 
-// stripVolatile zeroes the response fields that are not contractually
-// deterministic: the measured wall times (query wall_micros, ingest
-// BuildMillis) and stats.dtws, which at Workers > 1 depends on how fast the
-// shared kth-best bound tightens across goroutines (PR 4's determinism
-// contract covers matches, order, groups, groups_refined and candidates —
-// never the DTW count).
+// stripVolatile zeroes the response fields that are not deterministic: the
+// measured wall times (query wall_micros, ingest BuildMillis). Everything
+// else — matches, order and every search statistic, stats.dtws included —
+// must repeat byte for byte.
 func stripVolatile(b []byte) []byte {
 	b = wallMicrosRE.ReplaceAll(b, []byte(`"wall_micros":0`))
-	b = dtwsRE.ReplaceAll(b, []byte(`"dtws":0`))
 	return buildMillisRE.ReplaceAll(b, []byte(`"BuildMillis":0`))
 }
 
@@ -106,6 +102,7 @@ func TestCacheCanonicalizationAcrossWireForms(t *testing.T) {
 		`{"k":1,"window":{"length":8,"series":"MA","start":0}}`,                             // field order
 		`{ "window" : {"series":"MA","start":0,"length":8}, "k":1, "length_norm":"length"}`, // norm explicit
 		`{"window":{"series":"MA","start":0,"length":8},"k":1,"unknown":true}`,              // unknown field
+		`{"window":{"series":"MA","start":0,"length":8},"k":1,"workers":4}`,                 // deprecated, ignored
 	}
 	var first []byte
 	for i, form := range forms {

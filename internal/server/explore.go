@@ -162,7 +162,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Kind:       onex.AnalysisSimilaritySweep,
 		Values:     q,
 		Thresholds: thresholds,
-		Workers:    s.capWorkers(0),
 	})
 	switch {
 	case err == nil:

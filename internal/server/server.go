@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,7 +66,6 @@ type Server struct {
 	dbs        map[string]*onex.DB
 	mux        *http.ServeMux
 	dataDir    string // when set, "file:" load sources must resolve inside it
-	maxWorkers int    // per-request cap on Query/Analysis Workers (0 = GOMAXPROCS)
 	storeDir   string // when set, loaded datasets persist under storeDir/<name> (WithStore)
 	fsyncEvery int    // WAL group-commit stride for store-backed datasets (WithFsyncEvery)
 	mmapValues bool   // RestoreStored opens datasets with mmap-backed values (WithMmap)
@@ -100,29 +98,6 @@ type Option func(*Server)
 // person (the CLI demo).
 func WithDataDir(dir string) Option {
 	return func(s *Server) { s.dataDir = dir }
-}
-
-// WithMaxWorkers caps the per-request Workers knob on the query and
-// analyze endpoints at n, so a single request cannot monopolize the box
-// under concurrent traffic. The default cap is GOMAXPROCS; requests asking
-// for 0 ("all cores") or more than the cap are clamped to it, requests
-// asking for less keep their value.
-func WithMaxWorkers(n int) Option {
-	return func(s *Server) { s.maxWorkers = n }
-}
-
-// capWorkers clamps a request's Workers field to the server's per-request
-// limit. Negative values pass through so the library rejects them with its
-// own validation error.
-func (s *Server) capWorkers(w int) int {
-	limit := s.maxWorkers
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	if w == 0 || w > limit {
-		return limit
-	}
-	return w
 }
 
 // WithCache enables the versioned result cache for the unified query and
@@ -171,9 +146,9 @@ func WithTrustedProxy() Option {
 // WithMaxInflight bounds concurrent query-class execution to n slots with
 // a wait queue of queue requests layered on top: requests beyond n wait
 // their turn (bounded by their own context), and requests beyond n+queue
-// are rejected immediately with 503 and a Retry-After header. Combined
-// with WithMaxWorkers this caps the server's total query parallelism at
-// n * maxWorkers regardless of offered load. n <= 0 leaves admission
+// are rejected immediately with 503 and a Retry-After header. Every query
+// runs on its request's goroutine, so this caps the server's total query
+// parallelism at n regardless of offered load. n <= 0 leaves admission
 // control off; queue < 0 is treated as 0.
 func WithMaxInflight(n, queue int) Option {
 	return func(s *Server) {
@@ -475,7 +450,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	a.Workers = s.capWorkers(a.Workers)
 	var (
 		key string
 		ver uint64
@@ -529,7 +503,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	q.Workers = s.capWorkers(q.Workers)
 	var (
 		key string
 		ver uint64

@@ -44,7 +44,6 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	q.Workers = s.capWorkers(q.Workers)
 	if s.cache != nil {
 		// Streams bypass the result cache (each response is consumed as it
 		// is produced) but are counted as misses, so the hit-rate metric

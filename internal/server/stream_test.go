@@ -38,11 +38,9 @@ func streamQuery(t *testing.T, s *Server) onex.Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers: 1 keeps the full statistics block deterministic, so the
-	// final stream line can be compared field-for-field against the
-	// one-shot endpoint (at Workers > 1 the LB/DTW split is
-	// scheduling-dependent by the documented parallel contract).
-	return onex.Query{Values: raw[0:16], K: 4, Workers: 1}
+	// The full statistics block is deterministic, so the final stream line
+	// can be compared field-for-field against the one-shot endpoint.
+	return onex.Query{Values: raw[0:16], K: 4}
 }
 
 func TestQueryStreamEndpoint(t *testing.T) {
@@ -177,8 +175,8 @@ func TestQueryStreamClientDisconnect(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 
-	// goleak-style drain check: the handler goroutine, the stream
-	// goroutine, and the worker pool must all exit.
+	// goleak-style drain check: the handler goroutine and the stream
+	// goroutine must both exit.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if runtime.NumGoroutine() <= baseline {

@@ -78,7 +78,6 @@ func (s *Server) windowMatch(r *http.Request, db *onex.DB, series string, start,
 	res, err := db.Find(r.Context(), onex.Query{
 		Window:  onex.Window{Series: series, Start: start, Length: length},
 		Exclude: onex.Exclude{Self: true},
-		Workers: s.capWorkers(0),
 	})
 	if err != nil {
 		return onex.Match{}, err
@@ -149,7 +148,6 @@ func (s *Server) handleVizSeasonal(w http.ResponseWriter, r *http.Request) {
 		Kind:    onex.AnalysisSeasonal,
 		Series:  series,
 		Lengths: onex.Lengths{Min: length, Max: length},
-		Workers: s.capWorkers(0),
 	})
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)

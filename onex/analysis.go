@@ -3,7 +3,6 @@ package onex
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -85,12 +84,6 @@ type Analysis struct {
 	// Band overrides the DB's Sakoe-Chiba width for this call (0 =
 	// inherit, negative = unconstrained). Only sweeps run DTW.
 	Band int `json:"band,omitempty"`
-	// Workers bounds the worker pool this call may spread its group scans
-	// across (0 = GOMAXPROCS; negative values are an AnalysisError). The
-	// heavy walks — seasonal, common-patterns, similarity-sweep — shard
-	// across it; the cheap kinds ignore it. Results are identical at every
-	// setting. The HTTP server additionally caps the value per request.
-	Workers int `json:"workers,omitempty"`
 }
 
 // AnalysisStats reports the work one Analyze call did, the analytics
@@ -141,7 +134,7 @@ type AnalysisResult struct {
 	// Thresholds is the threshold-recommend payload.
 	Thresholds *ThresholdReport `json:"thresholds,omitempty"`
 	// Request echoes the analysis with every default resolved (Length, K,
-	// Lengths, MinOccurrences, MinSeries, Mode, Band, Workers), so callers
+	// Lengths, MinOccurrences, MinSeries, Mode, Band), so callers
 	// see exactly what was executed.
 	Request Analysis `json:"request"`
 	// Stats reports the walk's work and wall time.
@@ -194,18 +187,6 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 		band = db.cfg.Band
 	}
 	eff.Band = band
-
-	// Per-call parallelism, validated like Config.Workers; the resolved
-	// pool size is echoed so callers see what ran.
-	if a.Workers < 0 {
-		return AnalysisResult{}, &AnalysisError{Kind: a.Kind, Field: "Workers", Value: a.Workers,
-			Reason: "must be non-negative (0 = GOMAXPROCS)"}
-	}
-	workers := a.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eff.Workers = workers
 
 	// Lengths is consulted by the mining and sweep kinds only; validate it
 	// there and leave it untouched (zero) in the other kinds' echoes.
@@ -291,7 +272,6 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 			MinOccurrences: eff.MinOccurrences,
 			MaxPatterns:    eff.K,
 			Dedup:          true, // suppress sub-window duplicates across lengths
-			Workers:        workers,
 		}, &st)
 		if err != nil {
 			return AnalysisResult{}, err
@@ -325,7 +305,6 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 			MinLength:   eff.Lengths.Min,
 			MaxLength:   eff.Lengths.Max,
 			MaxPatterns: eff.K,
-			Workers:     workers,
 		}, &st)
 		if err != nil {
 			return AnalysisResult{}, err
@@ -367,7 +346,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 		eff.Mode = ModeExact // sweeps run the certified range scan
 		pts, err := db.engine.SimilaritySweepContext(ctx, qvec, a.Thresholds,
 			core.QueryConstraints{MinLength: eff.Lengths.Min, MaxLength: eff.Lengths.Max},
-			core.Options{Band: band, Mode: mode, LengthNorm: true, Workers: workers}, &st)
+			core.Options{Band: band, Mode: mode, LengthNorm: true}, &st)
 		if err != nil {
 			return AnalysisResult{}, err
 		}

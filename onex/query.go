@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -102,11 +101,8 @@ type Query struct {
 	Band int `json:"band,omitempty"`
 	// LengthNorm overrides how variable-length matches are ranked.
 	LengthNorm Norm `json:"length_norm,omitempty"`
-	// Workers bounds the worker pool this one query may spread its group
-	// scans across (0 = GOMAXPROCS; negative values are rejected). Results
-	// are identical at every setting — Workers: 1 runs the serial engine —
-	// only the wall time changes. The HTTP server additionally caps the
-	// value per request so one query cannot monopolize the box.
+	// Deprecated: ignored. Every query runs on its caller's goroutine; the
+	// field is neither validated nor echoed.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -118,8 +114,7 @@ type QueryStats struct {
 	// GroupsPruned counts groups dropped without a member scan: by lower
 	// bounds, an abandoned representative DTW, or (exact and range) the
 	// representative's certified envelope bound. Disjoint from
-	// GroupsRefined; for a top-K query the two sum to Groups at every
-	// worker count.
+	// GroupsRefined; for a top-K query the two sum to Groups.
 	GroupsPruned int `json:"groups_pruned"`
 	// GroupsRefined counts groups whose members were scanned.
 	GroupsRefined int `json:"groups_refined"`
@@ -139,8 +134,7 @@ type Result struct {
 	// Matches is the result set, best first.
 	Matches []Match `json:"matches"`
 	// Query echoes the request with every default resolved (K, Lengths,
-	// Mode, Band, LengthNorm, Workers), so callers see exactly what was
-	// executed.
+	// Mode, Band, LengthNorm), so callers see exactly what was executed.
 	Query Query `json:"query"`
 	// Stats reports the search work and wall time.
 	Stats QueryStats `json:"stats"`
@@ -231,16 +225,7 @@ func (db *DB) resolveQuery(q Query) (resolvedQuery, error) {
 	}
 	eff.Band = band
 
-	// Per-query parallelism, validated like Config.Workers; the resolved
-	// pool size is echoed so callers see what ran.
-	if q.Workers < 0 {
-		return resolvedQuery{}, fmt.Errorf("onex: Find: Workers = %d must be non-negative (0 = GOMAXPROCS)", q.Workers)
-	}
-	workers := q.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	eff.Workers = workers
+	eff.Workers = 0 // deprecated and ignored: never echoed
 
 	lengthNorm := true
 	switch q.LengthNorm {
@@ -311,7 +296,7 @@ func (db *DB) resolveQuery(q Query) (resolvedQuery, error) {
 		eff:  eff,
 		qvec: qvec,
 		fo: core.FindOptions{
-			Options:     core.Options{Band: band, Mode: mode, LengthNorm: lengthNorm, Workers: workers},
+			Options:     core.Options{Band: band, Mode: mode, LengthNorm: lengthNorm},
 			K:           k,
 			Range:       rangeMode,
 			MaxDist:     q.MaxDist,

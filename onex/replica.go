@@ -20,9 +20,9 @@ var ErrReadOnlyReplica = errors.New("onex: read-only replica (write to the leade
 // configuration, so the follower reconstructs the leader's state
 // bit-identically: at equal applied version, both answer Find, Analyze,
 // and Stream from the same dataset, the same base, and the same engine
-// configuration. cfg contributes only runtime knobs (Workers); cfg.Store
-// must be nil — replicas do not persist locally, they re-bootstrap from
-// the leader.
+// configuration, and decoding it builds no base, so cfg.Workers (build
+// parallelism) has no effect. cfg.Store must be nil — replicas do not
+// persist locally, they re-bootstrap from the leader.
 //
 // The returned DB refuses AddSeries with ErrReadOnlyReplica; the leader's
 // WAL records are applied in sequence with ApplyReplicated.

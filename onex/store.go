@@ -24,7 +24,7 @@ var ErrNoSnapshot = errors.New("onex: store has no snapshot")
 // it — verified by the base's dataset checksum), and replays the WAL tail.
 // The resolved engine configuration (ST, length bounds, band, mode,
 // normalization) comes from the store; cfg contributes only the runtime
-// knobs that are not persisted: Workers, CompactBytes, and FsyncEvery.
+// knobs that are not persisted: CompactBytes and FsyncEvery.
 // cfg.Store must be nil — OpenStore attaches its own engine, which the
 // returned DB owns (and Close releases).
 //
@@ -116,8 +116,8 @@ func releaseStateSource(st *store.State) {
 // openFromState builds a DB over a decoded persisted state — the shared
 // recovery core of OpenStore (snapshot from disk) and OpenReplica
 // (snapshot shipped from a leader). The state carries the resolved engine
-// configuration; cfg contributes only runtime knobs (Workers,
-// CompactBytes, FsyncEvery). op names the caller for error messages.
+// configuration; cfg contributes only runtime knobs (CompactBytes,
+// FsyncEvery). op names the caller for error messages.
 func openFromState(st *store.State, cfg Config, op string) (*DB, error) {
 	raw := st.Dataset // decoded fresh from disk or the wire; the DB is its only owner
 	if err := raw.Validate(); err != nil {

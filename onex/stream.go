@@ -134,10 +134,9 @@ func (x *Exploration) Wait() (Result, error) {
 // are not streamable — their certified scan has no approximate phase —
 // and are rejected.
 //
-// Validation errors (unknown series, contradictory fields, negative
-// Workers) are returned synchronously; errors after the stream starts —
-// including ctx cancellation — surface through Exploration.Err. The
-// search holds the DB's read lock for its whole run, exactly like Find:
+// Validation errors (unknown series, contradictory fields) are returned
+// synchronously; errors after the stream starts — including ctx
+// cancellation — surface through Exploration.Err. The search holds the DB's read lock for its whole run, exactly like Find:
 // concurrent queries proceed, AddSeries waits.
 func (db *DB) Stream(ctx context.Context, q Query) (*Exploration, error) {
 	if ctx == nil {

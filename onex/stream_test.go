@@ -21,7 +21,7 @@ func drain(t *testing.T, x *Exploration) []Update {
 
 // assertNoGoroutineLeak is the goleak-style check: the goroutine count
 // must return to (at most) its baseline within the deadline, proving the
-// stream goroutine and the core worker pool drained.
+// stream goroutine exited.
 func assertNoGoroutineLeak(t *testing.T, label string, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -41,8 +41,7 @@ func assertNoGoroutineLeak(t *testing.T, label string, baseline int) {
 // TestStreamProgressiveContract is the acceptance test for the streaming
 // API: the first update is the approximate answer (emitted before any
 // exact refinement wave, asserted via its stats), and the final update
-// equals the one-shot exact Find — matches, order, and stats — at
-// Workers 1 and 4.
+// equals the one-shot exact Find — matches, order, and stats.
 func TestStreamProgressiveContract(t *testing.T) {
 	db := openWalks(t)
 	raw, err := db.SeriesValues("walk-000")
@@ -50,108 +49,100 @@ func TestStreamProgressiveContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, workers := range []int{1, 4} {
-		q := Query{Values: raw[0:16], K: 5, Workers: workers}
+	q := Query{Values: raw[0:16], K: 5}
 
-		x, err := db.Stream(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ups := drain(t, x)
-		if err := x.Err(); err != nil {
-			t.Fatalf("workers=%d: stream err = %v", workers, err)
-		}
-		if len(ups) < 3 {
-			t.Fatalf("workers=%d: %d updates; want approx + waves + final", workers, len(ups))
-		}
+	x, err := db.Stream(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := drain(t, x)
+	if err := x.Err(); err != nil {
+		t.Fatalf("stream err = %v", err)
+	}
+	if len(ups) < 3 {
+		t.Fatalf("%d updates; want approx + waves + final", len(ups))
+	}
 
-		// First update: the approximate answer, before any wave.
-		approxQ := q
-		approxQ.Mode = ModeApprox
-		approx, err := db.Find(ctx, approxQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := ups[0]
-		if first.Seq != 0 || first.Wave != 0 || first.Final {
-			t.Fatalf("workers=%d: first update seq=%d wave=%d final=%v", workers, first.Seq, first.Wave, first.Final)
-		}
-		if len(first.Matches) != len(approx.Matches) {
-			t.Fatalf("workers=%d: first update has %d matches, approx Find %d", workers, len(first.Matches), len(approx.Matches))
-		}
-		for i := range first.Matches {
-			sameMatch(t, "first update vs approx Find", approx.Matches[i], first.Matches[i])
-		}
-		// The stats pin the emission point: exactly the work of an
-		// approx-mode Find, i.e. no exact refinement wave has run yet.
-		if first.Stats.Groups != approx.Stats.Groups ||
-			first.Stats.GroupsRefined != approx.Stats.GroupsRefined ||
-			first.Stats.Candidates != approx.Stats.Candidates {
-			t.Fatalf("workers=%d: first update stats %+v != approx Find stats %+v",
-				workers, first.Stats, approx.Stats)
-		}
-		if first.GroupsRemaining == 0 {
-			t.Fatalf("workers=%d: first update claims the walk already finished", workers)
-		}
+	// First update: the approximate answer, before any wave.
+	approxQ := q
+	approxQ.Mode = ModeApprox
+	approx, err := db.Find(ctx, approxQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := ups[0]
+	if first.Seq != 0 || first.Wave != 0 || first.Final {
+		t.Fatalf("first update seq=%d wave=%d final=%v", first.Seq, first.Wave, first.Final)
+	}
+	if len(first.Matches) != len(approx.Matches) {
+		t.Fatalf("first update has %d matches, approx Find %d", len(first.Matches), len(approx.Matches))
+	}
+	for i := range first.Matches {
+		sameMatch(t, "first update vs approx Find", approx.Matches[i], first.Matches[i])
+	}
+	// The stats pin the emission point: exactly the work of an
+	// approx-mode Find, i.e. no exact refinement wave has run yet.
+	if first.Stats.Groups != approx.Stats.Groups ||
+		first.Stats.GroupsRefined != approx.Stats.GroupsRefined ||
+		first.Stats.Candidates != approx.Stats.Candidates {
+		t.Fatalf("first update stats %+v != approx Find stats %+v",
+			first.Stats, approx.Stats)
+	}
+	if first.GroupsRemaining == 0 {
+		t.Fatalf("first update claims the walk already finished")
+	}
 
-		// Final update: identical to the one-shot exact Find.
-		exactQ := q
-		exactQ.Mode = ModeExact
-		exact, err := db.Find(ctx, exactQ)
-		if err != nil {
-			t.Fatal(err)
+	// Final update: identical to the one-shot exact Find.
+	exactQ := q
+	exactQ.Mode = ModeExact
+	exact, err := db.Find(ctx, exactQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ups[len(ups)-1]
+	if !last.Final || last.GroupsRemaining != 0 {
+		t.Fatalf("last update final=%v remaining=%d", last.Final, last.GroupsRemaining)
+	}
+	if len(last.Matches) != len(exact.Matches) {
+		t.Fatalf("final update has %d matches, exact Find %d", len(last.Matches), len(exact.Matches))
+	}
+	for i := range last.Matches {
+		sameMatch(t, "final update vs exact Find", exact.Matches[i], last.Matches[i])
+		if len(last.Matches[i].Path) == 0 || len(last.Matches[i].Path) != len(exact.Matches[i].Path) {
+			t.Fatalf("final update match %d path missing or diverged", i)
 		}
-		last := ups[len(ups)-1]
-		if !last.Final || last.GroupsRemaining != 0 {
-			t.Fatalf("workers=%d: last update final=%v remaining=%d", workers, last.Final, last.GroupsRemaining)
+	}
+	if !reflect.DeepEqual(last.Query, exact.Query) {
+		t.Fatalf("final update query %+v != Find query %+v", last.Query, exact.Query)
+	}
+	wantStats, gotStats := exact.Stats, last.Stats
+	// Wall time varies run to run; everything else must match exactly.
+	wantStats.WallMicros, gotStats.WallMicros = 0, 0
+	if gotStats != wantStats {
+		t.Fatalf("final update stats %+v != exact Find stats %+v", gotStats, wantStats)
+	}
+	for i, c := range last.Certified {
+		if !c {
+			t.Fatalf("final update match %d not certified", i)
 		}
-		if len(last.Matches) != len(exact.Matches) {
-			t.Fatalf("workers=%d: final update has %d matches, exact Find %d", workers, len(last.Matches), len(exact.Matches))
-		}
-		for i := range last.Matches {
-			sameMatch(t, "final update vs exact Find", exact.Matches[i], last.Matches[i])
-			if len(last.Matches[i].Path) == 0 || len(last.Matches[i].Path) != len(exact.Matches[i].Path) {
-				t.Fatalf("workers=%d: final update match %d path missing or diverged", workers, i)
-			}
-		}
-		if !reflect.DeepEqual(last.Query, exact.Query) {
-			t.Fatalf("workers=%d: final update query %+v != Find query %+v", workers, last.Query, exact.Query)
-		}
-		wantStats, gotStats := exact.Stats, last.Stats
-		// Wall time varies run to run, and at Workers > 1 the LB/DTW split
-		// can shift with scheduling (the documented parallel contract); the
-		// deterministic totals must match exactly, and at Workers = 1 the
-		// whole block must.
-		wantStats.WallMicros, gotStats.WallMicros = 0, 0
-		if workers > 1 {
-			wantStats.DTWs, gotStats.DTWs = 0, 0
-		}
-		if gotStats != wantStats {
-			t.Fatalf("workers=%d: final update stats %+v != exact Find stats %+v", workers, gotStats, wantStats)
-		}
-		for i, c := range last.Certified {
-			if !c {
-				t.Fatalf("workers=%d: final update match %d not certified", workers, i)
-			}
-		}
+	}
 
-		// Refinement invariants across the stream.
-		for i, u := range ups {
-			if u.Seq != i {
-				t.Fatalf("workers=%d: update %d has seq %d", workers, i, u.Seq)
-			}
-			if len(u.Certified) != len(u.Matches) {
-				t.Fatalf("workers=%d: update %d: %d flags for %d matches", workers, i, len(u.Certified), len(u.Matches))
-			}
-			if !reflect.DeepEqual(u.Query, last.Query) {
-				t.Fatalf("workers=%d: update %d echoes a different query", workers, i)
-			}
-			if u.Query.Mode != ModeExact {
-				t.Fatalf("workers=%d: resolved mode %q, want exact", workers, u.Query.Mode)
-			}
-			if i > 0 && u.GroupsRemaining > ups[i-1].GroupsRemaining {
-				t.Fatalf("workers=%d: update %d remaining grew", workers, i)
-			}
+	// Refinement invariants across the stream.
+	for i, u := range ups {
+		if u.Seq != i {
+			t.Fatalf("update %d has seq %d", i, u.Seq)
+		}
+		if len(u.Certified) != len(u.Matches) {
+			t.Fatalf("update %d: %d flags for %d matches", i, len(u.Certified), len(u.Matches))
+		}
+		if !reflect.DeepEqual(u.Query, last.Query) {
+			t.Fatalf("update %d echoes a different query", i)
+		}
+		if u.Query.Mode != ModeExact {
+			t.Fatalf("resolved mode %q, want exact", u.Query.Mode)
+		}
+		if i > 0 && u.GroupsRemaining > ups[i-1].GroupsRemaining {
+			t.Fatalf("update %d remaining grew", i)
 		}
 	}
 }
@@ -162,31 +153,29 @@ func TestStreamWaitEqualsFind(t *testing.T) {
 	db := openSmall(t)
 	raw, _ := db.SeriesValues("MA")
 	ctx := context.Background()
-	for _, workers := range []int{1, 4} {
-		q := Query{Values: raw[0:8], K: 3, Workers: workers}
-		x, err := db.Stream(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := x.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactQ := q
-		exactQ.Mode = ModeExact
-		oneShot, err := db.Find(ctx, exactQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(streamed.Matches) != len(oneShot.Matches) {
-			t.Fatalf("workers=%d: %d streamed matches != %d", workers, len(streamed.Matches), len(oneShot.Matches))
-		}
-		for i := range streamed.Matches {
-			sameMatch(t, "Wait vs Find", oneShot.Matches[i], streamed.Matches[i])
-		}
-		if !reflect.DeepEqual(streamed.Query, oneShot.Query) {
-			t.Fatalf("workers=%d: query echo diverged", workers)
-		}
+	q := Query{Values: raw[0:8], K: 3}
+	x, err := db.Stream(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := x.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactQ := q
+	exactQ.Mode = ModeExact
+	oneShot, err := db.Find(ctx, exactQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed.Matches) != len(oneShot.Matches) {
+		t.Fatalf("%d streamed matches != %d", len(streamed.Matches), len(oneShot.Matches))
+	}
+	for i := range streamed.Matches {
+		sameMatch(t, "Wait vs Find", oneShot.Matches[i], streamed.Matches[i])
+	}
+	if !reflect.DeepEqual(streamed.Query, oneShot.Query) {
+		t.Fatalf("query echo diverged")
 	}
 }
 
@@ -196,11 +185,10 @@ func TestStreamValidation(t *testing.T) {
 	raw, _ := db.SeriesValues("MA")
 	ctx := context.Background()
 	for name, q := range map[string]Query{
-		"range":            {Values: raw[0:8], MaxDist: 0.2},
-		"empty":            {},
-		"unknown series":   {Window: Window{Series: "nope", Start: 0, Length: 8}},
-		"negative workers": {Values: raw[0:8], Workers: -1},
-		"both inputs":      {Values: raw[0:8], Window: Window{Series: "MA", Start: 0, Length: 8}},
+		"range":          {Values: raw[0:8], MaxDist: 0.2},
+		"empty":          {},
+		"unknown series": {Window: Window{Series: "nope", Start: 0, Length: 8}},
+		"both inputs":    {Values: raw[0:8], Window: Window{Series: "MA", Start: 0, Length: 8}},
 	} {
 		if _, err := db.Stream(ctx, q); err == nil {
 			t.Fatalf("%s: Stream accepted an invalid query", name)
@@ -220,56 +208,54 @@ func TestStreamCancellation(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 
-	for _, workers := range []int{1, 4} {
-		// Cancel via context after the first update.
-		ctx, cancel := context.WithCancel(context.Background())
-		x, err := db.Stream(ctx, Query{Values: raw[0:16], K: 5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	// Cancel via context after the first update.
+	ctx, cancel := context.WithCancel(context.Background())
+	x, err := db.Stream(ctx, Query{Values: raw[0:16], K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, ok := <-x.Updates()
+	if !ok || first.Seq != 0 {
+		t.Fatalf("no first update before cancel")
+	}
+	cancel()
+	deadline := time.After(5 * time.Second)
+	drained := make(chan []Update, 1)
+	go func() {
+		var rest []Update
+		for u := range x.Updates() {
+			rest = append(rest, u)
 		}
-		first, ok := <-x.Updates()
-		if !ok || first.Seq != 0 {
-			t.Fatalf("workers=%d: no first update before cancel", workers)
+		drained <- rest
+	}()
+	select {
+	case rest := <-drained:
+		// The walk may finish one in-flight wave, no more.
+		if len(rest) > 2 {
+			t.Fatalf("%d updates after cancellation", len(rest))
 		}
-		cancel()
-		deadline := time.After(5 * time.Second)
-		drained := make(chan []Update, 1)
-		go func() {
-			var rest []Update
-			for u := range x.Updates() {
-				rest = append(rest, u)
+		for _, u := range rest {
+			if u.Final {
+				t.Fatalf("cancelled stream still delivered a final update")
 			}
-			drained <- rest
-		}()
-		select {
-		case rest := <-drained:
-			// The walk may finish one in-flight wave, no more.
-			if len(rest) > 2 {
-				t.Fatalf("workers=%d: %d updates after cancellation", workers, len(rest))
-			}
-			for _, u := range rest {
-				if u.Final {
-					t.Fatalf("workers=%d: cancelled stream still delivered a final update", workers)
-				}
-			}
-		case <-deadline:
-			t.Fatalf("workers=%d: stream did not close within 5s of cancellation", workers)
 		}
-		if err := x.Err(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: Err = %v, want context.Canceled", workers, err)
-		}
-		cancel()
+	case <-deadline:
+		t.Fatalf("stream did not close within 5s of cancellation")
+	}
+	if err := x.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Err = %v, want context.Canceled", err)
+	}
+	cancel()
 
-		// Abandon via Close without reading anything further.
-		x2, err := db.Stream(context.Background(), Query{Values: raw[4:20], K: 5, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-x2.Updates()
-		x2.Close()
-		if err := x2.Err(); err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: after Close, Err = %v", workers, err)
-		}
+	// Abandon via Close without reading anything further.
+	x2, err := db.Stream(context.Background(), Query{Values: raw[4:20], K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-x2.Updates()
+	x2.Close()
+	if err := x2.Err(); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("after Close, Err = %v", err)
 	}
 	assertNoGoroutineLeak(t, "after cancelled streams", baseline)
 }
