@@ -461,7 +461,7 @@ func printAnalysis(res onex.AnalysisResult) {
 		}
 		fmt.Fprintf(stdout, "top %d similarity groups (length %d):\n", len(res.Groups), res.Request.Length)
 		for i, g := range res.Groups {
-			fmt.Fprintf(stdout, "  #%-3d count=%-5d rep=%s\n", i+1, g.Count, formatValues(g.Rep, 8))
+			fmt.Fprintf(stdout, "  #%-3d index=%-5d count=%-5d rep=%s\n", i+1, g.Index, g.Count, formatValues(g.Rep, 8))
 		}
 	case onex.AnalysisGroupMembers:
 		fmt.Fprintf(stdout, "group %d/%d: %d members (nearest representative first):\n",

@@ -47,11 +47,12 @@ func main() {
 		res.Stats.Groups, res.Stats.Candidates, float64(res.Stats.WallMicros)/1000)
 
 	// Scenario 2 — drill-down: the members of the biggest group, nearest
-	// the representative first. Same request type, different Kind.
+	// the representative first, addressed by the overview's Length and
+	// Index. Same request type, different Kind.
 	res, err = db.Analyze(ctx, onex.Analysis{
 		Kind:   onex.AnalysisGroupMembers,
-		Length: res.Request.Length,
-		Index:  0,
+		Length: res.Groups[0].Length,
+		Index:  res.Groups[0].Index,
 	})
 	if err != nil {
 		log.Fatal(err)

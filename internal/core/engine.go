@@ -21,9 +21,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
@@ -84,7 +86,11 @@ type Engine struct {
 	opts Options
 }
 
-// GroupRef locates a group inside the base.
+// GroupRef locates a group inside the base: Index is the group's position
+// in its length's group slice. Positions are append-only — a group keeps
+// its position for as long as it exists and new groups are appended — so a
+// ref stays valid across versions. Compaction and reopen keep it valid
+// too, because snapshots store groups in slice order.
 type GroupRef struct {
 	Length int
 	Index  int
@@ -145,12 +151,14 @@ type GroupSummary struct {
 }
 
 // OverviewContext returns the top-k groups of one length by cardinality
-// (k <= 0 means all). Length 0 selects the base length with the largest
-// membership, mirroring the demo's default landing view. The context is
-// checked once per length during auto-selection and once per returned
-// group (each MaxRadius computation scans the group's members), so a
-// cancelled walk aborts within one round with ctx.Err(). st, when non-nil,
-// accumulates the groups and members visited.
+// (k <= 0 means all): count descending, then position ascending, ranked
+// when read (the base keeps groups in creation order). Length 0 selects
+// the base length with the largest membership, mirroring the demo's
+// default landing view. The context is checked once per length during
+// auto-selection and once per returned group (each MaxRadius computation
+// scans the group's members), so a cancelled walk aborts within one round
+// with ctx.Err(). st, when non-nil, accumulates the groups and members of
+// the returned groups.
 func (e *Engine) OverviewContext(ctx context.Context, length, k int, st *SearchStats) ([]GroupSummary, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -178,21 +186,29 @@ func (e *Engine) OverviewContext(ctx context.Context, length, k int, st *SearchS
 		length = best
 	}
 	groups := e.base.GroupsOfLength(length)
+	ranked := make([]int, 0, len(groups))
+	//onex:nopoll O(1) per group; each of the k summaries below, which scan members, polls
+	for gi := range groups {
+		ranked = append(ranked, gi)
+	}
+	slices.SortFunc(ranked, func(a, b int) int {
+		return cmp.Or(cmp.Compare(groups[b].Count(), groups[a].Count()), cmp.Compare(a, b))
+	})
 	if k <= 0 || k > len(groups) {
 		k = len(groups)
 	}
 	out := make([]GroupSummary, 0, k)
-	for i := 0; i < k; i++ {
+	for _, gi := range ranked[:k] {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		g := groups[i]
+		g := groups[gi]
 		if st != nil {
 			st.Groups++
 			st.Members += g.Count()
 		}
 		out = append(out, GroupSummary{
-			Group:     GroupRef{Length: length, Index: i},
+			Group:     GroupRef{Length: length, Index: gi},
 			Count:     g.Count(),
 			Rep:       g.Rep,
 			MaxRadius: g.MaxRadius(e.ds),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -423,34 +424,66 @@ func TestApproxModeReturnsConsistentMatch(t *testing.T) {
 
 func TestOverview(t *testing.T) {
 	_, e := newTestWorld(t, 6, 30, 0.1, 5, 10, ModeApprox, -1)
-	ov, err := e.OverviewContext(context.Background(), 6, 4, nil)
+	const k = 4
+	// The reference ranking: a scan of every position, count descending,
+	// position ascending.
+	groups := e.Base().GroupsOfLength(6)
+	ranked := make([]int, len(groups))
+	for gi := range ranked {
+		ranked[gi] = gi
+	}
+	sort.SliceStable(ranked, func(a, b int) bool { return groups[ranked[a]].Count() > groups[ranked[b]].Count() })
+	if len(ranked) <= k || fmt.Sprint(ranked[:k]) == fmt.Sprint([]int{0, 1, 2, 3}) {
+		t.Fatalf("base does not exercise the ranking: top %d positions %v of %d", k, ranked[:min(k, len(ranked))], len(ranked))
+	}
+	ov, err := e.OverviewContext(context.Background(), 6, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ov) == 0 {
-		t.Fatal("empty overview")
-	}
-	if len(ov) > 4 {
-		t.Fatalf("overview k not honored: %d", len(ov))
+	if len(ov) != k {
+		t.Fatalf("overview returned %d groups, want %d", len(ov), k)
 	}
 	for i, gs := range ov {
-		if gs.Count <= 0 || len(gs.Rep) != 6 {
-			t.Fatalf("bad summary %+v", gs)
+		if want := (GroupRef{Length: 6, Index: ranked[i]}); gs.Group != want {
+			t.Fatalf("summary %d is group %+v, want %+v", i, gs.Group, want)
 		}
-		if i > 0 && ov[i-1].Count < gs.Count {
-			t.Fatal("overview not sorted by cardinality")
+		g := groups[ranked[i]]
+		if gs.Count != g.Count() || &gs.Rep[0] != &g.Rep[0] || len(gs.Rep) != 6 {
+			t.Fatalf("summary %d = %+v, not group %d", i, gs, ranked[i])
 		}
 		if gs.MaxRadius > e.Base().HalfST(6)+1e-9 {
 			t.Fatalf("summary radius %g exceeds ST*l/2", gs.MaxRadius)
+		}
+		// The ref resolves to the summarized group.
+		ms, err := e.GroupMembersContext(context.Background(), gs.Group, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) != gs.Count {
+			t.Fatalf("summary %d: %d members at %+v, want %d", i, len(ms), gs.Group, gs.Count)
+		}
+		for _, m := range ms {
+			if m.RepED != dist.ED(m.Values, gs.Rep) {
+				t.Fatalf("summary %d: member %+v measured against another representative", i, m.Ref)
+			}
 		}
 	}
 	// Length 0 auto-selects.
 	if ov0, _ := e.OverviewContext(context.Background(), 0, 3, nil); len(ov0) == 0 {
 		t.Fatal("auto-length overview empty")
 	}
-	// k<=0 returns all.
-	if all, _ := e.OverviewContext(context.Background(), 6, 0, nil); len(all) < len(ov) {
-		t.Fatal("k=0 should return all groups")
+	// k<=0 returns all, in the same ranking.
+	all, err := e.OverviewContext(context.Background(), 6, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(groups) {
+		t.Fatalf("k=0 returned %d of %d groups", len(all), len(groups))
+	}
+	for i, gs := range all {
+		if gs.Group.Index != ranked[i] {
+			t.Fatalf("k=0 summary %d is group %d, want %d", i, gs.Group.Index, ranked[i])
+		}
 	}
 }
 

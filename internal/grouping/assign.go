@@ -2,7 +2,6 @@ package grouping
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/dist"
 )
@@ -63,9 +62,9 @@ func (s *segSums) total() float64 {
 
 // repIndex is the per-length search structure over a []*Group the caller
 // owns. It knows groups by their position in that slice — which is also
-// what ties break on — so every change to the slice is mirrored here:
-// add for an append, sortByCount for the reordering, remove for a group
-// that stops taking members.
+// what ties break on. Positions are append-only, so the index mirrors the
+// slice with add for an append and remove for a group that stops taking
+// members.
 type repIndex struct {
 	half  float64           // group radius ST·l/2: the unit of segs and cells
 	segs  []float32         // pos·segCount+k → representative's k-th segment sum / half
@@ -257,37 +256,6 @@ func (ix *repIndex) scan(list []int32, w []float64, u *segSums, reach float64, g
 		dd := dist.EDEarlyAbandon(w, groups[pos].Rep, sel.dist)
 		if dd < sel.dist || (dd == sel.dist && (sel.pos < 0 || pos < sel.pos)) {
 			sel.pos, sel.dist = pos, dd
-		}
-	}
-}
-
-// sortByCount is sortGroupsByCount on the slice the index mirrors, carrying
-// the index's per-position state along (a stable sort's result is unique,
-// so the two agree).
-func (ix *repIndex) sortByCount(groups []*Group) {
-	sort.Stable(byCount{groups, ix})
-}
-
-type byCount struct {
-	groups []*Group
-	ix     *repIndex
-}
-
-func (s byCount) Len() int { return len(s.groups) }
-func (s byCount) Less(i, j int) bool {
-	return len(s.groups[i].Members) > len(s.groups[j].Members)
-}
-func (s byCount) Swap(i, j int) {
-	ix := s.ix
-	s.groups[i], s.groups[j] = s.groups[j], s.groups[i]
-	si, sj := ix.segs[i*segCount:(i+1)*segCount], ix.segs[j*segCount:(j+1)*segCount]
-	for k := range si {
-		si[k], sj[k] = sj[k], si[k]
-	}
-	ix.at[i], ix.at[j] = ix.at[j], ix.at[i]
-	for _, pos := range [2]int{i, j} {
-		if ix.at[pos] != removed {
-			ix.cells[ix.cellAt(pos)][ix.at[pos]] = int32(pos)
 		}
 	}
 }

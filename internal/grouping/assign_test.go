@@ -122,7 +122,6 @@ func refBuild(d *ts.Dataset, opts Options) *Base {
 		if len(lg.Groups) == 0 {
 			continue
 		}
-		sortGroupsByCount(lg.Groups)
 		b.ByLength[l] = lg
 		b.BuildStats.NumGroups += len(lg.Groups)
 	}
@@ -152,7 +151,6 @@ func refAddSeries(b *Base, d *ts.Dataset, si int) {
 			}
 			b.BuildStats.NumWindows++
 		}
-		sortGroupsByCount(lg.Groups)
 	}
 	b.BuildStats.NumGroups = b.NumGroups()
 	b.DatasetSum = DatasetChecksum(d)
@@ -269,7 +267,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		}
 	}
 	// nextSeries alternates fresh series, perturbed copies of indexed ones
-	// (existing groups grow and reorder) and a windowless one.
+	// (existing groups grow) and a windowless one.
 	nextSeries := func(i int) *ts.Series {
 		name := fmt.Sprintf("new%d", d.Len())
 		switch i % 3 {
@@ -314,21 +312,25 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 	}
 	refAddSeries(want, d, d.Len()-1)
 
-	// Rollback: both sides drop the series again (RemoveSeries' reordering
-	// of equal-cardinality groups is shared), then keep inserting through a
-	// rebuilt index.
-	rolled := nextSeries(0)
-	d.MustAdd(rolled)
-	si := d.Len() - 1
-	if err := got.AddSeries(d, si); err != nil {
-		t.Fatal(err)
+	// Rollback: AddSeries→RemoveSeries restores the pre-insert base bit for
+	// bit, group positions included, against a deep copy (a Write→Read
+	// round trip) and against the linear scan, which never sees the series.
+	// Then inserts continue through a rebuilt index.
+	for i := 0; i < 2; i++ {
+		before := roundTrip(t, got)
+		rolled := nextSeries(i)
+		d.MustAdd(rolled)
+		si := d.Len() - 1
+		if err := got.AddSeries(d, si); err != nil {
+			t.Fatal(err)
+		}
+		d.Remove(rolled.Name)
+		got.RemoveSeries(d, si)
+		step := fmt.Sprintf("RemoveSeries #%d", i)
+		requireSameBase(t, step, got, before)
+		requireSameBase(t, step, got, want)
+		checkSum(step, got)
 	}
-	refAddSeries(want, d, si)
-	d.Remove(rolled.Name)
-	got.RemoveSeries(d, si)
-	want.RemoveSeries(d, si)
-	requireSameBase(t, "RemoveSeries", got, want)
-	checkSum("RemoveSeries", got)
 	d.MustAdd(nextSeries(1))
 	if err := got.AddSeries(d, d.Len()-1); err != nil {
 		t.Fatal(err)
@@ -339,14 +341,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 
 	// A deserialized base has neither index nor dataset: the first insert
 	// rebuilds one and re-ties the other.
-	var buf bytes.Buffer
-	if err := got.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := roundTrip(t, got)
 	for i := 0; i < 2; i++ {
 		d.MustAdd(nextSeries(i))
 		step := fmt.Sprintf("AddSeries #%d after Read", i)
@@ -427,4 +422,18 @@ func TestRepairSkipsEmptiedGroups(t *testing.T) {
 	if len(groups[0].Members)+len(groups[1].Members) != 0 {
 		t.Fatal("a stray re-homed into an emptied group")
 	}
+}
+
+// roundTrip returns a deep copy of b through Write and Read.
+func roundTrip(t *testing.T, b *Base) *Base {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := b.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
 }

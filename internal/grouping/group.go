@@ -62,6 +62,9 @@ func (g *Group) MaxRadius(d *ts.Dataset) float64 {
 // LengthGroups holds every group of one subsequence length.
 type LengthGroups struct {
 	Length int
+	// Groups are in creation order. Positions are append-only: a group
+	// keeps its index for as long as it exists, and new groups are only
+	// appended (RemoveSeries truncates what the rolled-back insert added).
 	Groups []*Group
 }
 
@@ -294,18 +297,8 @@ func buildLength(d *ts.Dataset, length int, st float64, repair bool) (*LengthGro
 			lg.Groups = append(lg.Groups, g)
 		}
 	}
-	sortGroupsByCount(lg.Groups)
 	stats.NumGroups = len(lg.Groups)
 	return lg, stats
-}
-
-// sortGroupsByCount puts the largest groups first, keeping the order of
-// equal ones: the overview pane and the query processor both prefer
-// visiting high-cardinality groups early.
-func sortGroupsByCount(groups []*Group) {
-	sort.SliceStable(groups, func(i, j int) bool {
-		return len(groups[i].Members) > len(groups[j].Members)
-	})
 }
 
 // repairLength freezes representatives and re-homes members that centroid

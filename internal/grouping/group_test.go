@@ -62,6 +62,9 @@ func TestBuildBasics(t *testing.T) {
 	if b.NumGroups() == 0 || b.NumGroups() > b.NumSubsequences() {
 		t.Fatalf("groups = %d", b.NumGroups())
 	}
+	if b.GroupsOfLength(999) != nil {
+		t.Fatal("absent length should return nil")
+	}
 	if b.CompactionRatio() < 1 {
 		t.Fatalf("compaction ratio %g < 1", b.CompactionRatio())
 	}
@@ -163,23 +166,6 @@ func TestBuildDefaultsLengthRange(t *testing.T) {
 	}
 	if b.MinLength != 2 || b.MaxLength != 12 {
 		t.Fatalf("default range [%d,%d], want [2,12]", b.MinLength, b.MaxLength)
-	}
-}
-
-func TestGroupsSortedByCardinality(t *testing.T) {
-	d := testDataset(t, 8, 24, 8)
-	b, err := Build(d, Options{ST: 0.4, MinLength: 6, MaxLength: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := b.GroupsOfLength(6)
-	for i := 1; i < len(gs); i++ {
-		if gs[i].Count() > gs[i-1].Count() {
-			t.Fatal("groups not sorted by descending cardinality")
-		}
-	}
-	if b.GroupsOfLength(999) != nil {
-		t.Fatal("absent length should return nil")
 	}
 }
 

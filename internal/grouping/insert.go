@@ -61,8 +61,6 @@ func (b *Base) AddSeries(d *ts.Dataset, si int) error {
 			}
 			added++
 		}
-		// Keep the overview ordering (largest groups first).
-		ix.sortByCount(lg.Groups)
 	}
 	if added > 0 {
 		// Series too short to contribute stay unmarked, so re-streaming one
@@ -110,43 +108,37 @@ func (b *Base) extendDatasetSum(d *ts.Dataset) {
 	}
 }
 
-// RemoveSeries is AddSeries' inverse for ingest rollback: it removes every
-// member of series si from the base, drops groups that become empty, and
-// re-hashes d (which must already have the series removed) to restore the
-// pre-insert checksum — rollback is the rare path, so unlike AddSeries it
-// may walk the dataset and every member, and it discards the search index
-// (rebuilt by the next insert). It is only sound for the most recently
-// added series — member references hold series indices, and removing an
-// interior series would shift every later index. Representatives never
-// move during an insert, so removal restores the exact pre-insert grouping
-// (group order among equal cardinalities may differ; queries are
-// order-independent).
+// RemoveSeries is AddSeries' inverse for ingest rollback. It is only sound
+// for the most recently added series: member references hold series
+// indices, and since AddSeries only appends, that series' members are a
+// suffix of every group's Members and the groups it seeded are a suffix of
+// every length's Groups. RemoveSeries truncates both suffixes, deletes
+// lengths left with no groups, and re-hashes d (which must already have
+// the series removed) to restore the pre-insert checksum. Representatives
+// never move during an insert, so the result is the pre-insert base bit
+// for bit, group positions included. Rollback is the rare path, so it
+// discards the search index (rebuilt by the next insert).
 func (b *Base) RemoveSeries(d *ts.Dataset, si int) {
 	removed := 0
 	for l, lg := range b.ByLength {
 		for _, g := range lg.Groups {
-			kept := g.Members[:0]
-			for _, m := range g.Members {
-				if m.Series == si {
-					removed++
-					continue
-				}
-				kept = append(kept, m)
+			n := len(g.Members)
+			for n > 0 && g.Members[n-1].Series == si {
+				n--
 			}
-			g.Members = kept
+			removed += len(g.Members) - n
+			g.Members = g.Members[:n]
 		}
-		nonEmpty := lg.Groups[:0]
-		for _, g := range lg.Groups {
-			if len(g.Members) > 0 {
-				nonEmpty = append(nonEmpty, g)
-			}
+		n := len(lg.Groups)
+		for n > 0 && len(lg.Groups[n-1].Members) == 0 {
+			n--
 		}
-		lg.Groups = nonEmpty
-		if len(lg.Groups) == 0 {
+		if n == 0 {
 			delete(b.ByLength, l)
 			continue
 		}
-		sortGroupsByCount(lg.Groups)
+		clear(lg.Groups[n:])
+		lg.Groups = lg.Groups[:n]
 	}
 	delete(b.indexed, si)
 	b.repIndex = nil

@@ -121,34 +121,6 @@ func TestAddSeriesDoubleInsertAfterLoad(t *testing.T) {
 	}
 }
 
-func TestAddSeriesKeepsGroupOrdering(t *testing.T) {
-	d := testDataset(t, 5, 24, 44)
-	b, err := Build(d, Options{ST: 0.08, MinLength: 5, MaxLength: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Insert a near-duplicate of an existing series so existing groups
-	// grow rather than fragment.
-	clone := make([]float64, 24)
-	copy(clone, d.Series[0].Values)
-	for i := range clone {
-		clone[i] += 0.001
-	}
-	d.MustAdd(ts.NewSeries("ZZdup", clone))
-	if err := b.AddSeries(d, d.Len()-1); err != nil {
-		t.Fatal(err)
-	}
-	gs := b.GroupsOfLength(5)
-	for i := 1; i < len(gs); i++ {
-		if gs[i].Count() > gs[i-1].Count() {
-			t.Fatal("group ordering lost after insert")
-		}
-	}
-	if err := b.Validate(d); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAddSeriesShortSeries(t *testing.T) {
 	d := testDataset(t, 3, 20, 45)
 	b, err := Build(d, Options{ST: 0.05, MinLength: 4, MaxLength: 8})

@@ -188,7 +188,7 @@ func TestGroupMembersEndpoint(t *testing.T) {
 	if len(groups) == 0 {
 		t.Fatal("no overview groups")
 	}
-	members := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisGroupMembers, Length: 6, Index: 0}).Members
+	members := analyze(t, hts.URL, onex.Analysis{Kind: onex.AnalysisGroupMembers, Length: groups[0].Length, Index: groups[0].Index}).Members
 	if len(members) != groups[0].Count {
 		t.Fatalf("drill-down members %d != overview count %d", len(members), groups[0].Count)
 	}

@@ -215,7 +215,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 		res.Groups = make([]GroupInfo, len(sums))
 		for i, s := range sums {
 			rep, _ := ts.DenormalizeValues(db.normed, 0, s.Rep)
-			res.Groups[i] = GroupInfo{Length: s.Group.Length, Count: s.Count, Rep: rep}
+			res.Groups[i] = GroupInfo{Length: s.Group.Length, Index: s.Group.Index, Count: s.Count, Rep: rep}
 		}
 		if eff.Length == 0 && len(sums) > 0 {
 			eff.Length = sums[0].Group.Length

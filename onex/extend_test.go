@@ -110,7 +110,7 @@ func TestGroupMembersPublic(t *testing.T) {
 	if len(ov) == 0 {
 		t.Fatal("no overview")
 	}
-	members := analyze(t, db, Analysis{Kind: AnalysisGroupMembers, Length: 6, Index: 0}).Members
+	members := analyze(t, db, Analysis{Kind: AnalysisGroupMembers, Length: ov[0].Length, Index: ov[0].Index}).Members
 	if len(members) != ov[0].Count {
 		t.Fatalf("members %d != overview count %d", len(members), ov[0].Count)
 	}
@@ -124,6 +124,70 @@ func TestGroupMembersPublic(t *testing.T) {
 	}
 	if _, err := db.Analyze(context.Background(), Analysis{Kind: AnalysisGroupMembers, Length: 6, Index: 1 << 20}); err == nil {
 		t.Fatal("out-of-range group accepted")
+	}
+}
+
+// TestGroupMembersStableAcrossIngest: a group's overview address stays
+// valid across an ingest that makes the group outgrow every group at an
+// earlier position.
+func TestGroupMembersStableAcrossIngest(t *testing.T) {
+	db := openSmall(t)
+	const length = 6
+	ov := analyze(t, db, Analysis{Kind: AnalysisOverview, Length: length}).Groups
+	// The last-ranked group not at position 0: the smallest, so it has
+	// every group before it to outgrow.
+	var g GroupInfo
+	for _, cand := range ov {
+		if cand.Index != 0 {
+			g = cand
+		}
+	}
+	if g.Index == 0 || ov[0].Count <= g.Count {
+		t.Fatalf("no group to outgrow in %d overview rows", len(ov))
+	}
+	v := db.Version()
+
+	// Repeats of g's shape: every window starting at a multiple of length
+	// is g's representative, so g gains at least reps members.
+	reps := ov[0].Count + 1
+	vals := make([]float64, 0, reps*length)
+	for i := 0; i < reps; i++ {
+		vals = append(vals, g.Rep...)
+	}
+	if err := db.AddSeries("ZZrepeat", vals); err != nil {
+		t.Fatal(err)
+	}
+	if db.Version() != v+1 {
+		t.Fatalf("version %d after one ingest at %d", db.Version(), v)
+	}
+
+	members := analyze(t, db, Analysis{Kind: AnalysisGroupMembers, Length: length, Index: g.Index}).Members
+	added := 0
+	for _, m := range members {
+		if m.Series == "ZZrepeat" {
+			added++
+		}
+	}
+	if added < reps || len(members) != g.Count+added {
+		t.Fatalf("group %d/%d: %d members with %d new, want %d old and at least %d new",
+			length, g.Index, len(members), added, g.Count, reps)
+	}
+	if len(members) <= ov[0].Count {
+		t.Fatalf("group %d/%d has %d members, did not outgrow the largest (%d)", length, g.Index, len(members), ov[0].Count)
+	}
+	var now *GroupInfo
+	for _, row := range analyze(t, db, Analysis{Kind: AnalysisOverview, Length: length}).Groups {
+		if row.Index == g.Index {
+			now = &row
+		}
+	}
+	if now == nil || now.Count != len(members) {
+		t.Fatalf("overview row for group %d/%d after ingest: %+v, want %d members", length, g.Index, now, len(members))
+	}
+	for i, x := range g.Rep {
+		if now.Rep[i] != x {
+			t.Fatalf("group %d/%d representative changed: %v, was %v", length, g.Index, now.Rep, g.Rep)
+		}
 	}
 }
 

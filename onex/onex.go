@@ -219,9 +219,12 @@ type Pattern struct {
 	Occurrences int
 }
 
-// GroupInfo summarizes one similarity group for overview panes.
+// GroupInfo summarizes one similarity group for overview panes. Length and
+// Index address the group for an AnalysisGroupMembers drill-down; the
+// address stays valid across later ingests.
 type GroupInfo struct {
 	Length int
+	Index  int
 	Count  int
 	// Rep is the representative shape in original units.
 	Rep []float64
