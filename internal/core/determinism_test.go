@@ -209,10 +209,9 @@ func TestAnalyticsDeterministic(t *testing.T) {
 // fallback degeneration: a constrained query whose promising groups cannot
 // fill k used to refine every LB-pruned group in the base unconditionally.
 // The walk now continues past the first k groups in true representative
-// order — scoring a pruned representative only once its lower bound
-// reaches the head of the walk — and stops at the same cutoff as the main
-// loop, so the number of refined groups stays well below the total group
-// count.
+// order — scoring a representative only once its key reaches the head of
+// the browse — and stops at the same cutoff, so the number of refined
+// groups stays well below the total group count.
 func TestConstrainedFallbackBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	d := ts.NewDataset("fallback")

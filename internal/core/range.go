@@ -24,7 +24,9 @@ type RangeOptions struct {
 
 // rangeJob is one group to scan plus its length's shared precomputation:
 // the query envelope, the raw-distance threshold, and the transfer-bound
-// slack.
+// slack. rawMax is rawBound(MaxDist, norm), the largest raw distance whose
+// score is within MaxDist: the product MaxDist*norm can round below the
+// distance of a match scoring exactly MaxDist.
 type rangeJob struct {
 	ref    GroupRef
 	g      *grouping.Group
@@ -74,7 +76,7 @@ func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOpt
 				ref:    GroupRef{Length: l, Index: gi},
 				g:      g,
 				env:    env,
-				rawMax: opts.MaxDist * env.norm,
+				rawMax: rawBound(opts.MaxDist, env.norm),
 				slack:  slack,
 			})
 		}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -147,5 +150,39 @@ func TestWithinThresholdOptions(t *testing.T) {
 		Constraints: QueryConstraints{MinLength: 999, MaxLength: 999},
 	}); err != ErrNoMatch {
 		t.Fatal("impossible constraints should yield ErrNoMatch")
+	}
+}
+
+// TestWithinThresholdIncludesTopKScores pins the inclusive threshold under
+// LengthNorm: every match of an exact top-60 query is returned by a range
+// query whose MaxDist is that match's own score, at bands -1, 0 and 3. A
+// threshold converted to raw distance by the plain product MaxDist*norm can
+// round below the match's distance and drop it.
+func TestWithinThresholdIncludesTopKScores(t *testing.T) {
+	d, e := manyGroupsWorld(t, ModeExact)
+	ctx := context.Background()
+	missing, checked := 0, 0
+	for qi, oq := range oracleQueries(d, 1, 8, 20) {
+		for _, band := range []int{-1, 0, 3} {
+			opts := Options{Band: band, Mode: ModeExact, LengthNorm: true}
+			top, err := e.Find(ctx, oq.q, FindOptions{Options: opts, K: 60})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range top.Matches {
+				res, err := e.Find(ctx, oq.q, FindOptions{Options: opts, Range: true, MaxDist: m.Score})
+				if err != nil && !errors.Is(err, ErrNoMatch) {
+					t.Fatal(err)
+				}
+				checked++
+				if !slices.ContainsFunc(res.Matches, func(r Match) bool { return r.Ref == m.Ref }) {
+					missing++
+					t.Errorf("query %d band %d: %v at score %g missing from the range query at MaxDist %g", qi, band, m.Ref, m.Score, m.Score)
+				}
+			}
+		}
+	}
+	if missing > 0 {
+		t.Fatalf("%d of %d top-k matches missing from a range query at their own score", missing, checked)
 	}
 }

@@ -117,20 +117,17 @@ func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
 	return &lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
 }
 
-// repCandidate is a group scored by its representative's DTW distance.
+// repCandidate is a candidate group of the top-k walk.
 type repCandidate struct {
-	ref      GroupRef
-	g        *grouping.Group
-	env      *lengthEnv
-	repDist  float64 // raw DTW(q, rep); +Inf while pruned and unresolved
-	repScore float64 // repDist / env.norm
-	// lower is a score lower bound. A pruned candidate leaves the scoring
-	// pass with the larger of its LB_Kim key (at most its score) and the
-	// score bound it lost to (below its score), raised to LBKeogh(rep)/norm
-	// if the approximate walk keys it: the walk's order while it stays
-	// unresolved (stream.go walkTail). On the groups the walk leaves
-	// unrefined, finishExact overwrites it with the certified bound over the
-	// group's members (groupLower).
+	ref GroupRef
+	g   *grouping.Group
+	env *lengthEnv
+	// lower is the group's key in the best-first browse (stream.go browse):
+	// a lower bound on its representative's score that rises from LB_Kim
+	// through LB_Keogh to the score itself, or to just above a bound the
+	// representative failed. On the groups the walk leaves unrefined,
+	// finishExact overwrites it with the certified bound over the group's
+	// members (groupLower).
 	lower float64
 }
 
@@ -164,129 +161,20 @@ func (r *rawBounds) of(b, norm float64) float64 {
 	return r.ub
 }
 
-// scoreRepresentatives scores the representatives of every group of the
-// candidate lengths best-first, so the running k-th best representative
-// score — the bound every step abandons against, converted by rawBound — is
-// tight before most DTWs run:
-//
-//  1. One pass keys every representative by its LB_Kim score bound,
-//     LBKim/norm, and buckets the keys in order (lbBuckets).
-//  2. Representatives are visited bucket by bucket, in ascending key order.
-//     A visited one whose key is still within the k-th best gets LB_Keogh,
-//     abandoned at the bound; a survivor waits in a min-heap keyed by
-//     max(LB_Kim, LB_Keogh)/norm.
-//  3. A waiting representative gets its early-abandoning DTW once its key
-//     is no higher than the least unvisited key: nothing unvisited can beat
-//     it to the head.
-//  4. The pass stops when the least unvisited key and the heap head both
-//     exceed the k-th best.
-//
-// A group whose representative provably cannot enter the top-k leaves with
-// repDist = +Inf and, as lower, the larger of its key and the score bound it
-// lost to: its score is strictly above the final k-th best. The context is
-// checked once per visited representative and per DTW.
-func (e *Engine) scoreRepresentatives(ctx context.Context, q []float64, k int, lengths []int, opts Options, st *SearchStats) ([]repCandidate, error) {
-	n := 0
-	for _, l := range lengths {
-		n += len(e.base.GroupsOfLength(l))
-	}
-	cands := make([]repCandidate, 0, n)
-	for _, l := range lengths {
-		groups := e.base.GroupsOfLength(l)
-		if len(groups) == 0 {
-			continue
-		}
-		env := e.lengthEnvFor(q, l, opts)
-		//onex:nopoll O(1) LB_Kim per group; the best-first visit below polls per representative
-		for gi, g := range groups {
-			cands = append(cands, repCandidate{
-				ref: GroupRef{Length: l, Index: gi}, g: g, env: env,
-				repDist: math.Inf(1), repScore: math.Inf(1),
-				lower: dist.LBKim(q, g.Rep) / env.norm,
-			})
-		}
-	}
-	if st != nil {
-		st.Groups += len(cands)
-	}
-	// kth tracks the k-th best representative score seen so far.
-	kth := newKthTracker(k)
-	var raw rawBounds
-	waiting := keyHeap{cands: cands}
-	// resolve runs the DTW of every waiting representative keyed at or
-	// below limit and the k-th best, least key first.
-	resolve := func(limit float64) error {
-		for len(waiting.idx) > 0 {
-			b := kth.bound()
-			c := &cands[waiting.idx[0]]
-			if c.lower > limit || c.lower > b {
-				return nil
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			waiting.pop()
-			if st != nil {
-				st.RepDTW++
-			}
-			d := dist.DTWEarlyAbandon(q, c.g.Rep, opts.Band, raw.of(b, c.env.norm))
-			if math.IsInf(d, 1) {
-				c.lower = math.Max(c.lower, b)
-				continue
-			}
-			c.repDist, c.repScore = d, d/c.env.norm
-			kth.offer(c.repScore)
-		}
-		return nil
-	}
-	buckets := newLBBuckets(cands)
-	for bi := range buckets.min {
-		next := buckets.min[bi] // the least unvisited key
-		if err := resolve(next); err != nil {
-			return nil, err
-		}
-		if next > kth.bound() {
-			// resolve left no waiting key at or below the k-th best either.
-			break
-		}
-		for _, i := range buckets.of(bi) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			c := &cands[i]
-			b := kth.bound()
-			if c.lower > b {
-				continue
-			}
-			ub := raw.of(b, c.env.norm)
-			if lb := dist.LBKeogh(c.g.Rep, c.env.qU, c.env.qL, ub); lb > ub {
-				c.lower = math.Max(c.lower, b)
-			} else {
-				c.lower = math.Max(c.lower, lb/c.env.norm)
-				waiting.push(i)
-			}
-		}
-	}
-	if err := resolve(math.Inf(1)); err != nil {
-		return nil, err
-	}
-	return cands, nil
-}
-
-// lbBuckets orders candidate indices by their LB_Kim key (repCandidate.lower)
-// with one counting sort over about n/8 equal-width buckets: the bucket of a
-// key is monotone in it, so every key of a bucket is at most every key of a
-// later one. The order inside a bucket is scan order.
+// lbBuckets yields candidate indices in ascending LB_Kim key order
+// (repCandidate.lower, read before the browse raises it). One counting sort
+// spreads the keys over about n/8 equal-width buckets; the bucket of a key
+// is monotone in it, so every key of a bucket is at most every key of a
+// later one, and a bucket is sorted only when the cursor reaches it.
 type lbBuckets struct {
+	cands []repCandidate
 	order []int32 // candidate indices, bucket by bucket
 	start []int32 // bucket bi holds order[start[bi]:start[bi+1]]
-	// min[bi] is the least key in buckets bi and later (+Inf past the last
-	// key): the least unvisited key when the visit reaches bucket bi, empty
-	// buckets included.
-	min []float64
+	// pos is the cursor into order; buckets before sorted are sorted.
+	pos, sorted int
 }
 
-func newLBBuckets(cands []repCandidate) lbBuckets {
+func newLBBuckets(cands []repCandidate) *lbBuckets {
 	nb := max(len(cands)/8, 1)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range cands {
@@ -297,20 +185,12 @@ func newLBBuckets(cands []repCandidate) lbBuckets {
 		scale = 0 // a single key value (or NaN keys): one bucket
 	}
 	bucket := func(key float64) int { return min(max(int((key-lo)*scale), 0), nb-1) }
-	bs := lbBuckets{order: make([]int32, len(cands)), start: make([]int32, nb+1), min: make([]float64, nb+1)}
-	for i := range bs.min {
-		bs.min[i] = math.Inf(1)
-	}
+	bs := &lbBuckets{cands: cands, order: make([]int32, len(cands)), start: make([]int32, nb+1)}
 	for i := range cands {
-		bi := bucket(cands[i].lower)
-		bs.start[bi+1]++
-		bs.min[bi] = min(bs.min[bi], cands[i].lower)
+		bs.start[bucket(cands[i].lower)+1]++
 	}
 	for bi := 0; bi < nb; bi++ {
 		bs.start[bi+1] += bs.start[bi]
-	}
-	for bi := nb - 1; bi >= 0; bi-- {
-		bs.min[bi] = min(bs.min[bi], bs.min[bi+1])
 	}
 	fill := slices.Clone(bs.start[:nb])
 	for i := range cands {
@@ -318,23 +198,41 @@ func newLBBuckets(cands []repCandidate) lbBuckets {
 		bs.order[fill[bi]] = int32(i)
 		fill[bi]++
 	}
-	bs.min = bs.min[:nb]
 	return bs
 }
 
-// of returns the candidate indices of bucket bi.
-func (bs lbBuckets) of(bi int) []int32 { return bs.order[bs.start[bi]:bs.start[bi+1]] }
+// head returns the candidate at the cursor and its key, or ok = false once
+// every index has been taken.
+func (bs *lbBuckets) head() (i int32, key float64, ok bool) {
+	if bs.pos == len(bs.order) {
+		return 0, math.Inf(1), false
+	}
+	for ; int(bs.start[bs.sorted]) <= bs.pos; bs.sorted++ {
+		slices.SortFunc(bs.order[bs.start[bs.sorted]:bs.start[bs.sorted+1]], func(a, b int32) int {
+			return cmp.Compare(bs.cands[a].lower, bs.cands[b].lower)
+		})
+	}
+	i = bs.order[bs.pos]
+	return i, bs.cands[i].lower, true
+}
 
-// keyHeap is a min-heap of candidate indices by (lower, index): the
-// representatives that passed LB_Keogh and wait for their DTW.
+// keyHeap is a min-heap of candidate indices in browse order: by key
+// (repCandidate.lower), keys below levelScore first on a tie, then by
+// index, which is (length, index) order.
 type keyHeap struct {
 	cands []repCandidate
+	level []uint8 // the level of each candidate's key
 	idx   []int32
 }
 
 func (h *keyHeap) less(a, b int32) bool {
-	ka, kb := h.cands[a].lower, h.cands[b].lower
-	return ka < kb || ka == kb && a < b
+	if ka, kb := h.cands[a].lower, h.cands[b].lower; ka != kb {
+		return ka < kb
+	}
+	if sa := h.level[a] == levelScore; sa != (h.level[b] == levelScore) {
+		return !sa
+	}
+	return a < b
 }
 
 func (h *keyHeap) push(i int32) {
@@ -353,6 +251,11 @@ func (h *keyHeap) pop() {
 	last := len(h.idx) - 1
 	h.idx[0] = h.idx[last]
 	h.idx = h.idx[:last]
+	h.fix()
+}
+
+// fix restores the heap after the head's key rose.
+func (h *keyHeap) fix() {
 	for j := 0; ; {
 		least := j
 		for _, c := range [2]int{2*j + 1, 2*j + 2} {
@@ -368,30 +271,9 @@ func (h *keyHeap) pop() {
 	}
 }
 
-// partitionScored moves the scored candidates in front of the pruned (+Inf)
-// ones in one pass, sorts the scored prefix by (score, length, index), and
-// returns its length. The pruned block is left in whatever order the pass
-// leaves it: the walk never reads that order. walkTail heapifies the block
-// under walkBefore and boundTail re-sorts exact-mode survivors, both total
-// orders, so either sees the same sequence from any starting arrangement.
-func partitionScored(cands []repCandidate) int {
-	nf := 0
-	for i := range cands {
-		if !math.IsInf(cands[i].repDist, 1) {
-			cands[nf], cands[i] = cands[i], cands[nf]
-			nf++
-		}
-	}
-	slices.SortFunc(cands[:nf], func(a, b repCandidate) int {
-		return candidateOrder(a.repScore, b.repScore, a.ref, b.ref)
-	})
-	return nf
-}
-
-// candidateOrder is the candidate order of the walk: by key (a score or a
-// lower bound), ties broken by group identity. The order is total, so a sort
-// under it does not depend on the arrangement it starts from, which the
-// scoring pass decides.
+// candidateOrder orders candidates by key (a score or a lower bound), ties
+// broken by group identity. The order is total, so a sort under it does not
+// depend on the arrangement it starts from, which the browse decides.
 func candidateOrder(ka, kb float64, a, b GroupRef) int {
 	if c := cmp.Compare(ka, kb); c != 0 {
 		return c
@@ -603,24 +485,22 @@ func (t *topK) sorted() []Match {
 	return out
 }
 
-// maxTrackedK saturates the k-th-best tracker of representative scoring:
-// beyond it the bound is useless anyway.
+// maxTrackedK saturates the k-th-best tracker of the browse: beyond it the
+// bound is useless anyway.
 const maxTrackedK = 1024
 
-// kthTracker tracks the k-th smallest value offered, as the abandon bound
-// for representative scoring.
+// kthTracker tracks the k-th smallest value offered: the k-th best
+// representative score, which the browse abandons against.
 type kthTracker struct {
 	k    int
 	vals []float64
 }
 
 func newKthTracker(k int) *kthTracker {
-	// Saturating only over-prunes representatives, which is harmless: the
-	// approximate walk takes only the first min(k, maxTrackedK) candidates
-	// as scored and resolves a pruned representative lazily, when its lower
-	// bound reaches the head of the walk (walkTail); exact mode needs no
-	// representative distance — finishExact bounds every unrefined group by
-	// its representative's LB_Keogh (groupLower).
+	// Saturating only tightens the bound, which is harmless: the browse
+	// re-keys a representative that fails it just above the bound instead
+	// of dropping it, and evaluates it again, against the cutoff alone, if
+	// the key reaches the head (stream.go browse).
 	return &kthTracker{k: min(max(k, 1), maxTrackedK)}
 }
 

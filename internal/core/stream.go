@@ -24,8 +24,8 @@ import (
 //   1. After the approximate phase — the paper's search (best groups by
 //      representative distance, refined best-first until the cutoff).
 //      This snapshot's matches equal what Find returns in approx mode. The
-//      walk resolves the representatives the scoring pass pruned lazily,
-//      in lower-bound order, so it scores only those it may visit.
+//      walk is one best-first browse over the LB cascade (browse), so it
+//      scores only the representatives it may visit.
 //   2. After every certified refinement wave — the exact walk bounds every
 //      remaining group (groupLower), sorts the survivors by bound, and
 //      refines them one by one until the next bound exceeds the k-th best;
@@ -78,10 +78,9 @@ const exactWave = 16
 // from the search goroutine; blocking in the sink blocks the walk.
 type ProgressFunc func(Snapshot)
 
-// progressiveWalk is the resumable state of one top-k search: the scored
-// candidate groups, the accumulator, and how far the member-level walk has
-// advanced. The approximate phase produces it; the exact continuation
-// consumes it.
+// progressiveWalk is the resumable state of one top-k search: the candidate
+// groups, the accumulator, and how far the member-level walk has advanced.
+// The approximate phase produces it; the exact continuation consumes it.
 type progressiveWalk struct {
 	e    *Engine
 	q    []float64
@@ -90,9 +89,10 @@ type progressiveWalk struct {
 	opts Options
 	st   *SearchStats
 
-	// cands[:refined] have had their members fully scanned or been
-	// certified-skipped, in no particular order; cands[refined:] are the
-	// groups still open, which finishExact sorts by certified lower bound.
+	// cands[:refined] have had their members fully scanned (the approximate
+	// phase's in visit order) or been certified-skipped; cands[refined:] are
+	// the groups still open, which finishExact sorts by certified lower
+	// bound.
 	cands   []repCandidate
 	top     *topK
 	refined int
@@ -104,194 +104,169 @@ type progressiveWalk struct {
 	seq, wave int
 }
 
-// startWalk runs the approximate phase — representative scoring plus the
-// best-first member walk with its cutoff — and returns the resumable state.
-// The accumulator content equals the approx-mode answer when it returns.
+// startWalk runs the approximate phase — the best-first browse of the
+// candidate groups with the paper's cutoff — and returns the resumable
+// state. The accumulator content equals the approx-mode answer when it
+// returns.
 func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats) (*progressiveWalk, error) {
-	cands, err := e.scoreRepresentatives(ctx, q, k, lengths, opts, st)
-	if err != nil {
-		return nil, err
+	n := 0
+	for _, l := range lengths {
+		n += len(e.base.GroupsOfLength(l))
 	}
-	return e.walkCandidates(ctx, q, k, c, cands, partitionScored(cands), opts, st)
-}
-
-// walkCandidates runs the best-first member walk over candidates partitioned
-// by partitionScored: cands[:nf] scored and sorted, cands[nf:] pruned.
-func (e *Engine) walkCandidates(ctx context.Context, q []float64, k int, c QueryConstraints, cands []repCandidate, nf int, opts Options, st *SearchStats) (*progressiveWalk, error) {
+	cands := make([]repCandidate, 0, n)
+	for _, l := range lengths {
+		groups := e.base.GroupsOfLength(l)
+		if len(groups) == 0 {
+			continue
+		}
+		env := e.lengthEnvFor(q, l, opts)
+		//onex:nopoll O(1) LB_Kim per group; the browse polls per popped key
+		for gi, g := range groups {
+			cands = append(cands, repCandidate{
+				ref: GroupRef{Length: l, Index: gi}, g: g, env: env,
+				lower: dist.LBKim(q, g.Rep) / env.norm,
+			})
+		}
+	}
+	if st != nil {
+		st.Groups += len(cands)
+	}
 	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: st, cands: cands, top: newTopK(k)}
-
-	// Refine within the most promising groups, in representative order,
-	// until a representative scores worse than every collected member: such
-	// a group cannot improve an approximate top-k (heuristic: members can
-	// score below their representative). The first min(k, maxTrackedK)
-	// candidates are the best representatives, exactly scored in every run.
-	// To fill k results the walk may need more groups (constraints exclude
-	// members; on a singleton base a group yields one member), and walkTail
-	// continues it.
-	head := min(k, maxTrackedK, len(cands))
-	for ; w.refined < head; w.refined++ {
-		cand := cands[w.refined]
-		if cand.repScore > w.top.boundScore() {
-			return w, nil
-		}
-		if err := e.refineGroup(ctx, q, cand, c, w.top, opts, st); err != nil {
-			return nil, err
-		}
-	}
-	if head < len(cands) {
-		if err := w.walkTail(ctx, cands[head-1].repScore, nf); err != nil {
-			return nil, err
-		}
+	if err := w.browse(ctx); err != nil {
+		return nil, err
 	}
 	return w, nil
 }
 
-// walkTail continues the approximate walk past the first head candidates in
-// true representative order — (score, length, index), the order a fully
-// scored and sorted tail would have — and with the same cutoff, without
-// scoring the representatives the walk never reaches. Which groups the
-// scoring pass pruned depends on the order it scored them in; the visit
-// order does not. The walk merges three sources:
+// The levels of a browse key (repCandidate.lower), each a lower bound on the
+// next.
+const (
+	levelKim   uint8 = iota // LBKim/norm
+	levelKeogh              // max(LB_Kim, LB_Keogh)/norm
+	levelScore              // the representative's DTW score
+)
+
+// browse is the paper's approximate walk: it refines the candidate groups
+// in ascending representative score, ties by (length, index), and stops at
+// the first representative that scores above the k-th best member, the
+// cutoff (a group whose representative scores worse than every collected
+// member is taken not to improve the approximate top-k; members can score
+// below their representative). It never scores a representative the walk
+// cannot reach: the order is incremental distance browsing (Hjaltason and
+// Samet, TODS 1999) over the LB cascade, where a group's key
+// (repCandidate.lower) rises through three levels, each a lower bound on
+// the next:
 //
-//   - the finite tail cands[w.refined:nf], exactly scored and sorted;
-//   - the pruned block cands[nf:]. Every pruned representative scores
-//     strictly above kth, the head's last score and the scoring pass's
-//     final k-th best (scoreRepresentatives). While kth meets the cutoff
-//     or the next finite score, the block costs nothing: no LB_Keogh, no
-//     DTW, and its order is never read;
-//   - once it does not, a min-heap of the pruned candidates, each keyed by
-//     the larger of its full LBKeogh(rep)/norm and the lower bound the
-//     scoring pass left it. A candidate whose key reaches the head without
-//     exceeding the cutoff gets its DTWBanded and is re-keyed by its score.
+//  1. LBKim/norm, set by startWalk. lbBuckets is this level's cold store:
+//     it yields these keys in order, so a group enters the heap only once
+//     its level-1 key is popped.
+//  2. max(LB_Kim, LB_Keogh)/norm, which waits in keyHeap.
+//  3. The representative's DTW score, which waits in keyHeap too.
 //
-// Keys order as (key, unresolved first, length, index): a resolved
-// candidate reaches the head only when every unresolved bound is above its
-// score, so it is the true next candidate, ties included. The groups it
-// refines end up in cands[:w.refined].
-func (w *progressiveWalk) walkTail(ctx context.Context, kth float64, nf int) error {
+// The least key left is popped next, ordered by (key, unresolved first,
+// index): a score is popped only when every other key is above it, so
+// popping it refines the true next group, ties included. Popping an
+// unresolved key computes its next level.
+//
+// Each step abandons against rawBound of the cutoff and, while the key is
+// within it, of the k-th best representative score (kthTracker), which is
+// tight long before k groups are refined. A representative that fails a
+// bound b scores strictly above it, so it is re-keyed at the next float
+// above b rather than dropped; if that key reaches the head, it is
+// evaluated against the cutoff alone. The groups the walk refined end in
+// cands[:refined] in visit order. The context is polled per popped key.
+func (w *progressiveWalk) browse(ctx context.Context) error {
 	cands := w.cands
-	next := w.refined // the finite tail is cands[next:nf]
-	// The pruned block, in place: a heap once keyed, and popped candidates
-	// leave it to sit just past its end.
-	heap, keyed := cands[nf:], nf == len(cands)
+	level := make([]uint8, len(cands))
+	kth := newKthTracker(w.k)
+	buckets := newLBBuckets(cands)
+	heap := keyHeap{cands: cands, level: level}
+	var raw rawBounds
+	var order []int32 // refined candidates, in visit order
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cutoff := w.top.boundScore()
-		if !keyed {
-			x := cutoff
-			if next < nf {
-				x = math.Min(x, cands[next].repScore)
+		// The least key left is the next level-1 key or the heap head.
+		i, key, cold := buckets.head()
+		if len(heap.idx) > 0 {
+			h := &cands[heap.idx[0]]
+			if !cold || h.lower < key || h.lower == key && level[heap.idx[0]] < levelScore {
+				i, key, cold = heap.idx[0], h.lower, false
 			}
-			if kth < x {
-				if err := w.keyPruned(ctx, heap); err != nil {
-					return err
-				}
-				keyed = true
-			}
+		} else if !cold {
+			break // every group refined
 		}
-		fromHeap := keyed && len(heap) > 0 && (next == nf || walkBefore(&heap[0], &cands[next]))
-		var cand *repCandidate
-		if fromHeap {
-			cand = &heap[0]
-		} else if next < nf {
-			cand = &cands[next]
-		} else {
+		cutoff := w.top.boundScore()
+		if key > cutoff {
 			break
 		}
-		if math.IsInf(cand.repDist, 1) {
-			if cand.lower > cutoff {
-				// Every open candidate scores at least this bound.
-				break
+		c := &cands[i]
+		if level[i] == levelScore {
+			heap.pop()
+			if err := w.e.refineGroup(ctx, w.q, *c, w.c, w.top, w.opts, w.st); err != nil {
+				return err
 			}
-			cand.repDist = dist.DTWBanded(w.q, cand.g.Rep, w.opts.Band)
-			cand.repScore = cand.repDist / cand.env.norm
+			order = append(order, i)
+			continue
+		}
+		// Compute the next level, abandoned at b; failing it re-keys the
+		// group just above b.
+		b := cutoff
+		if key <= kth.bound() {
+			b = math.Min(b, kth.bound())
+		}
+		ub := raw.of(b, c.env.norm)
+		c.lower = math.Nextafter(b, math.Inf(1))
+		if level[i] == levelKeogh {
 			if w.st != nil {
 				w.st.RepDTW++
 			}
-			siftDown(heap, 0)
+			if d := dist.DTWEarlyAbandon(w.q, c.g.Rep, w.opts.Band, ub); !math.IsInf(d, 1) {
+				c.lower, level[i] = d/c.env.norm, levelScore
+				kth.offer(c.lower)
+			}
+		} else if lb := dist.LBKeogh(c.g.Rep, c.env.qU, c.env.qL, ub); lb <= ub {
+			c.lower, level[i] = math.Max(key, lb/c.env.norm), levelKeogh
+		}
+		if !cold {
+			heap.fix()
 			continue
 		}
-		if cand.repScore > cutoff {
-			break
-		}
-		if err := w.e.refineGroup(ctx, w.q, *cand, w.c, w.top, w.opts, w.st); err != nil {
-			return err
-		}
-		if fromHeap {
-			// Pop: the root moves just past the shrunk heap.
-			last := len(heap) - 1
-			heap[0], heap[last] = heap[last], heap[0]
-			heap = heap[:last]
-			siftDown(heap, 0)
-		} else {
-			next++
+		buckets.pos++
+		if c.lower <= cutoff { // a key above the cutoff is never popped
+			heap.push(i)
 		}
 	}
-	// cands[:next] are refined, and so are the heap candidates the walk
-	// popped, which sit past the heap: swap them in behind.
-	popped := cands[nf+len(heap):]
-	for i := range popped {
-		cands[next+i], popped[i] = popped[i], cands[next+i]
-	}
-	w.refined = next + len(popped)
+	w.refined = len(order)
+	moveToFront(cands, order)
 	return nil
 }
 
-// keyPruned raises every pruned candidate's lower bound (its LB_Kim key or
-// the score bound it was pruned against, whichever is larger) to its
-// representative's full, unabandoned LBKeogh/norm — LB_Keogh lower-bounds
-// the DTW, floating point included — and heapifies them.
-func (w *progressiveWalk) keyPruned(ctx context.Context, pruned []repCandidate) error {
-	for i := range pruned {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+// moveToFront moves the candidates at the distinct indices of order to
+// cands[:len(order)], in order, with O(len(order)) moves: the other
+// candidates that sat there fill the places the moved ones left.
+func moveToFront(cands []repCandidate, order []int32) {
+	r := len(order)
+	moved := make([]repCandidate, r)
+	front := make([]bool, r) // cands[j] is itself moved
+	for j, i := range order {
+		moved[j] = cands[i]
+		if int(i) < r {
+			front[i] = true
+		}
+	}
+	j := 0
+	for _, i := range order {
+		if int(i) >= r {
+			for front[j] {
+				j++
 			}
+			cands[i] = cands[j]
+			j++
 		}
-		c := &pruned[i]
-		c.lower = math.Max(c.lower, dist.LBKeogh(c.g.Rep, c.env.qU, c.env.qL, math.Inf(1))/c.env.norm)
 	}
-	for i := len(pruned)/2 - 1; i >= 0; i-- {
-		siftDown(pruned, i)
-	}
-	return nil
-}
-
-// walkBefore is walkTail's order: by key — the score once resolved, the
-// lower bound until then — with unresolved candidates first on a tie, then
-// by group identity.
-func walkBefore(a, b *repCandidate) bool {
-	ua, ub := math.IsInf(a.repDist, 1), math.IsInf(b.repDist, 1)
-	ka, kb := a.repScore, b.repScore
-	if ua {
-		ka = a.lower
-	}
-	if ub {
-		kb = b.lower
-	}
-	if ka == kb && ua != ub {
-		return ua
-	}
-	return candidateOrder(ka, kb, a.ref, b.ref) < 0
-}
-
-// siftDown restores the min-heap (by walkBefore) below h[i].
-func siftDown(h []repCandidate, i int) {
-	for {
-		least := i
-		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < len(h) && walkBefore(&h[c], &h[least]) {
-				least = c
-			}
-		}
-		if least == i {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
+	copy(cands, moved)
 }
 
 // groupLower is the envelope lower bound, in raw distance, for every member

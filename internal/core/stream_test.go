@@ -299,44 +299,44 @@ func TestGroupLowerBelowMembers(t *testing.T) {
 	}
 }
 
-// fullSortCandidates sorts the whole candidate array as the walk once did:
-// by representative score, pruned (+Inf) candidates last, ties broken by
-// group identity. It is the reference order of partitionScored and the
-// eager walk's sort.
-func fullSortCandidates(cands []repCandidate) {
+// eagerCandidates scores every representative of the candidate lengths with
+// DTWBanded, keys each by its score, and sorts all candidates by (score,
+// length, index): the visit order of the approximate walk, computed with
+// nothing pruned or lazy.
+func eagerCandidates(e *Engine, q []float64, c QueryConstraints, opts Options) []repCandidate {
+	var cands []repCandidate
+	for _, l := range e.candidateLengths(c) {
+		env := e.lengthEnvFor(q, l, opts)
+		for gi, g := range e.base.GroupsOfLength(l) {
+			d := dist.DTWBanded(q, g.Rep, opts.Band)
+			cands = append(cands, repCandidate{ref: GroupRef{Length: l, Index: gi}, g: g, env: env, lower: d / env.norm})
+		}
+	}
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := &cands[i], &cands[j]
-		if a.repScore != b.repScore {
-			return a.repScore < b.repScore
+		if a.lower != b.lower {
+			return a.lower < b.lower
 		}
 		if a.ref.Length != b.ref.Length {
 			return a.ref.Length < b.ref.Length
 		}
 		return a.ref.Index < b.ref.Index
 	})
+	return cands
 }
 
 // eagerApprox is the approximate walk with nothing pruned or lazy in it,
-// the independent oracle of scoreRepresentatives and walkTail: it runs
-// DTWBanded on every representative, sorts all candidates by (score,
-// length, index) and refines them in that order until a representative
-// scores above the k-th best member.
+// the independent oracle of the browse: it refines the candidates of
+// eagerCandidates in order until a representative scores above the k-th
+// best member.
 func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options) ([]Match, SearchStats, error) {
 	ctx := context.Background()
 	var st SearchStats
-	var cands []repCandidate
-	for _, l := range e.candidateLengths(c) {
-		env := e.lengthEnvFor(q, l, opts)
-		for gi, g := range e.base.GroupsOfLength(l) {
-			d := dist.DTWBanded(q, g.Rep, opts.Band)
-			cands = append(cands, repCandidate{ref: GroupRef{Length: l, Index: gi}, g: g, env: env, repDist: d, repScore: d / env.norm})
-		}
-	}
+	cands := eagerCandidates(e, q, c, opts)
 	st.Groups, st.RepDTW = len(cands), len(cands)
-	fullSortCandidates(cands)
 	top := newTopK(k)
 	for _, cand := range cands {
-		if top.full() && cand.repScore > top.worst().Score {
+		if top.full() && cand.lower > top.worst().Score {
 			break
 		}
 		if err := e.refineGroup(ctx, q, cand, c, top, opts, &st); err != nil {
@@ -432,15 +432,14 @@ func TestApproxLazyMatchesEagerWalk(t *testing.T) {
 	}
 }
 
-// TestApproxLazyRepDTWCounts pins the representative DTWs lazy resolution
-// saves, so a looser key on a pruned candidate shows as work. The eager
-// walk runs one DTW per representative. At K = 5 on the all-singleton base
-// the lazy walk runs at most a fifth of those for plain queries (12 %
-// measured), and at most 47 % (46 % measured; scaling LB_Keogh by 0.9 gives
-// 49 %) for queries that exclude their own window: the walk then passes
-// the excluded groups, resolving every representative whose key undercuts
-// them. On every base, over the same plain queries, K = 1 costs no more of
-// them than K = 5.
+// TestApproxLazyRepDTWCounts pins the representative DTWs the browse
+// saves, so a looser key shows as work. The eager walk runs one DTW per
+// representative. At K = 5 on the all-singleton base the browse runs at
+// most a fifth of those for plain queries (12 % measured), and at most 47 %
+// (46 % measured) for queries that exclude their own window: the walk then
+// passes the excluded groups, resolving every representative whose key
+// undercuts them. On every base, over the same plain queries, K = 1 costs
+// no more of them than K = 5.
 func TestApproxLazyRepDTWCounts(t *testing.T) {
 	ctx := context.Background()
 	repDTW := func(e *Engine, q []float64, k int, c QueryConstraints, opts Options) int {
@@ -477,15 +476,17 @@ func TestApproxLazyRepDTWCounts(t *testing.T) {
 	}
 }
 
-// TestApproxScoringBestFirstDTWs pins the best-first order of the scoring
-// pass by its DTW count. The reference is the count of representatives
-// whose LB_Keogh score bound does not exceed the final k-th best
-// representative score: a DTW in ascending LB_Keogh order runs on exactly
-// those, and no bound the pass holds rules them out. Over the plain queries
-// of every lazy-walk base, at K 1 and 5 and LengthNorm on and off, the pass
-// must stay within 10 % of the reference (measured: equal to it on every
-// base). Scoring in scan order, or running each DTW as soon as LB_Keogh
-// passes in LB_Kim order instead of from the heap, breaks it.
+// TestApproxScoringBestFirstDTWs pins the best-first order of the browse by
+// its representative DTW count. The reference is the count of
+// representatives whose LB_Keogh score bound does not exceed the final k-th
+// best representative score: a DTW in ascending LB_Keogh order runs on
+// exactly those, and no bound the k-th tracker holds rules them out. Over
+// the plain queries of every lazy-walk base, at K 1 and 5 and LengthNorm on
+// and off, the browse must stay within 10 % of the reference (measured:
+// equal to it on the singleton base; 1.09x on the walk bases, where the
+// member cutoff carries the walk past the k-th best representative).
+// Running each DTW in scan order, or as soon as LB_Keogh passes in LB_Kim
+// order instead of from the heap, breaks it.
 func TestApproxScoringBestFirstDTWs(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range lazyWorlds(t) {
@@ -496,7 +497,7 @@ func TestApproxScoringBestFirstDTWs(t *testing.T) {
 				for _, ln := range []bool{false, true} {
 					opts := Options{Band: 3, LengthNorm: ln}
 					var st SearchStats
-					if _, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, opts, &st); err != nil {
+					if _, err := w.e.startWalk(ctx, oq.q, k, QueryConstraints{}, lengths, opts, &st); err != nil {
 						t.Fatal(err)
 					}
 					dtws += st.RepDTW
@@ -517,20 +518,21 @@ func TestApproxScoringBestFirstDTWs(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: scoring ran %d representative DTWs, %d representatives pass LB_Keogh at the k-th best (%.2fx)",
+		t.Logf("%s: the browse ran %d representative DTWs, %d representatives pass LB_Keogh at the k-th best (%.2fx)",
 			w.name, dtws, floor, float64(dtws)/float64(floor))
 		if 10*dtws > 11*floor {
-			t.Fatalf("%s: scoring ran %d representative DTWs, over 1.1 times the %d that LB_Keogh cannot rule out", w.name, dtws, floor)
+			t.Fatalf("%s: the browse ran %d representative DTWs, over 1.1 times the %d that LB_Keogh cannot rule out", w.name, dtws, floor)
 		}
 	}
 }
 
-// TestApproxSingletonTailUntouched pins the pruned block's bound, whose
-// looseness would cost LB_Keogh evaluations that no statistic counts. On an
-// all-singleton base a group's member scores what its representative does,
-// so a plain K = 5 query's cutoff is the 5th representative score: the
-// walk refines 5 groups and leaves every pruned representative as the
-// scoring pass left it, neither keyed by LB_Keogh nor resolved.
+// TestApproxSingletonTailUntouched pins that the browse touches only the
+// keys it pops, whose looseness would otherwise cost LB_Keogh evaluations
+// that no statistic counts. On an all-singleton base a group's member
+// scores what its representative does, so a plain K = 5 query's cutoff is
+// the 5th representative score: the walk refines 5 groups, and every group
+// whose LB_Kim key exceeds that cutoff leaves with its key bit-equal to the
+// LB_Kim key — it was never popped.
 func TestApproxSingletonTailUntouched(t *testing.T) {
 	ctx := context.Background()
 	w := lazyWorlds(t)[0]
@@ -538,117 +540,42 @@ func TestApproxSingletonTailUntouched(t *testing.T) {
 	for qi, oq := range w.queries {
 		for _, ln := range []bool{false, true} {
 			opts := Options{Band: 3, LengthNorm: ln}
-			var scoreSt SearchStats
-			scored, err := w.e.scoreRepresentatives(ctx, oq.q, 5, lengths, opts, &scoreSt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pruned := map[GroupRef]float64{}
-			for _, c := range scored {
-				if math.IsInf(c.repDist, 1) {
-					pruned[c.ref] = c.lower
-				}
-			}
-			var st SearchStats
-			walk, err := w.e.startWalk(ctx, oq.q, 5, QueryConstraints{}, lengths, opts, &st)
+			walk, err := w.e.startWalk(ctx, oq.q, 5, QueryConstraints{}, lengths, opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			label := fmt.Sprintf("query %d norm %v", qi, ln)
-			if walk.refined != 5 || st.RepDTW != scoreSt.RepDTW {
-				t.Fatalf("%s: refined %d groups with %d representative DTWs, scoring alone ran %d", label, walk.refined, st.RepDTW, scoreSt.RepDTW)
+			if walk.refined != 5 {
+				t.Fatalf("%s: refined %d groups", label, walk.refined)
 			}
-			if len(pruned) == 0 {
-				t.Fatalf("%s: the scoring pass pruned nothing", label)
-			}
+			cutoff, beyond := walk.top.boundScore(), 0
 			for _, c := range walk.cands {
-				if lower, ok := pruned[c.ref]; ok && (c.lower != lower || !math.IsInf(c.repDist, 1)) {
-					t.Fatalf("%s: pruned group %v was keyed or resolved (lower %g -> %g, dist %g)", label, c.ref, lower, c.lower, c.repDist)
+				key := dist.LBKim(oq.q, c.g.Rep) / c.env.norm
+				if key <= cutoff {
+					continue
 				}
+				beyond++
+				if math.Float64bits(c.lower) != math.Float64bits(key) {
+					t.Fatalf("%s: group %v with LB_Kim key %g above the cutoff %g was popped (key %g)", label, c.ref, key, cutoff, c.lower)
+				}
+			}
+			if beyond == 0 {
+				t.Fatalf("%s: no LB_Kim key exceeds the cutoff", label)
 			}
 		}
 	}
 }
 
-// TestApproxCandidateOrderMatchesFullSort pins partitionScored against a
-// full sort of the same scored array: the scored prefix is bit-identical to
-// the full sort's, and the pruned block holds the same groups with the same
-// bounds, for K in {1, 5, 1025} (the last saturates the k-th tracker),
-// LengthNorm on and off, on the all-singleton base, the
-// compacting walk base and its ×1e6 copy. Some scored prefix must reach
-// past the first K candidates, or a sort of only those would pass.
+// TestApproxCandidateOrderMatchesFullSort is the visit-order oracle of the
+// browse: the groups it refined, cands[:refined], are the eager full sort's
+// prefix of the same length, refs and scores bit-identical, and the prefix
+// is as long as the eager walk's, for K in {1, 5, 1025} (the last saturates
+// the k-th tracker), LengthNorm on and off, with and without an overlap
+// exclusion, on every lazy-walk base. Some walk must refine more than 2K
+// groups, or a browse that orders only its first K would pass.
 func TestApproxCandidateOrderMatchesFullSort(t *testing.T) {
 	ctx := context.Background()
 	longTail := false
-	for _, w := range lazyWorlds(t) {
-		lengths := w.e.candidateLengths(QueryConstraints{})
-		for qi, oq := range w.queries {
-			for _, k := range []int{1, 5, 1025} {
-				for _, ln := range []bool{false, true} {
-					label := fmt.Sprintf("%s query %d k %d norm %v", w.name, qi, k, ln)
-					cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, Options{Band: 3, LengthNorm: ln}, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := slices.Clone(cands)
-					fullSortCandidates(want)
-					nf := partitionScored(cands)
-					if nf < len(want) && !math.IsInf(want[nf].repDist, 1) || nf > 0 && math.IsInf(want[nf-1].repDist, 1) {
-						t.Fatalf("%s: partition point %d is not the full sort's first pruned candidate", label, nf)
-					}
-					for i := range nf {
-						if !sameCandidate(cands[i], want[i]) {
-							t.Fatalf("%s: scored candidate %d is %+v, full sort has %+v", label, i, cands[i], want[i])
-						}
-					}
-					pruned := map[GroupRef]uint64{}
-					for _, c := range want[nf:] {
-						pruned[c.ref] = math.Float64bits(c.lower)
-					}
-					for _, c := range cands[nf:] {
-						lower, ok := pruned[c.ref]
-						if !ok || lower != math.Float64bits(c.lower) || !math.IsInf(c.repDist, 1) {
-							t.Fatalf("%s: pruned block holds %+v, not in the full sort's", label, c)
-						}
-						delete(pruned, c.ref)
-					}
-					if len(pruned) != 0 {
-						t.Fatalf("%s: %d pruned groups missing from the block", label, len(pruned))
-					}
-					longTail = longTail || nf > 2*k
-				}
-			}
-		}
-	}
-	if !longTail {
-		t.Fatal("no scored prefix reaches past 2K candidates: the test proves nothing about the tail's order")
-	}
-}
-
-// sameCandidate compares two candidates field by field, floats by bits.
-func sameCandidate(a, b repCandidate) bool {
-	return a.ref == b.ref && a.g == b.g && a.env == b.env &&
-		math.Float64bits(a.repDist) == math.Float64bits(b.repDist) &&
-		math.Float64bits(a.repScore) == math.Float64bits(b.repScore) &&
-		math.Float64bits(a.lower) == math.Float64bits(b.lower)
-}
-
-// TestApproxPrunedBlockOrderIrrelevant pins what lets partitionScored leave
-// the pruned block unsorted: the walk never reads its order. Walks fed a
-// seeded shuffle of the block return the same approximate and exact matches,
-// GroupsRefined, GroupsLBPruned and RepDTW as walks fed the block as
-// partitioned, for K in {1, 5, 1025}, LengthNorm on and off, with and
-// without an overlap exclusion, on every lazy-walk base. Some
-// walk must resolve a pruned representative — the only path that reads the
-// block as a heap — or the shuffle proves nothing.
-func TestApproxPrunedBlockOrderIrrelevant(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(34))
-	type outcome struct {
-		approx, exact     []Match
-		approxSt, exactSt SearchStats
-	}
-	resolved := 0
 	for _, w := range lazyWorlds(t) {
 		lengths := w.e.candidateLengths(QueryConstraints{})
 		for qi, oq := range w.queries {
@@ -661,61 +588,39 @@ func TestApproxPrunedBlockOrderIrrelevant(t *testing.T) {
 						}
 						label := fmt.Sprintf("%s query %d k %d norm %v exclude %v", w.name, qi, k, ln, exclude)
 						opts := Options{Band: 3, LengthNorm: ln}
-						var scoreSt SearchStats
-						cands, err := w.e.scoreRepresentatives(ctx, oq.q, k, lengths, opts, &scoreSt)
+						walk, err := w.e.startWalk(ctx, oq.q, k, c, lengths, opts, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						nf := partitionScored(cands)
-						run := func(shuffle bool) outcome {
-							cs, st := slices.Clone(cands), scoreSt
-							if shuffle {
-								block := cs[nf:]
-								rng.Shuffle(len(block), func(i, j int) { block[i], block[j] = block[j], block[i] })
-							}
-							walk, err := w.e.walkCandidates(ctx, oq.q, k, c, cs, nf, opts, &st)
-							if err != nil {
-								t.Fatal(err)
-							}
-							o := outcome{approx: walk.top.sorted(), approxSt: st}
-							o.approxSt.GroupsLBPruned += len(cs) - walk.refined
-							if err := walk.finishExact(ctx, nil); err != nil {
-								t.Fatal(err)
-							}
-							o.exact, o.exactSt = walk.top.sorted(), st
-							return o
+						_, eagerSt, err := eagerApprox(w.e, oq.q, k, c, opts)
+						if err != nil {
+							t.Fatal(err)
 						}
-						want := run(false)
-						if want.approxSt.RepDTW > scoreSt.RepDTW {
-							resolved++
+						if walk.refined != eagerSt.GroupsRefined {
+							t.Fatalf("%s: refined %d groups, the eager walk %d", label, walk.refined, eagerSt.GroupsRefined)
 						}
-						for trial := 0; trial < 2; trial++ {
-							got := run(true)
-							sameMatches(t, label+" approx", want.approx, got.approx)
-							sameMatches(t, label+" exact", want.exact, got.exact)
-							for _, p := range [][2]SearchStats{{want.approxSt, got.approxSt}, {want.exactSt, got.exactSt}} {
-								a, b := p[0], p[1]
-								if a.GroupsRefined != b.GroupsRefined || a.GroupsLBPruned != b.GroupsLBPruned || a.RepDTW != b.RepDTW {
-									t.Fatalf("%s: shuffled block gives stats %+v, partitioned %+v", label, b, a)
-								}
+						want := eagerCandidates(w.e, oq.q, c, opts)
+						for i, got := range walk.cands[:walk.refined] {
+							if got.ref != want[i].ref || math.Float64bits(got.lower) != math.Float64bits(want[i].lower) {
+								t.Fatalf("%s: visit %d is %v at %g, the full sort has %v at %g", label, i, got.ref, got.lower, want[i].ref, want[i].lower)
 							}
 						}
+						longTail = longTail || walk.refined > 2*k
 					}
 				}
 			}
 		}
 	}
-	if resolved == 0 {
-		t.Fatal("no walk resolved a pruned representative: the shuffle proves nothing")
+	if !longTail {
+		t.Fatal("no walk refines more than 2K groups: the test proves nothing about the order past K")
 	}
-	t.Logf("%d walks resolved pruned representatives", resolved)
 }
 
-// TestRawBound pins the conversion behind the pruned block's bound: for any
-// score bound b and norm, rawBound(b, norm) is the largest raw distance
-// whose score does not exceed b, so a DTW above it scores above b. The
-// plain product b*norm misses that on some norms, and the test requires
-// meeting them.
+// TestRawBound pins the conversion behind the browse's re-keying and the
+// range threshold: for any score bound b and norm, rawBound(b, norm) is the
+// largest raw distance whose score does not exceed b, so a DTW above it
+// scores above b. The plain product b*norm misses that on some norms, and
+// the test requires meeting them.
 func TestRawBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }

@@ -42,11 +42,12 @@ func (e *Engine) SimilaritySweepContext(ctx context.Context, q []float64, thresh
 		return nil, err
 	}
 	// ms is sorted by score; count matches under each threshold by walking
-	// both sorted sequences once.
+	// both sorted sequences once. The comparison is the range query's own,
+	// so each count equals a range query's match count at that threshold.
 	out := make([]SweepPoint, len(sorted))
 	mi := 0
 	for ti, th := range sorted {
-		for mi < len(ms) && ms[mi].Score <= th+1e-12 {
+		for mi < len(ms) && ms[mi].Score <= th {
 			mi++
 		}
 		out[ti] = SweepPoint{MaxDist: th, Matches: mi}

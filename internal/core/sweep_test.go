@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"testing"
 )
 
@@ -109,5 +111,38 @@ func TestBestMatchWithStats(t *testing.T) {
 	}
 	if _, err := find(q, QueryConstraints{MinLength: 999, MaxLength: 999}); err == nil {
 		t.Fatal("impossible constraints accepted")
+	}
+}
+
+// TestSimilaritySweepCountsMatchRange pins the sweep's count at a threshold
+// to the size of a range query at that threshold, with no slack: for the
+// top-20 matches of each self-excluding query on the walk base, a sweep over
+// {the float just below the match's score, a threshold above every score}
+// must count exactly what the range query at the lower threshold returns.
+func TestSimilaritySweepCountsMatchRange(t *testing.T) {
+	d, e := walkWorld(t, 1)
+	ctx := context.Background()
+	opts := e.Options()
+	for qi, oq := range oracleQueries(d, 1, 8, 14) {
+		c := QueryConstraints{ExcludeOverlap: oq.src}
+		top, err := e.Find(ctx, oq.q, FindOptions{Options: Options{Band: opts.Band, Mode: ModeExact}, K: 20, Constraints: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		large := 2 * top.Matches[len(top.Matches)-1].Score
+		for _, m := range top.Matches {
+			th := math.Nextafter(m.Score, math.Inf(-1))
+			pts, err := e.SimilaritySweepContext(ctx, oq.q, []float64{th, large}, c, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := within(e, oq.q, RangeOptions{MaxDist: th, Constraints: c})
+			if err != nil && !errors.Is(err, ErrNoMatch) {
+				t.Fatal(err)
+			}
+			if pts[0].Matches != len(ms) {
+				t.Errorf("query %d: the sweep counts %d matches at %g, the range query returns %d", qi, pts[0].Matches, th, len(ms))
+			}
+		}
 	}
 }
