@@ -1,0 +1,308 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/bruteforce"
+	"repro/internal/dist"
+	"repro/internal/grouping"
+	"repro/internal/ts"
+)
+
+// mixedRadiusWorld hand-builds a base that mixes the group shapes an exact
+// walk must tell apart. Series 0 is a smooth walk, series 1 the same walk
+// shifted up by 0.2, series 2 the walk delayed by two samples with a little
+// noise, and series 3 an independent walk. At every length and start t:
+//   - even t: one two-member group [series 1 window, series 0 window]
+//     whose representative is its first member, as a reseeded singleton
+//     that later took a re-homed stray has it;
+//   - odd t: the series 0 window is a singleton whose representative is
+//     the window shifted down by 0.2, a centroid repair's re-homing left
+//     behind with one member, and the series 1 window is a radius-zero
+//     singleton;
+//   - series 2 and 3 windows are radius-zero singletons.
+//
+// Every member is 0.2·l in ED from its representative, inside HalfST(l) =
+// 0.25·l, so the base is valid. A query on a series 0 window has series 2
+// windows close by, so the approximate walk's cutoff falls below the
+// shifted representatives and leaves the query's own group unrefined:
+// only a bound that knows the member differs from its representative
+// refines it.
+func mixedRadiusWorld(t *testing.T) (*ts.Dataset, *Engine) {
+	t.Helper()
+	const n, minL, maxL, st, shift = 48, 8, 10, 0.5, 0.2
+	rng := rand.New(rand.NewSource(43))
+	walk := func(n int) []float64 {
+		v, out := 0.5, make([]float64, n)
+		for i := range out {
+			v += rng.NormFloat64() * 0.03
+			out[i] = v
+		}
+		return out
+	}
+	w := walk(n + 2)
+	s0, s1, s2 := make([]float64, n), make([]float64, n), make([]float64, n)
+	for i := range s0 {
+		s0[i] = w[i+2]
+		s1[i] = s0[i] + shift
+		s2[i] = w[i] + rng.NormFloat64()*0.002
+	}
+	d := ts.NewDataset("mixed-radius")
+	for i, vals := range [][]float64{s0, s1, s2, walk(n)} {
+		d.MustAdd(ts.NewSeries(fmt.Sprintf("s%d", i), vals))
+	}
+	b := &grouping.Base{
+		DatasetName: d.Name, DatasetSum: grouping.DatasetChecksum(d),
+		ST: st, MinLength: minL, MaxLength: maxL,
+		ByLength: map[int]*grouping.LengthGroups{},
+	}
+	for l := minL; l <= maxL; l++ {
+		lg := &grouping.LengthGroups{Length: l}
+		add := func(rep []float64, ms ...ts.SubSeq) {
+			lg.Groups = append(lg.Groups, &grouping.Group{Length: l, Rep: rep, Members: ms})
+		}
+		for t0 := 0; t0+l <= n; t0++ {
+			at := func(s int) ts.SubSeq { return ts.SubSeq{Series: s, Start: t0, Length: l} }
+			copyOf := func(s int) []float64 { return append([]float64(nil), at(s).Values(d)...) }
+			if t0%2 == 0 {
+				add(copyOf(1), at(1), at(0))
+			} else {
+				rep := copyOf(0)
+				for i := range rep {
+					rep[i] -= shift
+				}
+				add(rep, at(0))
+				add(copyOf(1), at(1))
+			}
+			add(copyOf(2), at(2))
+			add(copyOf(3), at(3))
+		}
+		b.ByLength[l] = lg
+	}
+	if err := b.Validate(d); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(d, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, e
+}
+
+// TestExactRadiusZeroMatchesBruteForce is the soundness oracle of the
+// radius-zero rule: on mixedRadiusWorld, exact top-K for K in {1, 5} equals
+// bruteforce.KBest, and a range query at the oracle's 5th score returns
+// exactly the windows scoring within it, at bands -1/0/3, LengthNorm on and
+// off, with and without an overlap exclusion. Some exact answer must come
+// from a group that is not radius-zero and that the approximate walk left
+// unrefined, or the test proves nothing about the predicate.
+func TestExactRadiusZeroMatchesBruteForce(t *testing.T) {
+	d, e := mixedRadiusWorld(t)
+	b := e.Base()
+	ctx := context.Background()
+	var queries []oracleQuery
+	rng := rand.New(rand.NewSource(47))
+	for i, l := range []int{9, 8, 10, 9, 7, 11} {
+		src := ts.SubSeq{Series: 0, Start: 2*rng.Intn((d.Series[0].Len()-l)/2) + i%2, Length: l}
+		q := append([]float64(nil), src.Values(d)...)
+		if i >= 2 {
+			for j := range q {
+				q[j] += rng.NormFloat64() * 0.005
+			}
+		}
+		queries = append(queries, oracleQuery{q: q, src: src})
+	}
+	rescued := 0
+	for qi, oq := range queries {
+		for _, band := range []int{-1, 0, 3} {
+			for _, ln := range []bool{false, true} {
+				for _, exclude := range []bool{false, true} {
+					var c QueryConstraints
+					if exclude {
+						c.ExcludeOverlap = oq.src
+					}
+					bo := bruteforce.Options{
+						Band: band, MinLength: b.MinLength, MaxLength: b.MaxLength,
+						EarlyAbandon: true, LengthNormalize: ln, ExcludeOverlap: c.ExcludeOverlap,
+					}
+					opts := Options{Band: band, LengthNorm: ln}
+					for _, k := range []int{1, 5} {
+						label := fmt.Sprintf("query %d band %d norm %v k %d exclude %v", qi, band, ln, k, exclude)
+						want, err := bruteforce.KBest(d, oq.q, k+1, bo)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Mode = ModeApprox
+						approx, err := e.Find(ctx, oq.q, FindOptions{Options: opts, K: k, Constraints: c})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						opts.Mode = ModeExact
+						res, err := e.Find(ctx, oq.q, FindOptions{Options: opts, K: k, Constraints: c})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						sameAsOracle(t, label, res.Matches, want, k)
+						if m := res.Matches[0]; m.Score < approx.Matches[0].Score &&
+							!e.radiusZero(b.GroupsOfLength(m.Group.Length)[m.Group.Index]) {
+							rescued++
+						}
+					}
+					// Range at the oracle's 5th score, against every window.
+					top, err := bruteforce.KBest(d, oq.q, 5, bo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					maxDist := top[len(top)-1].Score
+					label := fmt.Sprintf("query %d band %d norm %v exclude %v range %g", qi, band, ln, exclude, maxDist)
+					want := map[ts.SubSeq]float64{}
+					for ref, dd := range bruteScan(d, oq.q, band, b.MinLength, b.MaxLength) {
+						if !c.excludes(ref) && dd/opts.norm(len(oq.q), ref.Length) <= maxDist {
+							want[ref] = dd
+						}
+					}
+					res, err := e.Find(ctx, oq.q, FindOptions{Options: opts, Range: true, MaxDist: maxDist, Constraints: c})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(res.Matches) != len(want) {
+						t.Fatalf("%s: %d matches, brute force has %d", label, len(res.Matches), len(want))
+					}
+					for _, m := range res.Matches {
+						if dd, ok := want[m.Ref]; !ok || !closeTo(m.Dist, dd) {
+							t.Fatalf("%s: match %v at %g, brute force has %g (present %v)", label, m.Ref, m.Dist, dd, ok)
+						}
+					}
+				}
+			}
+		}
+	}
+	if rescued == 0 {
+		t.Fatal("no exact answer came from a group the approximate walk missed and radius zero does not cover")
+	}
+}
+
+// TestExactRadiusZeroApproxIsExact pins that exact mode does no work beyond
+// the approximate walk on a base whose groups all have radius zero: the
+// browse leaves a group unrefined only once its key, a lower bound on the
+// member's score, exceeds the k-th best, so the approximate answer is
+// already exact. Exact Find returns approximate mode's matches with the
+// same representative and member DTWs and refined groups, and its progress
+// sink sees the approximate snapshot and the final one, no wave.
+func TestExactRadiusZeroApproxIsExact(t *testing.T) {
+	ctx := context.Background()
+	d, e := singletonWorld(t)
+	for _, l := range e.base.Lengths() {
+		for gi, g := range e.base.GroupsOfLength(l) {
+			if !e.radiusZero(g) {
+				t.Fatalf("group %d of length %d is not radius-zero", gi, l)
+			}
+		}
+	}
+	for qi, oq := range oracleQueries(d, 1, 16, 24) {
+		for _, k := range []int{1, 5} {
+			for _, band := range []int{-1, 0, 3} {
+				for _, ln := range []bool{false, true} {
+					for _, exclude := range []bool{false, true} {
+						var c QueryConstraints
+						if exclude {
+							c.ExcludeOverlap = oq.src
+						}
+						label := fmt.Sprintf("query %d k %d band %d norm %v exclude %v", qi, k, band, ln, exclude)
+						fo := FindOptions{Options: Options{Band: band, LengthNorm: ln}, K: k, Constraints: c}
+						approx, err := e.Find(ctx, oq.q, fo)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						fo.Mode = ModeExact
+						snaps, exact := collectSnapshots(t, e, oq.q, fo)
+						sameMatches(t, label, approx.Matches, exact.Matches)
+						a, x := approx.Stats, exact.Stats
+						if x.RepDTW != a.RepDTW || x.MemberDTW != a.MemberDTW || x.GroupsRefined != a.GroupsRefined {
+							t.Fatalf("%s: exact stats %+v, approximate %+v", label, x, a)
+						}
+						if len(snaps) != 2 || snaps[1].Wave != 0 || !snaps[1].Final {
+							t.Fatalf("%s: %d snapshots, the last at wave %d", label, len(snaps), snaps[len(snaps)-1].Wave)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// transferRuleDTWs counts the DTWs a range scan at maxDist runs when every
+// group, radius-zero or not, is bounded by groupLower at HalfST(l) and then
+// by the transfer bound's representative DTW, before the member cascade.
+func transferRuleDTWs(e *Engine, q []float64, maxDist float64, opts Options) (rep, member int) {
+	for _, l := range e.base.Lengths() {
+		env := e.lengthEnvFor(q, l, opts)
+		rawMax := rawBound(maxDist, env.norm)
+		slack := float64(2*dist.EffectiveBand(len(q), l, opts.Band)+1) * env.half
+		for _, g := range e.base.GroupsOfLength(l) {
+			if groupLower(g, env, env.half, rawMax) > rawMax {
+				continue
+			}
+			rep++
+			if math.IsInf(dist.DTWEarlyAbandon(q, g.Rep, opts.Band, rawMax+slack), 1) {
+				continue
+			}
+			for _, m := range g.Members {
+				mv := m.Values(e.ds)
+				if dist.LBKim(q, mv) <= rawMax && dist.LBKeogh(mv, env.qU, env.qL, rawMax) <= rawMax {
+					member++
+				}
+			}
+		}
+	}
+	return rep, member
+}
+
+// TestWithinThresholdRadiusZeroSkipsRepDTW pins range's radius-zero rule
+// by its counts: on an all-singleton base, a range query at the exact 5th
+// best score runs no representative DTW. Against the transfer-bound rule
+// (transferRuleDTWs), every member DTW it runs stands in for a
+// representative DTW that rule runs on the same values: a group whose
+// member passes LB_Keogh also passes LB_Keogh less HalfST. It can run a
+// few more member DTWs than that rule, on members whose representative
+// DTW the transfer bound would have abandoned.
+func TestWithinThresholdRadiusZeroSkipsRepDTW(t *testing.T) {
+	ctx := context.Background()
+	d, e := singletonWorld(t)
+	var got, ref [2]int // representative, member DTWs
+	for qi, oq := range oracleQueries(d, 1, 16, 24) {
+		for _, band := range []int{-1, 0, 3} {
+			for _, ln := range []bool{false, true} {
+				label := fmt.Sprintf("query %d band %d norm %v", qi, band, ln)
+				opts := Options{Band: band, Mode: ModeExact, LengthNorm: ln}
+				top, err := e.Find(ctx, oq.q, FindOptions{Options: opts, K: 5})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				maxDist := top.Matches[len(top.Matches)-1].Score
+				res, err := e.Find(ctx, oq.q, FindOptions{Options: opts, Range: true, MaxDist: maxDist})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(res.Matches) < 5 {
+					t.Fatalf("%s: range at the 5th best score returned %d matches", label, len(res.Matches))
+				}
+				rep, member := transferRuleDTWs(e, oq.q, maxDist, opts)
+				got[0], got[1] = got[0]+res.Stats.RepDTW, got[1]+res.Stats.MemberDTW
+				ref[0], ref[1] = ref[0]+rep, ref[1]+member
+				if res.Stats.RepDTW != 0 || res.Stats.MemberDTW > rep {
+					t.Fatalf("%s: %d representative and %d member DTWs; the transfer-bound rule runs %d and %d",
+						label, res.Stats.RepDTW, res.Stats.MemberDTW, rep, member)
+				}
+			}
+		}
+	}
+	t.Logf("representative, member DTWs: %v; the transfer-bound rule %v", got, ref)
+	if ref[0] == 0 {
+		t.Fatal("the transfer-bound rule ran no representative DTW: the test proves nothing")
+	}
+}

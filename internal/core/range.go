@@ -40,11 +40,12 @@ type rangeJob struct {
 // similarity exploration ("showing the changes in the similarity between
 // sequences for varying parameters"). The search is exact regardless of
 // callOpts.Mode: a group is skipped only when a certified bound — the
-// representative's envelope bound (groupLower) or the transfer bound —
-// proves every member lies beyond the threshold. st, when non-nil,
-// accumulates the search statistics. The scan checks the context once per
-// group and every ctxCheckStride members, so cancelled range scans abort
-// within one pruning round.
+// representative's envelope bound (groupLower, with radius 0 on a
+// radius-zero group) or the transfer bound — proves every member lies
+// beyond the threshold. st, when non-nil, accumulates the search
+// statistics. The scan checks the context once per group and every
+// ctxCheckStride members, so cancelled range scans abort within one
+// pruning round.
 func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOptions, callOpts Options, st *SearchStats) ([]Match, error) {
 	if len(q) < 2 {
 		return nil, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
@@ -110,24 +111,33 @@ func (e *Engine) rangeScanGroup(ctx context.Context, q []float64, job rangeJob, 
 	if st != nil {
 		st.Groups++
 	}
-	// Certified skips, cheapest first: the representative's envelope bound
-	// (groupLower, one LB_Keogh), then the transfer bound — if
-	// DTW(q, rep) - slack > rawMax every member is provably outside the
-	// threshold. Both depend only on the fixed threshold.
-	if groupLower(job.g, job.env, job.rawMax) > job.rawMax {
+	// Certified skips, cheapest first, both depending only on the fixed
+	// threshold: the envelope bound (groupLower, one LB_Keogh), then the
+	// transfer bound — if DTW(q, rep) - slack > rawMax every member is
+	// provably outside the threshold. A radius-zero group is bounded with
+	// radius 0, by LB_Keogh of its member, and skips the transfer bound: its
+	// representative's DTW is the member's own.
+	zero := e.radiusZero(job.g)
+	r := job.env.half
+	if zero {
+		r = 0
+	}
+	if groupLower(job.g, job.env, r, job.rawMax) > job.rawMax {
 		if st != nil {
 			st.GroupsLBPruned++
 		}
 		return nil, nil
 	}
-	if st != nil {
-		st.RepDTW++
-	}
-	if math.IsInf(dist.DTWEarlyAbandon(q, job.g.Rep, callOpts.Band, job.rawMax+job.slack), 1) {
+	if !zero {
 		if st != nil {
-			st.GroupsLBPruned++
+			st.RepDTW++
 		}
-		return nil, nil
+		if math.IsInf(dist.DTWEarlyAbandon(q, job.g.Rep, callOpts.Band, job.rawMax+job.slack), 1) {
+			if st != nil {
+				st.GroupsLBPruned++
+			}
+			return nil, nil
+		}
 	}
 	if st != nil {
 		st.GroupsRefined++

@@ -127,7 +127,8 @@ type repCandidate struct {
 	// through LB_Keogh to the score itself, or to just above a bound the
 	// representative failed. On the groups the walk leaves unrefined,
 	// finishExact overwrites it with the certified bound over the group's
-	// members (groupLower).
+	// members (groupLower), except on a radius-zero group, whose key
+	// already bounds its one member (boundTail).
 	lower float64
 }
 
@@ -306,8 +307,9 @@ func (e *Engine) kbestApprox(ctx context.Context, q []float64, k int, c QueryCon
 
 // kbestExact drives the progressive pipeline to its certified end: the
 // approximate phase seeds the accumulator, then the remaining groups are
-// bounded by their representative's envelope bound and the survivors
-// refined in fixed-size waves (stream.go finishExact); the result is the
+// bounded by their representative's envelope bound, or a radius-zero
+// group's browse key, and the survivors refined in fixed-size waves
+// (stream.go finishExact); the result is the
 // true top-k. progress, when non-nil, receives a snapshot after the
 // approximate phase, after every wave, and a final one equal to the
 // returned matches.

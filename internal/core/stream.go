@@ -27,7 +27,8 @@ import (
 //      walk is one best-first browse over the LB cascade (browse), so it
 //      scores only the representatives it may visit.
 //   2. After every certified refinement wave — the exact walk bounds every
-//      remaining group (groupLower), sorts the survivors by bound, and
+//      remaining group (groupLower, or a radius-zero group's browse key;
+//      see boundTail), sorts the survivors by bound, and
 //      refines them one by one until the next bound exceeds the k-th best;
 //      every exactWave refined groups close a wave, which yields the
 //      current top-k plus per-match certification.
@@ -270,25 +271,36 @@ func moveToFront(cands []repCandidate, order []int32) {
 }
 
 // groupLower is the envelope lower bound, in raw distance, for every member
-// m of g: DTWBanded(q, m, band) >= max(0, LBKeogh(rep) - HalfST(l)), where
-// env holds Envelope(q, l, band). LB_Keogh is a sum of per-position hinges,
-// each 1-Lipschitz in the candidate value, so LBKeogh(m) >=
-// LBKeogh(rep) - ED(m, rep) (ED is L1); the §3.1 invariant gives
-// ED(m, rep) <= HalfST(l); and LBKeogh(m) <= DTWBanded(q, m, band). It
-// costs one LB_Keogh of the representative and no DTW; exclusions only
-// remove members, so they keep it valid. The LB_Keogh abandons at ub + HalfST(l): a result above ub (+Inf when
-// abandoned) certifies that no member scores within ub.
-func groupLower(g *grouping.Group, env *lengthEnv, ub float64) float64 {
-	lb := dist.LBKeogh(g.Rep, env.qU, env.qL, ub+env.half)
-	if lb <= env.half {
+// m of g: DTWBanded(q, m, band) >= max(0, LBKeogh(rep) - r), where env
+// holds Envelope(q, l, band) and r bounds ED(m, rep) over the members.
+// LB_Keogh is a sum of per-position hinges, each 1-Lipschitz in the
+// candidate value, so LBKeogh(m) >= LBKeogh(rep) - ED(m, rep) (ED is L1);
+// and LBKeogh(m) <= DTWBanded(q, m, band). The §3.1 invariant gives
+// r = HalfST(l) for every group; a radius-zero group (radiusZero) has
+// r = 0, and the bound is LB_Keogh of its member. It costs one LB_Keogh of
+// the representative and no DTW; exclusions only remove members, so they
+// keep it valid. The LB_Keogh abandons at ub + r: a result above ub (+Inf
+// when abandoned) certifies that no member scores within ub.
+func groupLower(g *grouping.Group, env *lengthEnv, r, ub float64) float64 {
+	lb := dist.LBKeogh(g.Rep, env.qU, env.qL, ub+r)
+	if lb <= r {
 		return 0
 	}
-	return lb - env.half
+	return lb - r
+}
+
+// radiusZero reports whether g is a radius-zero group: one member, equal
+// value for value to the representative, so any bound on the
+// representative's score bounds the member's too. It is decided per query,
+// not stored: repair can leave a group with one member and a centroid
+// representative, and a base read from disk has no dataset to compare.
+func (e *Engine) radiusZero(g *grouping.Group) bool {
+	return len(g.Members) == 1 && slices.Equal(g.Members[0].Values(e.ds), g.Rep)
 }
 
 // snapshot assembles the current emission. Certification needs a sound
 // lower bound for every unrefined group, which exists once finishExact has
-// set the envelope bounds: before that (the approximate snapshot) nothing
+// set the certified bounds: before that (the approximate snapshot) nothing
 // is certified.
 func (w *progressiveWalk) snapshot(final bool) Snapshot {
 	var ms []Match
@@ -372,31 +384,47 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 }
 
 // boundTail sets the certified lower bound of every unrefined candidate,
-// groupLower, which depends only on the query and the approximate answer.
-// Groups whose bound already exceeds the k-th best move in front of the
-// tail as certified-skipped — counted once, here — and the survivors are
-// sorted by (bound, length, index).
+// which depends only on the query and the approximate answer. A
+// radius-zero group keeps its browse key: LB_Kim, LB_Keogh, the
+// representative's score or the float just above a bound it failed, each
+// at most its member's score, and above the cutoff, or the browse would
+// have refined it. Every other group gets groupLower. Groups whose bound
+// already exceeds the k-th best move in front of the tail as
+// certified-skipped — counted once, here — and the survivors are sorted by
+// (bound, length, index).
 func (w *progressiveWalk) boundTail(ctx context.Context) error {
 	worst := w.top.boundScore()
 	tail := w.cands[w.refined:]
-	skipped := 0
 	for i := range tail {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		cand := &tail[i]
-		cand.lower = groupLower(cand.g, cand.env, worst*cand.env.norm) / cand.env.norm
-		if cand.lower > worst {
-			tail[skipped], tail[i] = tail[i], tail[skipped]
-			skipped++
+		if cand := &tail[i]; !w.e.radiusZero(cand.g) {
+			cand.lower = groupLower(cand.g, cand.env, cand.env.half, worst*cand.env.norm) / cand.env.norm
 		}
 	}
-	if w.st != nil {
-		w.st.GroupsLBPruned += skipped
+	// Partition with two cursors, swapping only a survivor that sits before
+	// a skipped candidate: survivors are few, so few candidates move.
+	skipped := func(c *repCandidate) bool { return c.lower > worst }
+	lo, hi := 0, len(tail)
+	for {
+		for lo < hi && skipped(&tail[lo]) {
+			lo++
+		}
+		for lo < hi && !skipped(&tail[hi-1]) {
+			hi--
+		}
+		if lo == hi {
+			break
+		}
+		tail[lo], tail[hi-1] = tail[hi-1], tail[lo]
 	}
-	w.refined += skipped
+	if w.st != nil {
+		w.st.GroupsLBPruned += lo
+	}
+	w.refined += lo
 	survivors := w.cands[w.refined:]
 	slices.SortFunc(survivors, func(a, b repCandidate) int {
 		return candidateOrder(a.lower, b.lower, a.ref, b.ref)

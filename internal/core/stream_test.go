@@ -256,7 +256,7 @@ func TestGroupLowerBelowMembers(t *testing.T) {
 		qU, qL := dist.Envelope(q, l, band)
 		full := dist.LBKeogh(g.Rep, qU, qL, math.Inf(1))
 		env := &lengthEnv{norm: 1, half: rng.Float64() * 1.2 * full, qU: qU, qL: qL}
-		lower := groupLower(g, env, math.Inf(1))
+		lower := groupLower(g, env, env.half, math.Inf(1))
 		for mi := 0; mi < 8; mi++ {
 			m := append([]float64(nil), g.Rep...)
 			budget := env.half * rng.Float64()
@@ -293,7 +293,7 @@ func TestGroupLowerBelowMembers(t *testing.T) {
 			}
 		}
 		ub := rng.Float64() * 1.5 * full
-		if got := groupLower(g, env, ub); (lower > ub) != (got > ub) || (lower <= ub && got != lower) {
+		if got := groupLower(g, env, env.half, ub); (lower > ub) != (got > ub) || (lower <= ub && got != lower) {
 			t.Fatalf("trial %d: abandoned bound %g disagrees with full bound %g at ub %g", trial, got, lower, ub)
 		}
 	}

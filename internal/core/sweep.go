@@ -64,9 +64,10 @@ type SearchStats struct {
 	// GroupsLBPruned is how many groups were skipped without a member
 	// scan, each counted once. Top-k, approx and exact mode alike: every
 	// group the walk did not refine — past the approximate cutoff, or
-	// certified-skipped by its envelope bound (stream.go groupLower) — so
-	// GroupsLBPruned + GroupsRefined = Groups. Range: the groups the
-	// envelope bound or the threshold slack skipped.
+	// certified-skipped by its envelope bound (stream.go groupLower) or,
+	// on a radius-zero group, its browse key — so GroupsLBPruned +
+	// GroupsRefined = Groups. Range: the groups the envelope bound (radius
+	// 0 on a radius-zero group) or the threshold slack skipped.
 	GroupsLBPruned int
 	// RepDTW is the number of representative DTW evaluations started.
 	RepDTW int

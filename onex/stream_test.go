@@ -318,8 +318,9 @@ func TestStreamStallBound(t *testing.T) {
 
 	// A stall on the terminating snapshot — after which the walk has no
 	// ctx poll left to abort on — must still surface as ErrStreamStalled,
-	// not as a clean end with no final update.
-	x2, err := db.Stream(context.Background(), Query{Values: raw[0:16], K: 3})
+	// not as a clean end with no final update. The query must leave the
+	// exact walk at least one wave to refine after the approximate phase.
+	x2, err := db.Stream(context.Background(), Query{Values: raw[40:56], K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
