@@ -121,7 +121,7 @@ func cmdGen(args []string) error {
 	var d *ts.Dataset
 	switch *kind {
 	case "matters":
-		ind, ok := indicatorByName(*indicator)
+		ind, ok := gen.IndicatorByName(*indicator)
 		if !ok {
 			return fmt.Errorf("gen: unknown indicator %q", *indicator)
 		}
@@ -144,17 +144,6 @@ func cmdGen(args []string) error {
 	}
 	fmt.Fprintf(stdout, "wrote %s: %d series, %d values\n", *out, d.Len(), d.TotalValues())
 	return nil
-}
-
-func indicatorByName(name string) (gen.Indicator, bool) {
-	for _, ind := range []gen.Indicator{
-		gen.GrowthRate, gen.UnemploymentRate, gen.TechEmployment, gen.MedianIncome, gen.TaxBurden,
-	} {
-		if strings.EqualFold(ind.String(), name) {
-			return ind, true
-		}
-	}
-	return 0, false
 }
 
 // openFlags holds the flags shared by every subcommand that opens a DB.

@@ -297,15 +297,6 @@ func TestCmdViz(t *testing.T) {
 	}
 }
 
-func TestIndicatorByName(t *testing.T) {
-	if _, ok := indicatorByName("growthrate"); !ok {
-		t.Fatal("case-insensitive lookup failed")
-	}
-	if _, ok := indicatorByName("nope"); ok {
-		t.Fatal("bogus indicator found")
-	}
-}
-
 func TestFormatValues(t *testing.T) {
 	s := formatValues([]float64{1, 2, 3, 4, 5}, 3)
 	if !strings.Contains(s, "+2 more") {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -21,9 +22,9 @@ import (
 //     whose representative is its first member, as a reseeded singleton
 //     that later took a re-homed stray has it;
 //   - odd t: the series 0 window is a singleton whose representative is
-//     the window shifted down by 0.2, a centroid repair's re-homing left
-//     behind with one member, and the series 1 window is a radius-zero
-//     singleton;
+//     the window shifted down by 0.2 (Build never writes one, since repair
+//     keeps at least two members of a group, but a base may hold one), and
+//     the series 1 window is a radius-zero singleton;
 //   - series 2 and 3 windows are radius-zero singletons.
 //
 // Every member is 0.2·l in ED from its representative, inside HalfST(l) =
@@ -62,24 +63,26 @@ func mixedRadiusWorld(t *testing.T) (*ts.Dataset, *Engine) {
 	}
 	for l := minL; l <= maxL; l++ {
 		lg := &grouping.LengthGroups{Length: l}
-		add := func(rep []float64, ms ...ts.SubSeq) {
-			lg.Groups = append(lg.Groups, &grouping.Group{Length: l, Rep: rep, Members: ms})
+		// repIsFirst is set as Build sets it: on every group seeded with a
+		// copy of its first member, two-member ones included.
+		add := func(rep []float64, repIsFirst bool, ms ...ts.SubSeq) {
+			lg.Groups = append(lg.Groups, &grouping.Group{Length: l, Rep: rep, Members: ms, RepIsFirst: repIsFirst})
 		}
 		for t0 := 0; t0+l <= n; t0++ {
 			at := func(s int) ts.SubSeq { return ts.SubSeq{Series: s, Start: t0, Length: l} }
 			copyOf := func(s int) []float64 { return append([]float64(nil), at(s).Values(d)...) }
 			if t0%2 == 0 {
-				add(copyOf(1), at(1), at(0))
+				add(copyOf(1), true, at(1), at(0))
 			} else {
 				rep := copyOf(0)
 				for i := range rep {
 					rep[i] -= shift
 				}
-				add(rep, at(0))
-				add(copyOf(1), at(1))
+				add(rep, false, at(0))
+				add(copyOf(1), true, at(1))
 			}
-			add(copyOf(2), at(2))
-			add(copyOf(3), at(3))
+			add(copyOf(2), true, at(2))
+			add(copyOf(3), true, at(3))
 		}
 		b.ByLength[l] = lg
 	}
@@ -192,7 +195,9 @@ func TestExactRadiusZeroMatchesBruteForce(t *testing.T) {
 // member's score, exceeds the k-th best, so the approximate answer is
 // already exact. Exact Find returns approximate mode's matches with the
 // same representative and member DTWs and refined groups, and its progress
-// sink sees the approximate snapshot and the final one, no wave.
+// sink sees the approximate snapshot and the final one, no wave. The same
+// base written, read back and given its radius-zero bits by
+// DeriveRepIsFirst answers exact queries with the same matches and work.
 func TestExactRadiusZeroApproxIsExact(t *testing.T) {
 	ctx := context.Background()
 	d, e := singletonWorld(t)
@@ -202,6 +207,21 @@ func TestExactRadiusZeroApproxIsExact(t *testing.T) {
 				t.Fatalf("group %d of length %d is not radius-zero", gi, l)
 			}
 		}
+	}
+	var buf bytes.Buffer
+	if err := e.base.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rb, err := grouping.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rb.DeriveRepIsFirst(d); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewEngine(d, rb, e.opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for qi, oq := range oracleQueries(d, 1, 16, 24) {
 		for _, k := range []int{1, 5} {
@@ -227,6 +247,14 @@ func TestExactRadiusZeroApproxIsExact(t *testing.T) {
 						}
 						if len(snaps) != 2 || snaps[1].Wave != 0 || !snaps[1].Final {
 							t.Fatalf("%s: %d snapshots, the last at wave %d", label, len(snaps), snaps[len(snaps)-1].Wave)
+						}
+						warm, err := reopened.Find(ctx, oq.q, fo)
+						if err != nil {
+							t.Fatalf("%s: reopened: %v", label, err)
+						}
+						sameMatches(t, label+" reopened", exact.Matches, warm.Matches)
+						if r := warm.Stats; r.RepDTW != x.RepDTW || r.MemberDTW != x.MemberDTW || r.GroupsRefined != x.GroupsRefined {
+							t.Fatalf("%s: reopened exact stats %+v, live %+v", label, r, x)
 						}
 					}
 				}

@@ -291,11 +291,12 @@ func groupLower(g *grouping.Group, env *lengthEnv, r, ub float64) float64 {
 
 // radiusZero reports whether g is a radius-zero group: one member, equal
 // value for value to the representative, so any bound on the
-// representative's score bounds the member's too. It is decided per query,
-// not stored: repair can leave a group with one member and a centroid
-// representative, and a base read from disk has no dataset to compare.
+// representative's score bounds the member's too. The comparison is made
+// once, when the group is written (grouping.Group.RepIsFirst), so the walk
+// reads one bit and not the dataset. A group that had more members and
+// lost them to rollback keeps its first member, and so its bit.
 func (e *Engine) radiusZero(g *grouping.Group) bool {
-	return len(g.Members) == 1 && slices.Equal(g.Members[0].Values(e.ds), g.Rep)
+	return len(g.Members) == 1 && g.RepIsFirst
 }
 
 // snapshot assembles the current emission. Certification needs a sound
@@ -385,7 +386,8 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 
 // boundTail sets the certified lower bound of every unrefined candidate,
 // which depends only on the query and the approximate answer. A
-// radius-zero group keeps its browse key: LB_Kim, LB_Keogh, the
+// radius-zero group, told by its stored bit without reading the dataset
+// (radiusZero), keeps its browse key: LB_Kim, LB_Keogh, the
 // representative's score or the float just above a bound it failed, each
 // at most its member's score, and above the cutoff, or the browse would
 // have refined it. Every other group gets groupLower. Groups whose bound

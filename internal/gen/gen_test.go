@@ -327,3 +327,30 @@ func TestGeneratorsNoNaN(t *testing.T) {
 		}
 	}
 }
+
+// TestIndicatorByName: every indicator resolves from its String in any
+// case, and nothing else resolves.
+func TestIndicatorByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Indicator
+		ok   bool
+	}{
+		{"GrowthRate", GrowthRate, true},
+		{"growthrate", GrowthRate, true},
+		{"GROWTHRATE", GrowthRate, true},
+		{"UnemploymentRate", UnemploymentRate, true},
+		{"techemployment", TechEmployment, true},
+		{"MedianIncome", MedianIncome, true},
+		{"taxBurden", TaxBurden, true},
+		{"", 0, false},
+		{"nope", 0, false},
+		{"Growth", 0, false},
+		{"Indicator(5)", 0, false},
+	} {
+		got, ok := IndicatorByName(tc.name)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("IndicatorByName(%q) = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
+}

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/ts"
 )
@@ -90,6 +91,17 @@ func (ind Indicator) String() string {
 	default:
 		return fmt.Sprintf("Indicator(%d)", int(ind))
 	}
+}
+
+// IndicatorByName returns the indicator whose String is name, ignoring
+// case, so "GrowthRate" and "growthrate" name the same one.
+func IndicatorByName(name string) (Indicator, bool) {
+	for ind := GrowthRate; ind <= TaxBurden; ind++ {
+		if strings.EqualFold(ind.String(), name) {
+			return ind, true
+		}
+	}
+	return 0, false
 }
 
 // indicatorParams are the per-indicator level/scale/dynamics knobs.

@@ -290,6 +290,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 	}
 	want := refBuild(d, opts)
 	requireSameBase(t, "Build", got, want)
+	requireRepIsFirst(t, "Build", got, d)
 
 	for i := 0; i < 5; i++ {
 		d.MustAdd(nextSeries(i))
@@ -299,6 +300,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		}
 		refAddSeries(want, d, d.Len()-1)
 		requireSameBase(t, step, got, want)
+		requireRepIsFirst(t, step, got, d)
 		checkSum(step, got)
 	}
 	// Re-adding a windowless series is an accepted no-op and must not be
@@ -329,6 +331,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		step := fmt.Sprintf("RemoveSeries #%d", i)
 		requireSameBase(t, step, got, before)
 		requireSameBase(t, step, got, want)
+		requireRepIsFirst(t, step, got, d)
 		checkSum(step, got)
 	}
 	d.MustAdd(nextSeries(1))
@@ -340,8 +343,13 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 	checkSum("AddSeries after RemoveSeries", got)
 
 	// A deserialized base has neither index nor dataset: the first insert
-	// rebuilds one and re-ties the other.
+	// rebuilds one and re-ties the other. Its radius-zero bits are derived
+	// against d, as a reopening DB does.
 	loaded := roundTrip(t, got)
+	if err := loaded.DeriveRepIsFirst(d); err != nil {
+		t.Fatal(err)
+	}
+	requireRepIsFirst(t, "Read", loaded, d)
 	for i := 0; i < 2; i++ {
 		d.MustAdd(nextSeries(i))
 		step := fmt.Sprintf("AddSeries #%d after Read", i)
@@ -350,6 +358,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		}
 		refAddSeries(want, d, d.Len()-1)
 		requireSameBase(t, step, loaded, want)
+		requireRepIsFirst(t, step, loaded, d)
 		checkSum(step, loaded)
 	}
 	if !opts.SkipRepair {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -42,6 +43,18 @@ type Group struct {
 	// never overlap-deduplicate: each window of the dataset appears in
 	// exactly one group of its length.
 	Members []ts.SubSeq
+	// RepIsFirst records that Members[0] equals Rep value for value, so a
+	// group with one member has radius zero: any bound on the
+	// representative's score bounds the member's (the exact walk's
+	// radius-zero rule). Members are append-only and rollback truncates a
+	// suffix, so Members[0] never changes once the group is written, and the
+	// bit is decided there: Build evaluates it for every finished singleton,
+	// groups seeded with a copy of their window (repair's reseeds,
+	// AddSeries' new groups) start with it set, and DeriveRepIsFirst
+	// restores it on a base read from disk, whose format does not carry it.
+	// No write path clears it. False is always sound; it only costs the
+	// exact walk a looser bound.
+	RepIsFirst bool
 }
 
 // Count returns the group cardinality. The overview pane color-codes by it.
@@ -291,14 +304,31 @@ func buildLength(d *ts.Dataset, length int, st float64, repair bool) (*LengthGro
 		groups = repairLength(d, groups, ix, &stats)
 	}
 
-	lg := &LengthGroups{Length: length, Groups: make([]*Group, 0, len(groups))}
-	for _, g := range groups {
-		if len(g.Members) > 0 {
-			lg.Groups = append(lg.Groups, g)
-		}
-	}
+	lg := finishLength(d, length, groups)
 	stats.NumGroups = len(lg.Groups)
 	return lg, stats
+}
+
+// finishLength collects the groups of one length that kept members and
+// decides RepIsFirst for each singleton among them. A singleton here is a
+// seed whose centroid is its own window: repair never thins a group of
+// n >= 2 below two members, because the last member to join lies within
+// (1-1/n)·ST/2 of the final centroid and the one before within
+// (1-1/(n-1)+1/n)·ST/2 (triangle inequality). The values, not that
+// argument, decide the bit, so rounding at the boundary cannot make it
+// wrong.
+func finishLength(d *ts.Dataset, length int, groups []*Group) *LengthGroups {
+	lg := &LengthGroups{Length: length, Groups: make([]*Group, 0, len(groups))}
+	for _, g := range groups {
+		if len(g.Members) == 0 {
+			continue
+		}
+		if len(g.Members) == 1 {
+			g.RepIsFirst = slices.Equal(g.Members[0].Values(d), g.Rep)
+		}
+		lg.Groups = append(lg.Groups, g)
+	}
+	return lg
 }
 
 // repairLength freezes representatives and re-homes members that centroid
@@ -336,7 +366,7 @@ func repairLength(d *ts.Dataset, groups []*Group, ix *repIndex, stats *BuildStat
 		} else {
 			rep := make([]float64, len(w))
 			copy(rep, w)
-			groups = append(groups, &Group{Length: len(w), Rep: rep, Members: []ts.SubSeq{m}})
+			groups = append(groups, &Group{Length: len(w), Rep: rep, Members: []ts.SubSeq{m}, RepIsFirst: true})
 			ix.add(rep)
 			stats.Reseeded++
 		}
@@ -399,8 +429,9 @@ func (b *Base) CompactionRatio() float64 {
 
 // Validate re-checks the construction invariants against the dataset:
 // members in range, member length equals group length, every member within
-// ST/2 of the representative, and every window of every in-range length
-// present exactly once.
+// ST/2 of the representative, RepIsFirst set only where Members[0] equals
+// the representative, and every window of every in-range length present
+// exactly once.
 func (b *Base) Validate(d *ts.Dataset) error {
 	release, err := d.Pin()
 	if err != nil {
@@ -437,6 +468,9 @@ func (b *Base) Validate(d *ts.Dataset) error {
 				if r := dist.ED(m.Values(d), g.Rep); r > half+1e-9 {
 					return fmt.Errorf("grouping: Validate: member %v radius %g exceeds ST/2 = %g", m, r, half)
 				}
+			}
+			if g.RepIsFirst && !slices.Equal(g.Members[0].Values(d), g.Rep) {
+				return fmt.Errorf("grouping: Validate: length %d group %d has RepIsFirst, but its first member %v differs from the representative", l, gi, g.Members[0])
 			}
 		}
 	}

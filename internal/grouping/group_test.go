@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -372,5 +373,75 @@ func TestMaxRadiusFinite(t *testing.T) {
 		if r := g.MaxRadius(d); math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
 			t.Fatalf("bad radius %g", r)
 		}
+	}
+}
+
+// requireRepIsFirst fails unless every singleton of b carries RepIsFirst
+// exactly when its member equals the representative in d, and no group
+// carries it over a first member that differs: the exact walk's
+// radius-zero rule reads the bit in place of the values.
+func requireRepIsFirst(t *testing.T, step string, b *Base, d *ts.Dataset) {
+	t.Helper()
+	for _, l := range b.Lengths() {
+		for gi, g := range b.GroupsOfLength(l) {
+			equal := slices.Equal(g.Members[0].Values(d), g.Rep)
+			if g.RepIsFirst && !equal || len(g.Members) == 1 && g.RepIsFirst != equal {
+				t.Fatalf("%s: length %d group %d (%d members): RepIsFirst %v, first member equals representative %v",
+					step, l, gi, len(g.Members), g.RepIsFirst, equal)
+			}
+		}
+	}
+}
+
+// TestRepIsFirst pins the radius-zero bit on a singleton whose
+// representative is not its member, which Build's clustering never leaves
+// (see finishLength) but a base may hold: finishLength leaves the bit clear
+// on it, Validate rejects the bit on it, DeriveRepIsFirst leaves it clear
+// after a round trip, and both set it on the singleton that equals its
+// representative. A member outside the dataset is an error rather than a
+// panic.
+func TestRepIsFirst(t *testing.T) {
+	d := ts.NewDataset("rep-is-first")
+	d.MustAdd(ts.NewSeries("a", []float64{1, 2, 3}))
+	d.MustAdd(ts.NewSeries("b", []float64{1, 2, 3.5}))
+	a := ts.SubSeq{Series: 0, Start: 0, Length: 3}
+	bm := ts.SubSeq{Series: 1, Start: 0, Length: 3}
+	b := &Base{
+		DatasetName: d.Name, DatasetSum: DatasetChecksum(d), ST: 1, MinLength: 3, MaxLength: 3,
+		ByLength: map[int]*LengthGroups{3: {Length: 3, Groups: []*Group{
+			{Length: 3, Rep: []float64{1, 2, 3.25}, Members: []ts.SubSeq{a}},
+			{Length: 3, Rep: []float64{1, 2, 3.5}, Members: []ts.SubSeq{bm}},
+		}}},
+	}
+	if err := b.Validate(d); err != nil {
+		t.Fatal(err)
+	}
+	centroid, seed := b.ByLength[3].Groups[0], b.ByLength[3].Groups[1]
+	lg := finishLength(d, 3, []*Group{centroid, {Length: 3, Rep: []float64{1, 2, 3}}, seed})
+	if len(lg.Groups) != 2 || centroid.RepIsFirst || !seed.RepIsFirst {
+		t.Fatalf("finishLength kept %d groups, RepIsFirst %v on the centroid singleton and %v on the seed; want 2, false, true",
+			len(lg.Groups), centroid.RepIsFirst, seed.RepIsFirst)
+	}
+	centroid.RepIsFirst = true
+	if err := b.Validate(d); err == nil {
+		t.Fatal("Validate accepted RepIsFirst on a member that differs from its representative")
+	}
+	centroid.RepIsFirst = false
+
+	loaded := roundTrip(t, b)
+	if err := loaded.DeriveRepIsFirst(d); err != nil {
+		t.Fatal(err)
+	}
+	requireRepIsFirst(t, "Read", loaded, d)
+	if lg := loaded.ByLength[3]; lg.Groups[0].RepIsFirst || !lg.Groups[1].RepIsFirst {
+		t.Fatalf("derived RepIsFirst %v and %v, want false and true", lg.Groups[0].RepIsFirst, lg.Groups[1].RepIsFirst)
+	}
+	if err := loaded.Validate(d); err != nil {
+		t.Fatal(err)
+	}
+
+	seed.Members = []ts.SubSeq{{Series: 2, Start: 0, Length: 3}}
+	if err := b.DeriveRepIsFirst(d); err == nil {
+		t.Fatal("DeriveRepIsFirst accepted a member outside the dataset")
 	}
 }

@@ -56,7 +56,7 @@ func (b *Base) AddSeries(d *ts.Dataset, si int) error {
 			} else {
 				rep := make([]float64, l)
 				copy(rep, w)
-				lg.Groups = append(lg.Groups, &Group{Length: l, Rep: rep, Members: []ts.SubSeq{ref}})
+				lg.Groups = append(lg.Groups, &Group{Length: l, Rep: rep, Members: []ts.SubSeq{ref}, RepIsFirst: true})
 				ix.add(rep)
 			}
 			added++

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/ts"
@@ -240,4 +241,30 @@ func Read(r io.Reader) (*Base, error) {
 	// after a load.
 	b.reindexSeries()
 	return b, nil
+}
+
+// DeriveRepIsFirst sets Group.RepIsFirst on every singleton group of a base
+// read from disk, whose wire format does not carry the bit, by comparing
+// the member with the representative in d, the normalized dataset the base
+// indexes. Only singletons are read: the bit matters nowhere else. It pins
+// mmap-backed values while it reads them, and rejects a member outside d.
+func (b *Base) DeriveRepIsFirst(d *ts.Dataset) error {
+	release, err := d.Pin()
+	if err != nil {
+		return fmt.Errorf("grouping: DeriveRepIsFirst: %w", err)
+	}
+	defer release()
+	for _, lg := range b.ByLength {
+		for _, g := range lg.Groups {
+			if len(g.Members) != 1 {
+				continue
+			}
+			m := g.Members[0]
+			if err := m.Validate(d); err != nil {
+				return fmt.Errorf("grouping: DeriveRepIsFirst: %w", err)
+			}
+			g.RepIsFirst = slices.Equal(m.Values(d), g.Rep)
+		}
+	}
+	return nil
 }

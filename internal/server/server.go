@@ -353,7 +353,7 @@ func (s *Server) allowSource(source string) error {
 func DatasetForSource(source string) (*ts.Dataset, error) {
 	switch {
 	case strings.HasPrefix(source, "matters:"):
-		ind, ok := indicatorByName(strings.TrimPrefix(source, "matters:"))
+		ind, ok := gen.IndicatorByName(strings.TrimPrefix(source, "matters:"))
 		if !ok {
 			return nil, fmt.Errorf("unknown indicator %q", strings.TrimPrefix(source, "matters:"))
 		}
@@ -371,17 +371,6 @@ func DatasetForSource(source string) (*ts.Dataset, error) {
 	default:
 		return nil, fmt.Errorf("unknown source %q", source)
 	}
-}
-
-func indicatorByName(name string) (gen.Indicator, bool) {
-	for _, ind := range []gen.Indicator{
-		gen.GrowthRate, gen.UnemploymentRate, gen.TechEmployment, gen.MedianIncome, gen.TaxBurden,
-	} {
-		if ind.String() == name {
-			return ind, true
-		}
-	}
-	return 0, false
 }
 
 // DatasetInfo is one row of the dataset listing.

@@ -87,6 +87,25 @@ func TestLoadAndListFlow(t *testing.T) {
 	}
 }
 
+// TestLoadIndicatorIgnoresCase: the load endpoint resolves a matters
+// indicator in any case, as the CLI does.
+func TestLoadIndicatorIgnoresCase(t *testing.T) {
+	_, hts := newTestServer(t)
+	resp, raw := postJSON(t, hts.URL+"/api/v1/datasets/load", LoadRequest{
+		Name: "growth", Source: "matters:growthrate", MinLength: 4, MaxLength: 10,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("load status = %d: %s", resp.StatusCode, raw)
+	}
+	var lr LoadResponse
+	if err := json.Unmarshal(raw, &lr); err != nil {
+		t.Fatal(err)
+	}
+	if lr.Stats.Series != len(gen.StateNames) || lr.Stats.Groups == 0 {
+		t.Fatalf("load response %+v", lr)
+	}
+}
+
 func TestLoadValidation(t *testing.T) {
 	_, hts := newTestServer(t)
 	for _, body := range []string{

@@ -144,6 +144,12 @@ func openFromState(st *store.State, cfg Config, op string) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("onex: %s: %w", op, err)
 	}
+	// The snapshot does not carry the radius-zero bit; decide it once here,
+	// against the dataset the checksum just tied to the base, so exact
+	// queries read the bit instead of the values.
+	if err := st.Base.DeriveRepIsFirst(normed); err != nil {
+		return nil, fmt.Errorf("onex: %s: %w", op, err)
+	}
 	db := &DB{
 		raw:    raw,
 		normed: normed,

@@ -234,15 +234,21 @@ func TestOpenStoreRejectsAttachedEngine(t *testing.T) {
 	}
 }
 
-// failingEngine wraps a real engine but fails every Append, to exercise the
-// AddSeries rollback path.
+// failingEngine wraps a real engine but fails every Append while pass is
+// unset, to exercise the AddSeries rollback path.
 type failingEngine struct {
 	store.Engine
+	pass bool
 }
 
 var errAppendBoom = errors.New("append boom")
 
-func (f *failingEngine) Append(store.Record) error { return errAppendBoom }
+func (f *failingEngine) Append(rec store.Record) error {
+	if !f.pass {
+		return errAppendBoom
+	}
+	return f.Engine.Append(rec)
+}
 
 // TestAddSeriesRollbackOnWALFailure: when the durable append fails, the
 // in-memory insert is rolled back — version unchanged, series absent, and
