@@ -18,7 +18,7 @@ import (
 // array shows next to the DTW work.
 type benchBase struct {
 	name    string
-	build   func(b *testing.B) *Engine
+	build   func(tb testing.TB) *Engine
 	queries [][]float64
 	once    sync.Once
 	e       *Engine
@@ -27,7 +27,7 @@ type benchBase struct {
 var benchBases = []*benchBase{
 	// Smooth reflected walks on a ladder of levels: grouping compacts ~50x,
 	// so the LB cascade over representatives carries approximate queries.
-	{name: "compact", build: func(b *testing.B) *Engine {
+	{name: "compact", build: func(tb testing.TB) *Engine {
 		rng := rand.New(rand.NewSource(1))
 		d := ts.NewDataset("bench-compact")
 		const series = 100
@@ -46,46 +46,46 @@ var benchBases = []*benchBase{
 			}
 			d.MustAdd(ts.NewSeries(fmt.Sprintf("s%03d", i), vals))
 		}
-		return benchEngine(b, d, grouping.Options{ST: 0.035, MinLength: 16, MaxLength: 32}, false)
+		return benchEngine(tb, d, grouping.Options{ST: 0.035, MinLength: 16, MaxLength: 32}, false)
 	}},
 	// Min-max normalized cylinder-bell-funnel noise under a tiny ST: every
 	// window is its own group, so the DTW kernel does the query work.
-	{name: "singleton", build: func(b *testing.B) *Engine {
+	{name: "singleton", build: func(tb testing.TB) *Engine {
 		d := gen.CBF(gen.CBFOptions{PerClass: 4, Length: 128, Seed: 7})
 		if err := ts.NormalizeMinMax(d); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		return benchEngine(b, d, grouping.Options{ST: 0.01, MinLength: 23, MaxLength: 32}, true)
+		return benchEngine(tb, d, grouping.Options{ST: 0.01, MinLength: 23, MaxLength: 32}, true)
 	}},
 }
 
 // benchEngine builds the base and checks the regime it claims: at least
 // 5 000 groups over at least 10 lengths, and every group a singleton when
 // singleton is set.
-func benchEngine(b *testing.B, d *ts.Dataset, opts grouping.Options, singleton bool) *Engine {
+func benchEngine(tb testing.TB, d *ts.Dataset, opts grouping.Options, singleton bool) *Engine {
 	base, err := grouping.Build(d, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	n := base.NumGroups()
 	if n < 5000 || len(base.Lengths()) < 10 {
-		b.Fatalf("%s: %d groups over %d lengths", d.Name, n, len(base.Lengths()))
+		tb.Fatalf("%s: %d groups over %d lengths", d.Name, n, len(base.Lengths()))
 	}
 	if w := d.NumSubsequences(opts.MinLength, opts.MaxLength); singleton && n != w {
-		b.Fatalf("%s: %d groups for %d windows, want all singletons", d.Name, n, w)
+		tb.Fatalf("%s: %d groups for %d windows, want all singletons", d.Name, n, w)
 	}
 	e, err := NewEngine(d, base, Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return e
 }
 
 // engine builds the base on first use, with 16 queries: dataset windows of
 // the middle length plus a little noise, as an analyst's brushed window.
-func (bb *benchBase) engine(b *testing.B) *Engine {
+func (bb *benchBase) engine(tb testing.TB) *Engine {
 	bb.once.Do(func() {
-		bb.e = bb.build(b)
+		bb.e = bb.build(tb)
 		d, rng := bb.e.ds, rand.New(rand.NewSource(2))
 		l := (bb.e.base.MinLength + bb.e.base.MaxLength) / 2
 		for i := 0; i < 16; i++ {
@@ -99,7 +99,7 @@ func (bb *benchBase) engine(b *testing.B) *Engine {
 		}
 	})
 	if bb.e == nil {
-		b.Fatal("benchmark base failed to build")
+		tb.Fatal("benchmark base failed to build")
 	}
 	return bb.e
 }

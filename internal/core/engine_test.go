@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/bruteforce"
@@ -164,6 +165,19 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := bestMatch(e, []float64{1, 2, 3},
 		QueryConstraints{MinLength: 100, MaxLength: 200}); err != ErrNoMatch {
 		t.Fatal("impossible length constraints should yield ErrNoMatch")
+	}
+	// A non-finite value is rejected by index in every mode, before any walk.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, fo := range []FindOptions{
+			{K: 1},
+			{Options: Options{Mode: ModeExact}, K: 5},
+			{Range: true, MaxDist: 1},
+		} {
+			_, err := e.Find(context.Background(), []float64{1, 2, bad, 3}, fo)
+			if err == nil || !strings.Contains(err.Error(), "value 2") {
+				t.Fatalf("query value %g (%+v): err = %v, want one naming value 2", bad, fo, err)
+			}
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func mixedRadiusWorld(t *testing.T) (*ts.Dataset, *Engine) {
 		// repIsFirst is set as Build sets it: on every group seeded with a
 		// copy of its first member, two-member ones included.
 		add := func(rep []float64, repIsFirst bool, ms ...ts.SubSeq) {
-			lg.Groups = append(lg.Groups, &grouping.Group{Length: l, Rep: rep, Members: ms, RepIsFirst: repIsFirst})
+			lg.Append(&grouping.Group{Length: l, Rep: rep, Members: ms, RepIsFirst: repIsFirst})
 		}
 		for t0 := 0; t0+l <= n; t0++ {
 			at := func(s int) ts.SubSeq { return ts.SubSeq{Series: s, Start: t0, Length: l} }
@@ -332,5 +332,173 @@ func TestWithinThresholdRadiusZeroSkipsRepDTW(t *testing.T) {
 	t.Logf("representative, member DTWs: %v; the transfer-bound rule %v", got, ref)
 	if ref[0] == 0 {
 		t.Fatal("the transfer-bound rule ran no representative DTW: the test proves nothing")
+	}
+}
+
+// streamedRadiusWorld builds a base with grouping.Build and then streams
+// near-copies of an indexed series into it with AddSeries, the way a live
+// database grows. Series "up" is a smooth walk shifted up by shift, built
+// under an ST whose radius HalfST(l) = ST·l/2 lies between shift·l and the
+// walk's step per point, so most of its windows are singletons equal to
+// their representative (RepIsFirst). Series "slow", also built, is the
+// walk resampled 4/3 slower: its windows of one length are DTW-close to the
+// walk's windows of a shorter length, in groups of their own. Then the
+// unshifted walk and a noisy copy of it are streamed in: each of their
+// windows joins the "up" singleton it lies within shift·l of, so groups
+// that were radius-zero singletons gain second and third members that
+// score below their representative against a query near the walk.
+func streamedRadiusWorld(t *testing.T, shift, st float64) (*ts.Dataset, *Engine) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(67))
+	const n = 72
+	w, v := make([]float64, n), 0.5
+	for i := range w {
+		v += rng.NormFloat64() * 0.04
+		w[i] = v
+	}
+	up, slow := make([]float64, n), make([]float64, n*4/3)
+	for i := range up {
+		up[i] = w[i] + shift
+	}
+	for j := range slow {
+		x := float64(j) * 3 / 4
+		i := int(x)
+		if i+1 >= n {
+			slow[j] = w[n-1]
+			continue
+		}
+		slow[j] = w[i] + (x-float64(i))*(w[i+1]-w[i])
+	}
+	other := make([]float64, n)
+	for i := range other {
+		v += rng.NormFloat64() * 0.04
+		other[i] = v
+	}
+	d := ts.NewDataset("streamed-radius")
+	for _, s := range []struct {
+		name string
+		vals []float64
+	}{{"up", up}, {"slow", slow}, {"other", other}} {
+		d.MustAdd(ts.NewSeries(s.name, s.vals))
+	}
+	b, err := grouping.Build(d, grouping.Options{ST: st, MinLength: 9, MaxLength: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(d, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noisy := make([]float64, n)
+	for i := range noisy {
+		noisy[i] = w[i] + rng.NormFloat64()*0.002
+	}
+	for _, s := range []struct {
+		name string
+		vals []float64
+	}{{"walk", w}, {"noisy", noisy}} {
+		d.MustAdd(ts.NewSeries(s.name, s.vals))
+		if err := b.AddSeries(d, d.Len()-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Validate(d); err != nil {
+		t.Fatal(err)
+	}
+	return d, e
+}
+
+// TestExactRadiusZeroStreamedMatchesBruteForce covers the radius-zero
+// rule's one-member conjunct on a built base: groups that Build left as
+// radius-zero singletons and AddSeries grew keep RepIsFirst, and only the
+// member count keeps the exact walk from bounding their new members by the
+// representative's key. On streamedRadiusWorld, exact top-K for K in
+// {1, 5} equals bruteforce.KBest, and a range query at the oracle's 5th
+// score returns exactly the windows scoring within it, at bands -1 and 3,
+// LengthNorm on and off. Queries are lightly perturbed windows of the
+// streamed walk, whose approximate walk stops on the resampled series'
+// windows before it reaches the query's own group; some exact answer must
+// come from such a grown group, or the test proves nothing.
+func TestExactRadiusZeroStreamedMatchesBruteForce(t *testing.T) {
+	d, e := streamedRadiusWorld(t, 0.012, 0.03)
+	b := e.Base()
+	grown := 0
+	for _, l := range b.Lengths() {
+		for _, g := range b.GroupsOfLength(l) {
+			if g.RepIsFirst && len(g.Members) > 1 {
+				grown++
+			}
+		}
+	}
+	if grown == 0 {
+		t.Fatal("AddSeries grew no radius-zero singleton")
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(71))
+	walk := d.IndexOf("walk")
+	rescued := 0
+	for qi := 0; qi < 6; qi++ {
+		l := 9 + rng.Intn(3)
+		src := ts.SubSeq{Series: walk, Start: rng.Intn(d.Series[walk].Len() - l + 1), Length: l}
+		q := append([]float64(nil), src.Values(d)...)
+		for j := range q {
+			q[j] += rng.NormFloat64() * 0.001
+		}
+		for _, band := range []int{-1, 3} {
+			for _, ln := range []bool{false, true} {
+				bo := bruteforce.Options{Band: band, MinLength: b.MinLength, MaxLength: b.MaxLength, EarlyAbandon: true, LengthNormalize: ln}
+				opts := Options{Band: band, LengthNorm: ln}
+				for _, k := range []int{1, 5} {
+					label := fmt.Sprintf("query %d band %d norm %v k %d", qi, band, ln, k)
+					want, err := bruteforce.KBest(d, q, k+1, bo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Mode = ModeApprox
+					approx, err := e.Find(ctx, q, FindOptions{Options: opts, K: k})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					opts.Mode = ModeExact
+					res, err := e.Find(ctx, q, FindOptions{Options: opts, K: k})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameAsOracle(t, label, res.Matches, want, k)
+					m := res.Matches[0]
+					if g := b.GroupsOfLength(m.Group.Length)[m.Group.Index]; m.Score < approx.Matches[0].Score && g.RepIsFirst && len(g.Members) > 1 {
+						rescued++
+					}
+				}
+				top, err := bruteforce.KBest(d, q, 5, bo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maxDist := top[len(top)-1].Score
+				label := fmt.Sprintf("query %d band %d norm %v range %g", qi, band, ln, maxDist)
+				want := map[ts.SubSeq]float64{}
+				for ref, dd := range bruteScan(d, q, band, b.MinLength, b.MaxLength) {
+					if dd/opts.norm(len(q), ref.Length) <= maxDist {
+						want[ref] = dd
+					}
+				}
+				res, err := e.Find(ctx, q, FindOptions{Options: opts, Range: true, MaxDist: maxDist})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if len(res.Matches) != len(want) {
+					t.Fatalf("%s: %d matches, brute force has %d", label, len(res.Matches), len(want))
+				}
+				for _, m := range res.Matches {
+					if dd, ok := want[m.Ref]; !ok || !closeTo(m.Dist, dd) {
+						t.Fatalf("%s: match %v at %g, brute force has %g (present %v)", label, m.Ref, m.Dist, dd, ok)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d grown radius-zero groups; %d exact answers came from one the approximate walk missed", grown, rescued)
+	if rescued == 0 {
+		t.Fatal("no exact answer came from a grown radius-zero group the approximate walk missed")
 	}
 }

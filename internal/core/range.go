@@ -47,8 +47,8 @@ type rangeJob struct {
 // ctxCheckStride members, so cancelled range scans abort within one
 // pruning round.
 func (e *Engine) withinThreshold(ctx context.Context, q []float64, opts RangeOptions, callOpts Options, st *SearchStats) ([]Match, error) {
-	if len(q) < 2 {
-		return nil, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
+	if err := checkQuery(q); err != nil {
+		return nil, err
 	}
 	if opts.MaxDist < 0 || math.IsNaN(opts.MaxDist) {
 		return nil, fmt.Errorf("core: WithinThreshold: MaxDist %g must be non-negative", opts.MaxDist)

@@ -48,8 +48,8 @@ func (c QueryConstraints) excludes(ref ts.SubSeq) bool {
 // receives pipeline snapshots in exact mode (see stream.go); approx-mode
 // calls never invoke it — the approximate answer is the whole result.
 func (e *Engine) search(ctx context.Context, q []float64, k int, c QueryConstraints, opts Options, st *SearchStats, progress ProgressFunc) ([]Match, error) {
-	if len(q) < 2 {
-		return nil, fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
+	if err := checkQuery(q); err != nil {
+		return nil, err
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: k = %d must be >= 1", k)
@@ -66,12 +66,31 @@ func (e *Engine) search(ctx context.Context, q []float64, k int, c QueryConstrai
 	if len(lengths) == 0 {
 		return nil, ErrNoMatch
 	}
+	// One pooled walk state per query, returned on every exit: an answer,
+	// an error, cancellation or a panicking progress sink.
+	ws := getWalkState()
+	defer ws.release()
 	switch opts.Mode {
 	case ModeExact:
-		return e.kbestExact(ctx, q, k, c, lengths, opts, st, progress)
+		return e.kbestExact(ctx, ws, q, k, c, lengths, opts, st, progress)
 	default:
-		return e.kbestApprox(ctx, q, k, c, lengths, opts, st)
+		return e.kbestApprox(ctx, ws, q, k, c, lengths, opts, st)
 	}
+}
+
+// checkQuery rejects a query the walks cannot rank: one shorter than two
+// points, or one holding a NaN or an infinity, whose distances are NaN or
+// +Inf for every candidate.
+func checkQuery(q []float64) error {
+	if len(q) < 2 {
+		return fmt.Errorf("core: query length %d too short (need >= 2)", len(q))
+	}
+	for i, v := range q {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("core: query value %d is %g: values must be finite", i, v)
+		}
+	}
+	return nil
 }
 
 func (e *Engine) candidateLengths(c QueryConstraints) []int {
@@ -117,11 +136,11 @@ func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
 	return &lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
 }
 
-// repCandidate is a candidate group of the top-k walk.
+// repCandidate is a candidate group of the top-k walk: 16 bytes and no
+// pointer, so the walk's candidate array is contiguous memory the garbage
+// collector never scans. The group is walkState.slots[slot].groups[idx];
+// slots ascend with length, so (slot, idx) order is (length, index) order.
 type repCandidate struct {
-	ref GroupRef
-	g   *grouping.Group
-	env *lengthEnv
 	// lower is the group's key in the best-first browse (stream.go browse):
 	// a lower bound on its representative's score that rises from LB_Kim
 	// through LB_Keogh to the score itself, or to just above a bound the
@@ -129,7 +148,8 @@ type repCandidate struct {
 	// finishExact overwrites it with the certified bound over the group's
 	// members (groupLower), except on a radius-zero group, whose key
 	// already bounds its one member (boundTail).
-	lower float64
+	lower     float64
+	slot, idx int32
 }
 
 // rawBound converts a score bound b into the raw distance the cascade
@@ -166,40 +186,64 @@ func (r *rawBounds) of(b, norm float64) float64 {
 // (repCandidate.lower, read before the browse raises it). One counting sort
 // spreads the keys over about n/8 equal-width buckets; the bucket of a key
 // is monotone in it, so every key of a bucket is at most every key of a
-// later one, and a bucket is sorted only when the cursor reaches it.
+// later one, and a bucket is sorted only when the cursor reaches it. Its
+// arrays live in the pooled walkState and are rebuilt by reset.
 type lbBuckets struct {
 	cands []repCandidate
 	order []int32 // candidate indices, bucket by bucket
 	start []int32 // bucket bi holds order[start[bi]:start[bi+1]]
+	fill  []int32 // reset's scratch: the next free slot of each bucket
 	// pos is the cursor into order; buckets before sorted are sorted.
 	pos, sorted int
 }
 
-func newLBBuckets(cands []repCandidate) *lbBuckets {
+// reset spreads cands over the buckets, reusing the arrays of a previous
+// query.
+func (bs *lbBuckets) reset(cands []repCandidate) {
 	nb := max(len(cands)/8, 1)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for i := range cands {
-		lo, hi = min(lo, cands[i].lower), max(hi, cands[i].lower)
+		// Plain comparisons, not the min and max builtins, whose NaN and
+		// signed-zero handling costs a call per key; keys are never NaN
+		// (queries and values are finite).
+		k := cands[i].lower
+		if k < lo {
+			lo = k
+		}
+		if k > hi {
+			hi = k
+		}
 	}
 	scale := float64(nb) / (hi - lo)
 	if !(scale < math.Inf(1)) {
 		scale = 0 // a single key value (or NaN keys): one bucket
 	}
 	bucket := func(key float64) int { return min(max(int((key-lo)*scale), 0), nb-1) }
-	bs := &lbBuckets{cands: cands, order: make([]int32, len(cands)), start: make([]int32, nb+1)}
+	bs.cands, bs.pos, bs.sorted = cands, 0, 0
+	bs.order = resize(bs.order, len(cands))
+	bs.start = resize(bs.start, nb+1)
+	clear(bs.start)
 	for i := range cands {
 		bs.start[bucket(cands[i].lower)+1]++
 	}
 	for bi := 0; bi < nb; bi++ {
 		bs.start[bi+1] += bs.start[bi]
 	}
-	fill := slices.Clone(bs.start[:nb])
+	bs.fill = append(bs.fill[:0], bs.start[:nb]...)
 	for i := range cands {
 		bi := bucket(cands[i].lower)
-		bs.order[fill[bi]] = int32(i)
-		fill[bi]++
+		bs.order[bs.fill[bi]] = int32(i)
+		bs.fill[bi]++
 	}
-	return bs
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // head returns the candidate at the cursor and its key, or ok = false once
@@ -224,6 +268,11 @@ type keyHeap struct {
 	cands []repCandidate
 	level []uint8 // the level of each candidate's key
 	idx   []int32
+}
+
+// reset empties the heap over a new candidate array, keeping idx's array.
+func (h *keyHeap) reset(cands []repCandidate, level []uint8) {
+	h.cands, h.level, h.idx = cands, level, h.idx[:0]
 }
 
 func (h *keyHeap) less(a, b int32) bool {
@@ -273,24 +322,25 @@ func (h *keyHeap) fix() {
 }
 
 // candidateOrder orders candidates by key (a score or a lower bound), ties
-// broken by group identity. The order is total, so a sort under it does not
-// depend on the arrangement it starts from, which the browse decides.
-func candidateOrder(ka, kb float64, a, b GroupRef) int {
-	if c := cmp.Compare(ka, kb); c != 0 {
+// broken by group identity: (slot, idx), which is (length, index). The
+// order is total, so a sort under it does not depend on the arrangement it
+// starts from, which the browse decides.
+func candidateOrder(a, b repCandidate) int {
+	if c := cmp.Compare(a.lower, b.lower); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Length, b.Length); c != 0 {
+	if c := cmp.Compare(a.slot, b.slot); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Index, b.Index)
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // kbestApprox implements the paper's search: pick the top-k groups by
 // representative score, then take the best members inside them. It is the
 // approximate phase of the progressive pipeline (stream.go), stopped after
-// its first emission boundary.
-func (e *Engine) kbestApprox(ctx context.Context, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats) ([]Match, error) {
-	w, err := e.startWalk(ctx, q, k, c, lengths, opts, st)
+// its first emission boundary. The walk runs in ws.
+func (e *Engine) kbestApprox(ctx context.Context, ws *walkState, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats) ([]Match, error) {
+	w, err := e.startWalk(ctx, ws, q, k, c, lengths, opts, st)
 	if err != nil {
 		return nil, err
 	}
@@ -312,9 +362,9 @@ func (e *Engine) kbestApprox(ctx context.Context, q []float64, k int, c QueryCon
 // (stream.go finishExact); the result is the
 // true top-k. progress, when non-nil, receives a snapshot after the
 // approximate phase, after every wave, and a final one equal to the
-// returned matches.
-func (e *Engine) kbestExact(ctx context.Context, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats, progress ProgressFunc) ([]Match, error) {
-	w, err := e.startWalk(ctx, q, k, c, lengths, opts, st)
+// returned matches. The walk runs in ws.
+func (e *Engine) kbestExact(ctx context.Context, ws *walkState, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats, progress ProgressFunc) ([]Match, error) {
+	w, err := e.startWalk(ctx, ws, q, k, c, lengths, opts, st)
 	if err != nil {
 		return nil, err
 	}
@@ -343,17 +393,18 @@ func (t *topK) boundScore() float64 {
 	return math.Inf(1)
 }
 
-// refineGroup scans a group's members with an LB cascade and early-abandon
-// DTW, offering improvements to the top-k accumulator. The context is
-// re-checked every ctxCheckStride members so large groups abandon promptly.
-func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate, c QueryConstraints, top *topK, opts Options, st *SearchStats) error {
-	qU, qL, norm := cand.env.qU, cand.env.qL, cand.env.norm
+// refineGroup scans the members of g, the group ref with query environment
+// env, with an LB cascade and early-abandon DTW, offering improvements to
+// the top-k accumulator. The context is re-checked every ctxCheckStride
+// members so large groups abandon promptly.
+func (e *Engine) refineGroup(ctx context.Context, q []float64, g *grouping.Group, env *lengthEnv, ref GroupRef, c QueryConstraints, top *topK, opts Options, st *SearchStats) error {
+	qU, qL, norm := env.qU, env.qL, env.norm
 	if st != nil {
 		st.GroupsRefined++
-		st.Members += len(cand.g.Members)
+		st.Members += len(g.Members)
 	}
 	var raw rawBounds
-	for mi, m := range cand.g.Members {
+	for mi, m := range g.Members {
 		if mi%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -382,7 +433,7 @@ func (e *Engine) refineGroup(ctx context.Context, q []float64, cand repCandidate
 			Values: mv,
 			Dist:   d,
 			Score:  d / norm,
-			Group:  cand.ref,
+			Group:  ref,
 		})
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/grouping"
@@ -79,9 +80,62 @@ const exactWave = 16
 // from the search goroutine; blocking in the sink blocks the walk.
 type ProgressFunc func(Snapshot)
 
+// walkState holds the arrays of one top-k walk, sized by the candidate
+// groups: search takes one from walkStates per query, runs kbestApprox or
+// kbestExact in it and returns it when the query ends, so a query allocates
+// no per-group array once the pool is warm. Every array is re-initialized
+// by the step that uses it (startWalk, browse, moveToFront).
+type walkState struct {
+	// slots holds one entry per candidate length with groups, ascending;
+	// repCandidate.slot indexes it.
+	slots []walkSlot
+	// cands[:refined] have had their members fully scanned (the approximate
+	// phase's in visit order) or been certified-skipped; cands[refined:] are
+	// the groups still open, which finishExact sorts by certified lower
+	// bound.
+	cands   []repCandidate
+	level   []uint8 // the browse level of each candidate's key
+	buckets lbBuckets
+	heap    keyHeap
+	visit   []int32 // the candidates the browse refined, in visit order
+	// moveToFront's scratch.
+	moved []repCandidate
+	front []bool
+}
+
+// walkSlot is one candidate length of a walk: its groups and the query's
+// precomputation for it.
+type walkSlot struct {
+	length int
+	groups []*grouping.Group
+	env    *lengthEnv
+}
+
+// walkStates pools walk states across queries: one Get and one Put per
+// query, never per group or per DTW.
+var walkStates = sync.Pool{New: func() any { return new(walkState) }}
+
+func getWalkState() *walkState { return walkStates.Get().(*walkState) }
+
+// release returns ws to the pool. It drops the group and environment
+// references first, so a pooled state pins no retired base or mapping; the
+// candidate arrays hold no pointer.
+func (ws *walkState) release() {
+	clear(ws.slots)
+	ws.slots = ws.slots[:0]
+	walkStates.Put(ws)
+}
+
+// at resolves a candidate to its group, query environment and identity.
+func (ws *walkState) at(c repCandidate) (*grouping.Group, *lengthEnv, GroupRef) {
+	s := &ws.slots[c.slot]
+	return s.groups[c.idx], s.env, GroupRef{Length: s.length, Index: int(c.idx)}
+}
+
 // progressiveWalk is the resumable state of one top-k search: the candidate
-// groups, the accumulator, and how far the member-level walk has advanced.
-// The approximate phase produces it; the exact continuation consumes it.
+// groups (in its walkState), the accumulator, and how far the member-level
+// walk has advanced. The approximate phase produces it; the exact
+// continuation consumes it.
 type progressiveWalk struct {
 	e    *Engine
 	q    []float64
@@ -90,11 +144,7 @@ type progressiveWalk struct {
 	opts Options
 	st   *SearchStats
 
-	// cands[:refined] have had their members fully scanned (the approximate
-	// phase's in visit order) or been certified-skipped; cands[refined:] are
-	// the groups still open, which finishExact sorts by certified lower
-	// bound.
-	cands   []repCandidate
+	*walkState
 	top     *topK
 	refined int
 	// bounded records that finishExact has set every unrefined candidate's
@@ -106,33 +156,44 @@ type progressiveWalk struct {
 }
 
 // startWalk runs the approximate phase — the best-first browse of the
-// candidate groups with the paper's cutoff — and returns the resumable
-// state. The accumulator content equals the approx-mode answer when it
-// returns.
-func (e *Engine) startWalk(ctx context.Context, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats) (*progressiveWalk, error) {
+// candidate groups with the paper's cutoff — in ws and returns the
+// resumable state, which lives until ws is released. The accumulator
+// content equals the approx-mode answer when it returns.
+//
+// It keys every group by LB_Kim without dereferencing it: the key comes
+// from q's endpoints and the length's endpoint table
+// (grouping.LengthGroups.Ends), bit for bit dist.LBKim(q, g.Rep), and the
+// candidates are written into ws's reused pointer-free array.
+func (e *Engine) startWalk(ctx context.Context, ws *walkState, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats) (*progressiveWalk, error) {
+	ws.slots = ws.slots[:0]
 	n := 0
 	for _, l := range lengths {
-		n += len(e.base.GroupsOfLength(l))
-	}
-	cands := make([]repCandidate, 0, n)
-	for _, l := range lengths {
-		groups := e.base.GroupsOfLength(l)
-		if len(groups) == 0 {
-			continue
+		if lg := e.base.ByLength[l]; lg != nil && len(lg.Groups) > 0 {
+			ws.slots = append(ws.slots, walkSlot{length: l, groups: lg.Groups})
+			n += len(lg.Groups)
 		}
-		env := e.lengthEnvFor(q, l, opts)
+	}
+	cands := resize(ws.cands, n)
+	q0, qn := q[0], q[len(q)-1]
+	j := 0
+	for si := range ws.slots {
+		s := &ws.slots[si]
+		s.env = e.lengthEnvFor(q, s.length, opts)
+		norm, ends := s.env.norm, e.base.ByLength[s.length].Ends
 		//onex:nopoll O(1) LB_Kim per group; the browse polls per popped key
-		for gi, g := range groups {
-			cands = append(cands, repCandidate{
-				ref: GroupRef{Length: l, Index: gi}, g: g, env: env,
-				lower: dist.LBKim(q, g.Rep) / env.norm,
-			})
+		for gi := range s.groups {
+			cands[j] = repCandidate{
+				lower: dist.LBKimEnds(q0, qn, ends[2*gi], ends[2*gi+1]) / norm,
+				slot:  int32(si), idx: int32(gi),
+			}
+			j++
 		}
 	}
+	ws.cands = cands
 	if st != nil {
 		st.Groups += len(cands)
 	}
-	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: st, cands: cands, top: newTopK(k)}
+	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: st, walkState: ws, top: newTopK(k)}
 	if err := w.browse(ctx); err != nil {
 		return nil, err
 	}
@@ -178,12 +239,15 @@ const (
 // cands[:refined] in visit order. The context is polled per popped key.
 func (w *progressiveWalk) browse(ctx context.Context) error {
 	cands := w.cands
-	level := make([]uint8, len(cands))
+	w.level = resize(w.level, len(cands))
+	level := w.level
+	clear(level)
 	kth := newKthTracker(w.k)
-	buckets := newLBBuckets(cands)
-	heap := keyHeap{cands: cands, level: level}
+	buckets, heap := &w.buckets, &w.heap
+	buckets.reset(cands)
+	heap.reset(cands, level)
 	var raw rawBounds
-	var order []int32 // refined candidates, in visit order
+	order := w.visit[:0] // refined candidates, in visit order
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -203,9 +267,10 @@ func (w *progressiveWalk) browse(ctx context.Context) error {
 			break
 		}
 		c := &cands[i]
+		g, env, ref := w.at(*c)
 		if level[i] == levelScore {
 			heap.pop()
-			if err := w.e.refineGroup(ctx, w.q, *c, w.c, w.top, w.opts, w.st); err != nil {
+			if err := w.e.refineGroup(ctx, w.q, g, env, ref, w.c, w.top, w.opts, w.st); err != nil {
 				return err
 			}
 			order = append(order, i)
@@ -217,18 +282,18 @@ func (w *progressiveWalk) browse(ctx context.Context) error {
 		if key <= kth.bound() {
 			b = math.Min(b, kth.bound())
 		}
-		ub := raw.of(b, c.env.norm)
+		ub := raw.of(b, env.norm)
 		c.lower = math.Nextafter(b, math.Inf(1))
 		if level[i] == levelKeogh {
 			if w.st != nil {
 				w.st.RepDTW++
 			}
-			if d := dist.DTWEarlyAbandon(w.q, c.g.Rep, w.opts.Band, ub); !math.IsInf(d, 1) {
-				c.lower, level[i] = d/c.env.norm, levelScore
+			if d := dist.DTWEarlyAbandon(w.q, g.Rep, w.opts.Band, ub); !math.IsInf(d, 1) {
+				c.lower, level[i] = d/env.norm, levelScore
 				kth.offer(c.lower)
 			}
-		} else if lb := dist.LBKeogh(c.g.Rep, c.env.qU, c.env.qL, ub); lb <= ub {
-			c.lower, level[i] = math.Max(key, lb/c.env.norm), levelKeogh
+		} else if lb := dist.LBKeogh(g.Rep, env.qU, env.qL, ub); lb <= ub {
+			c.lower, level[i] = math.Max(key, lb/env.norm), levelKeogh
 		}
 		if !cold {
 			heap.fix()
@@ -239,18 +304,20 @@ func (w *progressiveWalk) browse(ctx context.Context) error {
 			heap.push(i)
 		}
 	}
+	w.visit = order
 	w.refined = len(order)
-	moveToFront(cands, order)
+	w.moveToFront(order)
 	return nil
 }
 
 // moveToFront moves the candidates at the distinct indices of order to
 // cands[:len(order)], in order, with O(len(order)) moves: the other
 // candidates that sat there fill the places the moved ones left.
-func moveToFront(cands []repCandidate, order []int32) {
-	r := len(order)
-	moved := make([]repCandidate, r)
-	front := make([]bool, r) // cands[j] is itself moved
+func (ws *walkState) moveToFront(order []int32) {
+	cands, r := ws.cands, len(order)
+	ws.moved, ws.front = resize(ws.moved, r), resize(ws.front, r)
+	moved, front := ws.moved, ws.front // front[j]: cands[j] is itself moved
+	clear(front)
 	for j, i := range order {
 		moved[j] = cands[i]
 		if int(i) < r {
@@ -372,7 +439,8 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 			w.refined = len(w.cands)
 			break
 		}
-		if err := w.e.refineGroup(ctx, w.q, cand, w.c, w.top, w.opts, w.st); err != nil {
+		g, env, ref := w.at(cand)
+		if err := w.e.refineGroup(ctx, w.q, g, env, ref, w.c, w.top, w.opts, w.st); err != nil {
 			return err
 		}
 		w.refined++
@@ -403,8 +471,9 @@ func (w *progressiveWalk) boundTail(ctx context.Context) error {
 				return err
 			}
 		}
-		if cand := &tail[i]; !w.e.radiusZero(cand.g) {
-			cand.lower = groupLower(cand.g, cand.env, cand.env.half, worst*cand.env.norm) / cand.env.norm
+		cand := &tail[i]
+		if g, env, _ := w.at(*cand); !w.e.radiusZero(g) {
+			cand.lower = groupLower(g, env, env.half, worst*env.norm) / env.norm
 		}
 	}
 	// Partition with two cursors, swapping only a survivor that sits before
@@ -427,10 +496,7 @@ func (w *progressiveWalk) boundTail(ctx context.Context) error {
 		w.st.GroupsLBPruned += lo
 	}
 	w.refined += lo
-	survivors := w.cands[w.refined:]
-	slices.SortFunc(survivors, func(a, b repCandidate) int {
-		return candidateOrder(a.lower, b.lower, a.ref, b.ref)
-	})
+	slices.SortFunc(w.cands[w.refined:], candidateOrder)
 	w.bounded = true
 	return nil
 }

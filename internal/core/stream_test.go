@@ -299,17 +299,37 @@ func TestGroupLowerBelowMembers(t *testing.T) {
 	}
 }
 
+// candView is a candidate with its group, query environment and identity
+// resolved: the eager walk's candidate, and a browse candidate as the tests
+// read it.
+type candView struct {
+	ref   GroupRef
+	g     *grouping.Group
+	env   *lengthEnv
+	lower float64
+}
+
+// views resolves candidates of the walk.
+func (w *progressiveWalk) views(cs []repCandidate) []candView {
+	out := make([]candView, len(cs))
+	for i, c := range cs {
+		g, env, ref := w.at(c)
+		out[i] = candView{ref: ref, g: g, env: env, lower: c.lower}
+	}
+	return out
+}
+
 // eagerCandidates scores every representative of the candidate lengths with
 // DTWBanded, keys each by its score, and sorts all candidates by (score,
 // length, index): the visit order of the approximate walk, computed with
 // nothing pruned or lazy.
-func eagerCandidates(e *Engine, q []float64, c QueryConstraints, opts Options) []repCandidate {
-	var cands []repCandidate
+func eagerCandidates(e *Engine, q []float64, c QueryConstraints, opts Options) []candView {
+	var cands []candView
 	for _, l := range e.candidateLengths(c) {
 		env := e.lengthEnvFor(q, l, opts)
 		for gi, g := range e.base.GroupsOfLength(l) {
 			d := dist.DTWBanded(q, g.Rep, opts.Band)
-			cands = append(cands, repCandidate{ref: GroupRef{Length: l, Index: gi}, g: g, env: env, lower: d / env.norm})
+			cands = append(cands, candView{ref: GroupRef{Length: l, Index: gi}, g: g, env: env, lower: d / env.norm})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -339,7 +359,7 @@ func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options
 		if top.full() && cand.lower > top.worst().Score {
 			break
 		}
-		if err := e.refineGroup(ctx, q, cand, c, top, opts, &st); err != nil {
+		if err := e.refineGroup(ctx, q, cand.g, cand.env, cand.ref, c, top, opts, &st); err != nil {
 			return nil, st, err
 		}
 	}
@@ -497,7 +517,7 @@ func TestApproxScoringBestFirstDTWs(t *testing.T) {
 				for _, ln := range []bool{false, true} {
 					opts := Options{Band: 3, LengthNorm: ln}
 					var st SearchStats
-					if _, err := w.e.startWalk(ctx, oq.q, k, QueryConstraints{}, lengths, opts, &st); err != nil {
+					if _, err := w.e.startWalk(ctx, new(walkState), oq.q, k, QueryConstraints{}, lengths, opts, &st); err != nil {
 						t.Fatal(err)
 					}
 					dtws += st.RepDTW
@@ -540,7 +560,7 @@ func TestApproxSingletonTailUntouched(t *testing.T) {
 	for qi, oq := range w.queries {
 		for _, ln := range []bool{false, true} {
 			opts := Options{Band: 3, LengthNorm: ln}
-			walk, err := w.e.startWalk(ctx, oq.q, 5, QueryConstraints{}, lengths, opts, nil)
+			walk, err := w.e.startWalk(ctx, new(walkState), oq.q, 5, QueryConstraints{}, lengths, opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -549,7 +569,7 @@ func TestApproxSingletonTailUntouched(t *testing.T) {
 				t.Fatalf("%s: refined %d groups", label, walk.refined)
 			}
 			cutoff, beyond := walk.top.boundScore(), 0
-			for _, c := range walk.cands {
+			for _, c := range walk.views(walk.cands) {
 				key := dist.LBKim(oq.q, c.g.Rep) / c.env.norm
 				if key <= cutoff {
 					continue
@@ -588,7 +608,7 @@ func TestApproxCandidateOrderMatchesFullSort(t *testing.T) {
 						}
 						label := fmt.Sprintf("%s query %d k %d norm %v exclude %v", w.name, qi, k, ln, exclude)
 						opts := Options{Band: 3, LengthNorm: ln}
-						walk, err := w.e.startWalk(ctx, oq.q, k, c, lengths, opts, nil)
+						walk, err := w.e.startWalk(ctx, new(walkState), oq.q, k, c, lengths, opts, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -600,7 +620,7 @@ func TestApproxCandidateOrderMatchesFullSort(t *testing.T) {
 							t.Fatalf("%s: refined %d groups, the eager walk %d", label, walk.refined, eagerSt.GroupsRefined)
 						}
 						want := eagerCandidates(w.e, oq.q, c, opts)
-						for i, got := range walk.cands[:walk.refined] {
+						for i, got := range walk.views(walk.cands[:walk.refined]) {
 							if got.ref != want[i].ref || math.Float64bits(got.lower) != math.Float64bits(want[i].lower) {
 								t.Fatalf("%s: visit %d is %v at %g, the full sort has %v at %g", label, i, got.ref, got.lower, want[i].ref, want[i].lower)
 							}

@@ -278,6 +278,56 @@ func TestDTWPathProperties(t *testing.T) {
 	}
 }
 
+// TestDTWPathNonFinite pins that the backtrack always steps: with NaN costs,
+// or sums that overflow to +Inf, no predecessor is below +Inf, and a
+// backtrack that waits for one never reaches {0,0}. The path must still be
+// a valid warping path, at every band.
+func TestDTWPathNonFinite(t *testing.T) {
+	nan, big := math.NaN(), math.MaxFloat64
+	cases := []struct {
+		name string
+		a, b []float64
+	}{
+		{"NaN query", []float64{0, nan, 2, 1}, []float64{0, 1, 2, 1, 0}},
+		{"NaN candidate", []float64{0, 1, 2}, []float64{nan, 1, 2, 3}},
+		{"all NaN", []float64{nan, nan, nan}, []float64{nan, nan}},
+		{"+Inf value", []float64{0, math.Inf(1), 1}, []float64{0, 1, 1, 0}},
+		{"overflow", []float64{big, -big, big, -big}, []float64{-big, big, -big}},
+	}
+	for _, c := range cases {
+		for _, band := range []int{-1, 0, 1, 3} {
+			_, path := DTWPath(c.a, c.b, band)
+			if !path.Valid(len(c.a), len(c.b)) {
+				t.Fatalf("%s band %d: invalid path %v", c.name, band, path)
+			}
+		}
+	}
+}
+
+// TestLBKimEndsMatchesLBKim pins the endpoint form to LBKim bit for bit,
+// signed zeros included, for queries of two or more points against
+// candidates of any length.
+func TestLBKimEndsMatchesLBKim(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, 1e-300, 3e300, math.Inf(1)}
+	for _, q0 := range vals {
+		for _, qn := range vals {
+			for _, c0 := range vals {
+				for _, cn := range vals {
+					q := []float64{q0, 7, qn}
+					for _, c := range [][]float64{{c0, cn}, {c0, 1, cn}} {
+						if got, want := LBKimEnds(q0, qn, c[0], c[len(c)-1]), LBKim(q, c); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("LBKimEnds(%g, %g, %g, %g) = %g, LBKim = %g", q0, qn, c[0], c[len(c)-1], got, want)
+						}
+					}
+					if got, want := LBKimEnds(q0, qn, c0, c0), LBKim(q, []float64{c0}); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("single-point candidate %g: LBKimEnds %g, LBKim %g", c0, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestWarpPathValid(t *testing.T) {
 	good := WarpPath{{0, 0}, {0, 1}, {1, 2}, {2, 2}}
 	if !good.Valid(3, 3) {

@@ -16,16 +16,28 @@ func LBKim(q, c []float64) float64 {
 	if len(q) == 0 || len(c) == 0 {
 		return 0
 	}
-	d0 := q[0] - c[0]
-	if d0 < 0 {
-		d0 = -d0
-	}
 	if len(q) == 1 && len(c) == 1 {
 		// A single-point pair is one path step; counting it twice would
 		// overshoot the bound.
+		d0 := q[0] - c[0]
+		if d0 < 0 {
+			d0 = -d0
+		}
 		return d0
 	}
-	dn := q[len(q)-1] - c[len(c)-1]
+	return LBKimEnds(q[0], q[len(q)-1], c[0], c[len(c)-1])
+}
+
+// LBKimEnds is LBKim from the four endpoints alone: for len(q) >= 2 (or
+// len(c) >= 2), LBKimEnds(q[0], q[last], c[0], c[last]) equals LBKim(q, c)
+// bit for bit, so a scan that keeps only a candidate's endpoints (the
+// engine's per-length endpoint table) keys it without touching its values.
+func LBKimEnds(q0, qn, c0, cn float64) float64 {
+	d0 := q0 - c0
+	if d0 < 0 {
+		d0 = -d0
+	}
+	dn := qn - cn
 	if dn < 0 {
 		dn = -dn
 	}

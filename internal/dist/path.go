@@ -130,7 +130,10 @@ func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 	}
 
 	// Backtrack from the corner, preferring diagonal, then up, then left;
-	// the minimal predecessor is by construction on an optimal path.
+	// the minimal predecessor is by construction on an optimal path. Every
+	// step moves: when no predecessor is below +Inf (NaN costs, or sums that
+	// overflowed) the in-bounds diagonal, then up, then left is taken, so
+	// the path still ends at {0,0} after at most n+m-1 steps.
 	path := make(WarpPath, 0, n+m)
 	i, j := n-1, m-1
 	for {
@@ -138,7 +141,13 @@ func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 		if i == 0 && j == 0 {
 			break
 		}
-		bi, bj, best := i, j, inf
+		bi, bj, best := i-1, j-1, inf
+		switch {
+		case i == 0:
+			bi, bj = i, j-1
+		case j == 0:
+			bi, bj = i-1, j
+		}
 		if i > 0 && j > 0 {
 			if v := dp[(i-1)*m+j-1]; v < best {
 				bi, bj, best = i-1, j-1, v

@@ -116,7 +116,7 @@ func refBuild(d *ts.Dataset, opts Options) *Base {
 		lg := &LengthGroups{Length: l}
 		for _, bg := range groups {
 			if len(bg.members) > 0 {
-				lg.Groups = append(lg.Groups, &Group{Length: l, Rep: bg.rep, Members: bg.members})
+				lg.Append(&Group{Length: l, Rep: bg.rep, Members: bg.members})
 			}
 		}
 		if len(lg.Groups) == 0 {
@@ -147,7 +147,7 @@ func refAddSeries(b *Base, d *ts.Dataset, si int) {
 			if best := refNearest(w, reps, b.HalfST(l)); best >= 0 {
 				lg.Groups[best].Members = append(lg.Groups[best].Members, ref)
 			} else {
-				lg.Groups = append(lg.Groups, &Group{Length: l, Rep: append([]float64(nil), w...), Members: []ts.SubSeq{ref}})
+				lg.Append(&Group{Length: l, Rep: append([]float64(nil), w...), Members: []ts.SubSeq{ref}})
 			}
 			b.BuildStats.NumWindows++
 		}
@@ -291,6 +291,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 	want := refBuild(d, opts)
 	requireSameBase(t, "Build", got, want)
 	requireRepIsFirst(t, "Build", got, d)
+	requireEnds(t, "Build", got)
 
 	for i := 0; i < 5; i++ {
 		d.MustAdd(nextSeries(i))
@@ -301,6 +302,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		refAddSeries(want, d, d.Len()-1)
 		requireSameBase(t, step, got, want)
 		requireRepIsFirst(t, step, got, d)
+		requireEnds(t, step, got)
 		checkSum(step, got)
 	}
 	// Re-adding a windowless series is an accepted no-op and must not be
@@ -332,6 +334,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		requireSameBase(t, step, got, before)
 		requireSameBase(t, step, got, want)
 		requireRepIsFirst(t, step, got, d)
+		requireEnds(t, step, got)
 		checkSum(step, got)
 	}
 	d.MustAdd(nextSeries(1))
@@ -340,6 +343,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 	}
 	refAddSeries(want, d, d.Len()-1)
 	requireSameBase(t, "AddSeries after RemoveSeries", got, want)
+	requireEnds(t, "AddSeries after RemoveSeries", got)
 	checkSum("AddSeries after RemoveSeries", got)
 
 	// A deserialized base has neither index nor dataset: the first insert
@@ -350,6 +354,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		t.Fatal(err)
 	}
 	requireRepIsFirst(t, "Read", loaded, d)
+	requireEnds(t, "Read", loaded)
 	for i := 0; i < 2; i++ {
 		d.MustAdd(nextSeries(i))
 		step := fmt.Sprintf("AddSeries #%d after Read", i)
@@ -359,6 +364,7 @@ func diffOneConfig(t *testing.T, fam diffData, opts Options, seed int64) {
 		refAddSeries(want, d, d.Len()-1)
 		requireSameBase(t, step, loaded, want)
 		requireRepIsFirst(t, step, loaded, d)
+		requireEnds(t, step, loaded)
 		checkSum(step, loaded)
 	}
 	if !opts.SkipRepair {

@@ -79,6 +79,19 @@ type LengthGroups struct {
 	// keeps its index for as long as it exists, and new groups are only
 	// appended (RemoveSeries truncates what the rolled-back insert added).
 	Groups []*Group
+	// Ends holds the endpoints of each representative by position,
+	// Ends[2i], Ends[2i+1] = Groups[i].Rep[0], Groups[i].Rep[Length-1]: the
+	// query walk computes every group's LB_Kim key from this contiguous
+	// table without dereferencing a group. Representatives are frozen and
+	// positions append-only, so Append is its only writer and RemoveSeries
+	// truncates it with Groups. It is derived state and never serialized.
+	Ends []float64
+}
+
+// Append adds g at the next position and records its endpoints in Ends.
+func (lg *LengthGroups) Append(g *Group) {
+	lg.Groups = append(lg.Groups, g)
+	lg.Ends = append(lg.Ends, g.Rep[0], g.Rep[len(g.Rep)-1])
 }
 
 // Options configures Build.
@@ -318,7 +331,13 @@ func buildLength(d *ts.Dataset, length int, st float64, repair bool) (*LengthGro
 // argument, decide the bit, so rounding at the boundary cannot make it
 // wrong.
 func finishLength(d *ts.Dataset, length int, groups []*Group) *LengthGroups {
-	lg := &LengthGroups{Length: length, Groups: make([]*Group, 0, len(groups))}
+	n := 0
+	for _, g := range groups {
+		if len(g.Members) > 0 {
+			n++
+		}
+	}
+	lg := &LengthGroups{Length: length, Groups: make([]*Group, 0, n), Ends: make([]float64, 0, 2*n)}
 	for _, g := range groups {
 		if len(g.Members) == 0 {
 			continue
@@ -326,7 +345,7 @@ func finishLength(d *ts.Dataset, length int, groups []*Group) *LengthGroups {
 		if len(g.Members) == 1 {
 			g.RepIsFirst = slices.Equal(g.Members[0].Values(d), g.Rep)
 		}
-		lg.Groups = append(lg.Groups, g)
+		lg.Append(g)
 	}
 	return lg
 }
@@ -430,8 +449,9 @@ func (b *Base) CompactionRatio() float64 {
 // Validate re-checks the construction invariants against the dataset:
 // members in range, member length equals group length, every member within
 // ST/2 of the representative, RepIsFirst set only where Members[0] equals
-// the representative, and every window of every in-range length present
-// exactly once.
+// the representative, the endpoint table equal to the representatives'
+// endpoints, and every window of every in-range length present exactly
+// once.
 func (b *Base) Validate(d *ts.Dataset) error {
 	release, err := d.Pin()
 	if err != nil {
@@ -447,9 +467,15 @@ func (b *Base) Validate(d *ts.Dataset) error {
 		if l != lg.Length {
 			return fmt.Errorf("grouping: Validate: map key %d != LengthGroups.Length %d", l, lg.Length)
 		}
+		if len(lg.Ends) != 2*len(lg.Groups) {
+			return fmt.Errorf("grouping: Validate: length %d has %d endpoint entries for %d groups", l, len(lg.Ends), len(lg.Groups))
+		}
 		for gi, g := range lg.Groups {
 			if g.Length != l || len(g.Rep) != l {
 				return fmt.Errorf("grouping: Validate: length %d group %d has bad shape", l, gi)
+			}
+			if e0, en := lg.Ends[2*gi], lg.Ends[2*gi+1]; math.Float64bits(e0) != math.Float64bits(g.Rep[0]) || math.Float64bits(en) != math.Float64bits(g.Rep[l-1]) {
+				return fmt.Errorf("grouping: Validate: length %d group %d has endpoints (%g, %g), its representative (%g, %g)", l, gi, e0, en, g.Rep[0], g.Rep[l-1])
 			}
 			if len(g.Members) == 0 {
 				return fmt.Errorf("grouping: Validate: length %d group %d is empty", l, gi)

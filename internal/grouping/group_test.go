@@ -393,6 +393,53 @@ func requireRepIsFirst(t *testing.T, step string, b *Base, d *ts.Dataset) {
 	}
 }
 
+// requireEnds fails unless every length of b holds the endpoint table of
+// its representatives, by position and bit for bit: the query walk reads
+// LB_Kim keys from it in place of the representatives.
+func requireEnds(t *testing.T, step string, b *Base) {
+	t.Helper()
+	for _, l := range b.Lengths() {
+		lg := b.ByLength[l]
+		if len(lg.Ends) != 2*len(lg.Groups) {
+			t.Fatalf("%s: length %d holds %d endpoints for %d groups", step, l, len(lg.Ends), len(lg.Groups))
+		}
+		for gi, g := range lg.Groups {
+			if math.Float64bits(lg.Ends[2*gi]) != math.Float64bits(g.Rep[0]) ||
+				math.Float64bits(lg.Ends[2*gi+1]) != math.Float64bits(g.Rep[l-1]) {
+				t.Fatalf("%s: length %d group %d: endpoints (%v, %v), representative (%v, %v)",
+					step, l, gi, lg.Ends[2*gi], lg.Ends[2*gi+1], g.Rep[0], g.Rep[l-1])
+			}
+		}
+	}
+}
+
+// TestValidateRejectsStaleEnds: Validate rejects an endpoint table that is
+// short, long, or differs from a representative in one endpoint.
+func TestValidateRejectsStaleEnds(t *testing.T) {
+	d := ts.NewDataset("ends")
+	d.MustAdd(ts.NewSeries("a", []float64{1, 2, 3, 2}))
+	b, err := Build(d, Options{ST: 0.01, MinLength: 3, MaxLength: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Validate(d); err != nil {
+		t.Fatal(err)
+	}
+	lg := b.ByLength[3]
+	ends := slices.Clone(lg.Ends)
+	for name, bad := range map[string][]float64{
+		"short":     ends[:len(ends)-2],
+		"long":      append(slices.Clone(ends), 1, 3),
+		"first end": append([]float64{ends[0] + 1}, ends[1:]...),
+		"last end":  append(slices.Clone(ends[:len(ends)-1]), ends[len(ends)-1]-1),
+	} {
+		lg.Ends = bad
+		if err := b.Validate(d); err == nil {
+			t.Fatalf("Validate accepted a %s endpoint table", name)
+		}
+	}
+}
+
 // TestRepIsFirst pins the radius-zero bit on a singleton whose
 // representative is not its member, which Build's clustering never leaves
 // (see finishLength) but a base may hold: finishLength leaves the bit clear
@@ -406,12 +453,12 @@ func TestRepIsFirst(t *testing.T) {
 	d.MustAdd(ts.NewSeries("b", []float64{1, 2, 3.5}))
 	a := ts.SubSeq{Series: 0, Start: 0, Length: 3}
 	bm := ts.SubSeq{Series: 1, Start: 0, Length: 3}
+	lg3 := &LengthGroups{Length: 3}
+	lg3.Append(&Group{Length: 3, Rep: []float64{1, 2, 3.25}, Members: []ts.SubSeq{a}})
+	lg3.Append(&Group{Length: 3, Rep: []float64{1, 2, 3.5}, Members: []ts.SubSeq{bm}})
 	b := &Base{
 		DatasetName: d.Name, DatasetSum: DatasetChecksum(d), ST: 1, MinLength: 3, MaxLength: 3,
-		ByLength: map[int]*LengthGroups{3: {Length: 3, Groups: []*Group{
-			{Length: 3, Rep: []float64{1, 2, 3.25}, Members: []ts.SubSeq{a}},
-			{Length: 3, Rep: []float64{1, 2, 3.5}, Members: []ts.SubSeq{bm}},
-		}}},
+		ByLength: map[int]*LengthGroups{3: lg3},
 	}
 	if err := b.Validate(d); err != nil {
 		t.Fatal(err)

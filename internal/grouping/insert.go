@@ -56,7 +56,7 @@ func (b *Base) AddSeries(d *ts.Dataset, si int) error {
 			} else {
 				rep := make([]float64, l)
 				copy(rep, w)
-				lg.Groups = append(lg.Groups, &Group{Length: l, Rep: rep, Members: []ts.SubSeq{ref}, RepIsFirst: true})
+				lg.Append(&Group{Length: l, Rep: rep, Members: []ts.SubSeq{ref}, RepIsFirst: true})
 				ix.add(rep)
 			}
 			added++
@@ -112,7 +112,8 @@ func (b *Base) extendDatasetSum(d *ts.Dataset) {
 // for the most recently added series: member references hold series
 // indices, and since AddSeries only appends, that series' members are a
 // suffix of every group's Members and the groups it seeded are a suffix of
-// every length's Groups. RemoveSeries truncates both suffixes, deletes
+// every length's Groups. RemoveSeries truncates both suffixes (and Ends
+// with Groups), deletes
 // lengths left with no groups, and re-hashes d (which must already have
 // the series removed) to restore the pre-insert checksum. Representatives
 // never move during an insert, so the result is the pre-insert base bit
@@ -138,7 +139,7 @@ func (b *Base) RemoveSeries(d *ts.Dataset, si int) {
 			continue
 		}
 		clear(lg.Groups[n:])
-		lg.Groups = lg.Groups[:n]
+		lg.Groups, lg.Ends = lg.Groups[:n], lg.Ends[:2*n]
 	}
 	delete(b.indexed, si)
 	b.repIndex = nil

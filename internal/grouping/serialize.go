@@ -200,7 +200,7 @@ func Read(r io.Reader) (*Base, error) {
 		if length <= 0 || numGroups > 1<<28 {
 			return nil, fmt.Errorf("grouping: Read: implausible length %d / group count %d", length, numGroups)
 		}
-		lg := &LengthGroups{Length: length, Groups: make([]*Group, 0, numGroups)}
+		lg := &LengthGroups{Length: length, Groups: make([]*Group, 0, numGroups), Ends: make([]float64, 0, 2*numGroups)}
 		for gi := uint32(0); gi < numGroups && cr.err == nil; gi++ {
 			rep := make([]float64, length)
 			for i := range rep {
@@ -221,7 +221,7 @@ func Read(r io.Reader) (*Base, error) {
 					Length: length,
 				}
 			}
-			lg.Groups = append(lg.Groups, &Group{Length: length, Rep: rep, Members: members})
+			lg.Append(&Group{Length: length, Rep: rep, Members: members})
 		}
 		b.ByLength[length] = lg
 	}

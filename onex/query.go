@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -247,6 +248,11 @@ func (db *DB) resolveQuery(q Query) (resolvedQuery, error) {
 	case len(q.Values) > 0 && haveWindow:
 		return resolvedQuery{}, errors.New("onex: Find: provide Values or Window, not both")
 	case len(q.Values) > 0:
+		for i, v := range q.Values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return resolvedQuery{}, fmt.Errorf("onex: Find: Values[%d] is %g: query values must be finite", i, v)
+			}
+		}
 		qvec = db.normalizeQuery(q.Values)
 	case haveWindow:
 		si := db.normed.IndexOf(q.Window.Series)

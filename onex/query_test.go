@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -205,6 +206,32 @@ func TestFindValidation(t *testing.T) {
 	// nil ctx is tolerated (treated as Background).
 	if _, err := db.Find(nil, Query{Values: raw[0:8]}); err != nil { //nolint:staticcheck
 		t.Fatalf("nil ctx rejected: %v", err)
+	}
+}
+
+// TestFindNonFiniteValues pins that a query holding NaN or ±Inf is an
+// error naming the offending index, in every mode and in Stream, and never
+// reaches the walk: a NaN cost once sent the warping-path backtrack into an
+// endless loop.
+func TestFindNonFiniteValues(t *testing.T) {
+	db := openSmall(t)
+	raw, _ := db.SeriesValues("MA")
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		vals := append([]float64(nil), raw[0:8]...)
+		vals[3] = bad
+		for _, q := range []Query{
+			{Values: vals},
+			{Values: vals, Mode: ModeExact},
+			{Values: vals, MaxDist: 0.5},
+		} {
+			_, err := db.Find(context.Background(), q)
+			if err == nil || !strings.Contains(err.Error(), "Values[3]") {
+				t.Fatalf("value %g, mode %q, range %v: err = %v, want one naming Values[3]", bad, q.Mode, q.MaxDist > 0, err)
+			}
+		}
+		if _, err := db.Stream(context.Background(), Query{Values: vals}); err == nil {
+			t.Fatalf("value %g: Stream accepted the query", bad)
+		}
 	}
 }
 
