@@ -132,8 +132,17 @@ type lengthEnv struct {
 
 // lengthEnvFor computes the query envelope and constants for length l.
 func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
-	qU, qL := dist.Envelope(q, l, opts.Band)
-	return &lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
+	env := new(lengthEnv)
+	e.setLengthEnv(env, new(dist.Workspace), q, l, opts)
+	return env
+}
+
+// setLengthEnv is lengthEnvFor written into env: the envelope reuses env's
+// arrays and kern's deques, so a walk that keeps both across queries
+// computes it without allocating.
+func (e *Engine) setLengthEnv(env *lengthEnv, kern *dist.Workspace, q []float64, l int, opts Options) {
+	qU, qL := kern.Envelope(q, l, opts.Band, env.qU, env.qL)
+	*env = lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
 }
 
 // repCandidate is a candidate group of the top-k walk: 16 bytes and no
@@ -358,11 +367,11 @@ func (e *Engine) kbestApprox(ctx context.Context, ws *walkState, q []float64, k 
 // kbestExact drives the progressive pipeline to its certified end: the
 // approximate phase seeds the accumulator, then the remaining groups are
 // bounded by their representative's envelope bound, or a radius-zero
-// group's browse key, and the survivors refined in fixed-size waves
-// (stream.go finishExact); the result is the
-// true top-k. progress, when non-nil, receives a snapshot after the
-// approximate phase, after every wave, and a final one equal to the
-// returned matches. The walk runs in ws.
+// group's browse key, and the survivors' members scored best-first across
+// groups, in waves (stream.go finishExact); the result is the true top-k.
+// progress, when non-nil, receives a snapshot after the approximate phase,
+// after every wave, and a final one equal to the returned matches. The
+// walk runs in ws.
 func (e *Engine) kbestExact(ctx context.Context, ws *walkState, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats, progress ProgressFunc) ([]Match, error) {
 	w, err := e.startWalk(ctx, ws, q, k, c, lengths, opts, st)
 	if err != nil {
@@ -393,15 +402,16 @@ func (t *topK) boundScore() float64 {
 	return math.Inf(1)
 }
 
-// refineGroup scans the members of g, the group ref with query environment
-// env, with an LB cascade and early-abandon DTW, offering improvements to
-// the top-k accumulator. The context is re-checked every ctxCheckStride
-// members so large groups abandon promptly.
-func (e *Engine) refineGroup(ctx context.Context, q []float64, g *grouping.Group, env *lengthEnv, ref GroupRef, c QueryConstraints, top *topK, opts Options, st *SearchStats) error {
+// refineGroup is the browse's member scan: it scans the members of g, the
+// group ref with query environment env, with an LB cascade and
+// early-abandon DTW on the walk's rows, offering improvements to the top-k
+// accumulator. The context is re-checked every ctxCheckStride members so
+// large groups abandon promptly.
+func (w *progressiveWalk) refineGroup(ctx context.Context, g *grouping.Group, env *lengthEnv, ref GroupRef) error {
 	qU, qL, norm := env.qU, env.qL, env.norm
-	if st != nil {
-		st.GroupsRefined++
-		st.Members += len(g.Members)
+	if w.st != nil {
+		w.st.GroupsRefined++
+		w.st.Members += len(g.Members)
 	}
 	var raw rawBounds
 	for mi, m := range g.Members {
@@ -410,25 +420,25 @@ func (e *Engine) refineGroup(ctx context.Context, q []float64, g *grouping.Group
 				return err
 			}
 		}
-		if c.excludes(m) {
+		if w.c.excludes(m) {
 			continue
 		}
-		mv := m.Values(e.ds)
-		ub := raw.of(top.boundScore(), norm)
-		if dist.LBKim(q, mv) > ub {
+		mv := m.Values(w.e.ds)
+		ub := raw.of(w.top.boundScore(), norm)
+		if dist.LBKim(w.q, mv) > ub {
 			continue
 		}
 		if dist.LBKeogh(mv, qU, qL, ub) > ub {
 			continue
 		}
-		if st != nil {
-			st.MemberDTW++
+		if w.st != nil {
+			w.st.MemberDTW++
 		}
-		d := dist.DTWEarlyAbandon(q, mv, opts.Band, ub)
+		d := w.kern.DTWEarlyAbandon(w.q, mv, w.opts.Band, ub)
 		if math.IsInf(d, 1) {
 			continue
 		}
-		top.offer(Match{
+		w.top.offer(Match{
 			Ref:    m,
 			Values: mv,
 			Dist:   d,

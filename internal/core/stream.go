@@ -29,10 +29,13 @@ import (
 //      scores only the representatives it may visit.
 //   2. After every certified refinement wave — the exact walk bounds every
 //      remaining group (groupLower, or a radius-zero group's browse key;
-//      see boundTail), sorts the survivors by bound, and
-//      refines them one by one until the next bound exceeds the k-th best;
-//      every exactWave refined groups close a wave, which yields the
-//      current top-k plus per-match certification.
+//      see boundTail), sorts the survivors by bound, and then scores
+//      members best-first across groups: one browse over the sorted tail,
+//      a queue of expanded groups and a queue of members, each keyed by a
+//      lower bound, which runs a member's DTW only once its bound is the
+//      least left and stops when every key exceeds the k-th best (see
+//      finishExact). Every exactWave groups whose members are queued close
+//      a wave, which yields the current top-k plus per-match certification.
 //   3. A terminating snapshot (Final = true) whose matches carry warping
 //      paths and equal Find's exact-mode result exactly.
 //
@@ -52,16 +55,19 @@ type Snapshot struct {
 	Matches []Match
 	// Certified reports, per match, whether the match provably belongs to
 	// the final exact answer with its exact distance: its score is below
-	// the certified lower bound of every group the walk has not yet
-	// refined. The approximate snapshot (Seq 0) certifies nothing: the
-	// bounds are set when the exact continuation starts, so certification
-	// starts at the first wave. It is monotone — once true for a match it
+	// the certified lower bound of every member the walk has not yet
+	// scored or ruled out — the least key of the unexpanded groups, the
+	// queued groups and the queued members. The approximate snapshot
+	// (Seq 0) certifies nothing: the bounds are set when the exact
+	// continuation starts, so certification starts at the first wave. It is monotone — once true for a match it
 	// stays true — and every flag is true in the final snapshot.
 	Certified []bool
 	// Stats is the cumulative work since the walk started.
 	Stats SearchStats
-	// GroupsRemaining is how many candidate groups the walk has neither
-	// refined nor certified-skipped yet.
+	// GroupsRemaining is how many candidate groups the walk has not yet
+	// certified-skipped or finished queueing the members of: the groups it
+	// has not expanded plus the expanded groups still waiting in its group
+	// queue. It only shrinks, and is 0 in the final snapshot.
 	GroupsRemaining int
 	// Wave is the refinement wave this snapshot closes: 0 for the
 	// approximate phase, 1..N for the certified waves (the final snapshot
@@ -72,8 +78,8 @@ type Snapshot struct {
 	Final bool
 }
 
-// exactWave is how many groups the exact walk refines between two
-// progressive snapshots.
+// exactWave is how many queued groups the exact walk takes (and queues the
+// members of) between two progressive snapshots.
 const exactWave = 16
 
 // ProgressFunc receives pipeline snapshots. It is invoked synchronously
@@ -101,6 +107,16 @@ type walkState struct {
 	// moveToFront's scratch.
 	moved []repCandidate
 	front []bool
+	// finishExact's queues: expanded groups waiting for their members'
+	// LB_Keogh, and members waiting for their DTW; kept holds, group by
+	// group in expansion order, the indices of the members each expansion
+	// kept, each group's run ended by -1.
+	groupQ, memberQ entryHeap
+	kept            []int32
+	// kern holds the rows of every DTW and the deques of every envelope the
+	// walk computes; envs holds the query environment of each slot.
+	kern dist.Workspace
+	envs []lengthEnv
 }
 
 // walkSlot is one candidate length of a walk: its groups and the query's
@@ -119,7 +135,8 @@ func getWalkState() *walkState { return walkStates.Get().(*walkState) }
 
 // release returns ws to the pool. It drops the group and environment
 // references first, so a pooled state pins no retired base or mapping; the
-// candidate arrays hold no pointer.
+// candidate and queue arrays, the kernel rows and the envelopes hold no
+// pointer.
 func (ws *walkState) release() {
 	clear(ws.slots)
 	ws.slots = ws.slots[:0]
@@ -151,6 +168,8 @@ type progressiveWalk struct {
 	// lower bound and sorted the tail by it: the minimum bound over the
 	// unrefined tail is then cands[refined].lower.
 	bounded bool
+	// raw caches the k-th best's raw bound for finishExact's steps.
+	raw rawBounds
 	// seq and wave number the snapshots emitted so far.
 	seq, wave int
 }
@@ -174,11 +193,14 @@ func (e *Engine) startWalk(ctx context.Context, ws *walkState, q []float64, k in
 		}
 	}
 	cands := resize(ws.cands, n)
+	ws.envs = resize(ws.envs, len(ws.slots))
+	ws.groupQ, ws.memberQ, ws.kept = ws.groupQ[:0], ws.memberQ[:0], ws.kept[:0]
 	q0, qn := q[0], q[len(q)-1]
 	j := 0
 	for si := range ws.slots {
 		s := &ws.slots[si]
-		s.env = e.lengthEnvFor(q, s.length, opts)
+		s.env = &ws.envs[si]
+		e.setLengthEnv(s.env, &ws.kern, q, s.length, opts)
 		norm, ends := s.env.norm, e.base.ByLength[s.length].Ends
 		//onex:nopoll O(1) LB_Kim per group; the browse polls per popped key
 		for gi := range s.groups {
@@ -270,7 +292,7 @@ func (w *progressiveWalk) browse(ctx context.Context) error {
 		g, env, ref := w.at(*c)
 		if level[i] == levelScore {
 			heap.pop()
-			if err := w.e.refineGroup(ctx, w.q, g, env, ref, w.c, w.top, w.opts, w.st); err != nil {
+			if err := w.refineGroup(ctx, g, env, ref); err != nil {
 				return err
 			}
 			order = append(order, i)
@@ -288,7 +310,7 @@ func (w *progressiveWalk) browse(ctx context.Context) error {
 			if w.st != nil {
 				w.st.RepDTW++
 			}
-			if d := dist.DTWEarlyAbandon(w.q, g.Rep, w.opts.Band, ub); !math.IsInf(d, 1) {
+			if d := w.kern.DTWEarlyAbandon(w.q, g.Rep, w.opts.Band, ub); !math.IsInf(d, 1) {
 				c.lower, level[i] = d/env.norm, levelScore
 				kth.offer(c.lower)
 			}
@@ -367,9 +389,9 @@ func (e *Engine) radiusZero(g *grouping.Group) bool {
 }
 
 // snapshot assembles the current emission. Certification needs a sound
-// lower bound for every unrefined group, which exists once finishExact has
-// set the certified bounds: before that (the approximate snapshot) nothing
-// is certified.
+// lower bound for every member not yet scored, which exists once
+// finishExact has set the certified bounds: before that (the approximate
+// snapshot) nothing is certified.
 func (w *progressiveWalk) snapshot(final bool) Snapshot {
 	var ms []Match
 	if final {
@@ -384,10 +406,13 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 			cert[i] = true
 		}
 	case w.bounded:
-		// The unrefined tail is sorted by bound: its minimum is the head's.
-		minLower := math.Inf(1)
+		// A member not yet scored waits in the member queue, in a queued
+		// group or in the unexpanded tail, whose minimum bound is its
+		// head's (it is sorted); every other member scores above a k-th
+		// best, so above every current match.
+		minLower := min(w.groupQ.headKey(), w.memberQ.headKey())
 		if w.refined < len(w.cands) {
-			minLower = w.cands[w.refined].lower
+			minLower = min(minLower, w.cands[w.refined].lower)
 		}
 		for i, m := range ms {
 			cert[i] = m.Score < minLower
@@ -402,7 +427,7 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 		Matches:         ms,
 		Certified:       cert,
 		Stats:           st,
-		GroupsRemaining: len(w.cands) - w.refined,
+		GroupsRemaining: len(w.cands) - w.refined + len(w.groupQ),
 		Wave:            w.wave,
 		Final:           final,
 	}
@@ -411,45 +436,236 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 }
 
 // finishExact resumes the walk to a certified-exact answer. It bounds every
-// group the approximate phase left unrefined (boundTail), then refines the
-// survivors in ascending bound order and stops at the first group whose
-// bound exceeds the current k-th best: the tail is sorted, so every later
-// group is out too. After every exactWave refined groups, and after the
-// last, emit (when non-nil) receives a snapshot.
+// group the approximate phase left unrefined (boundTail), then scores the
+// survivors' members best-first across groups — incremental distance
+// browsing (Hjaltason and Samet, TODS 1999) one level below the browse's —
+// so a member's DTW runs only once no other member can have a lower bound,
+// against a k-th best as tight as the walk can have by then. Each step
+// takes the least key of three ordered sources (on a tie, the first):
+//
+//  1. The sorted tail's head, keyed by its certified bound: expand
+//     counts the group refined, keeps its members that pass LB_Kim and
+//     queues it in groupQ.
+//  2. groupQ's head: queueMembers runs LB_Keogh on the group's kept
+//     members against the current k-th best and queues the survivors in
+//     memberQ.
+//  3. memberQ's head: scoreMember runs its early-abandoning DTW and offers
+//     the result to the top-k.
+//
+// Every queued key is at least the key popped to queue it, so keys are
+// popped in ascending order, and the walk stops at the first one above
+// the k-th best: every member left is bounded above it. The unexpanded
+// tail is then certified-skipped. After every exactWave groupQ pops, and
+// after the last step, emit (when non-nil) receives a snapshot.
 func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) error {
 	if err := w.boundTail(ctx); err != nil {
 		return err
 	}
-	inWave := 0
+	inWave, stepped := 0, false
 	closeWave := func() {
-		if inWave > 0 && emit != nil {
+		if stepped && emit != nil {
 			w.wave++
 			emit(w.snapshot(false))
 		}
-		inWave = 0
+		inWave, stepped = 0, false
 	}
-	for w.refined < len(w.cands) {
-		cand := w.cands[w.refined]
-		if w.top.full() && cand.lower > w.top.worst().Score {
-			// Provably cannot improve the top-k, and neither can any group
-			// after it.
-			if w.st != nil {
-				w.st.GroupsLBPruned += len(w.cands) - w.refined
-			}
-			w.refined = len(w.cands)
-			break
-		}
-		g, env, ref := w.at(cand)
-		if err := w.e.refineGroup(ctx, w.q, g, env, ref, w.c, w.top, w.opts, w.st); err != nil {
+	for {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		w.refined++
-		if inWave++; inWave == exactWave {
-			closeWave()
+		const none, tail, groups, members = 0, 1, 2, 3
+		src, key := none, math.Inf(1)
+		if w.refined < len(w.cands) {
+			src, key = tail, w.cands[w.refined].lower
+		}
+		if len(w.groupQ) > 0 && (src == none || w.groupQ[0].key < key) {
+			src, key = groups, w.groupQ[0].key
+		}
+		if len(w.memberQ) > 0 && (src == none || w.memberQ[0].key < key) {
+			src, key = members, w.memberQ[0].key
+		}
+		if src == none || key > w.top.boundScore() {
+			break
+		}
+		stepped = true
+		switch src {
+		case tail:
+			if err := w.expand(ctx); err != nil {
+				return err
+			}
+		case groups:
+			if err := w.queueMembers(ctx); err != nil {
+				return err
+			}
+			if inWave++; inWave == exactWave {
+				closeWave()
+			}
+		default:
+			w.scoreMember()
 		}
 	}
+	// Every group left provably cannot improve the top-k.
+	if w.st != nil {
+		w.st.GroupsLBPruned += len(w.cands) - w.refined
+	}
+	w.refined = len(w.cands)
+	w.groupQ, w.memberQ = w.groupQ[:0], w.memberQ[:0]
 	closeWave()
 	return nil
+}
+
+// expand takes the tail's head group: it counts the group refined, keeps
+// (appends to kept, as one run) the members that are not excluded and
+// whose LB_Kim is within the k-th best, and queues the group, keyed by the
+// least LB_Kim/norm kept raised to the group's bound, unless it kept none.
+// The scan reads two values a member, so the group's LB_Keogh pass waits
+// until the group's key is the least left, when the k-th best is tighter.
+func (w *progressiveWalk) expand(ctx context.Context) error {
+	ci := int32(w.refined)
+	w.refined++
+	cand := w.cands[ci]
+	g, env, _ := w.at(cand)
+	if w.st != nil {
+		w.st.GroupsRefined++
+		w.st.Members += len(g.Members)
+	}
+	ub := w.raw.of(w.top.boundScore(), env.norm)
+	start, least := int32(len(w.kept)), math.Inf(1)
+	for mi, m := range g.Members {
+		if mi > 0 && mi%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if w.c.excludes(m) {
+			continue
+		}
+		if kim := dist.LBKim(w.q, m.Values(w.e.ds)); kim <= ub {
+			w.kept = append(w.kept, int32(mi))
+			least = min(least, kim)
+		}
+	}
+	if int(start) < len(w.kept) {
+		w.kept = append(w.kept, -1)
+		w.groupQ.push(walkEntry{key: max(cand.lower, least/env.norm), cand: ci, member: start})
+	}
+	return nil
+}
+
+// queueMembers takes groupQ's head group and queues each member it kept
+// whose LB_Kim and LB_Keogh pass the current k-th best, keyed by
+// max(LB_Kim, LB_Keogh)/norm raised to the group's key.
+func (w *progressiveWalk) queueMembers(ctx context.Context) error {
+	ge := w.groupQ.pop()
+	g, env, _ := w.at(w.cands[ge.cand])
+	ub := w.raw.of(w.top.boundScore(), env.norm)
+	for i, mi := range w.kept[ge.member:] {
+		if mi < 0 {
+			break // the end of the group's run
+		}
+		if i > 0 && i%ctxCheckStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		mv := g.Members[mi].Values(w.e.ds)
+		kim := dist.LBKim(w.q, mv)
+		if kim > ub {
+			continue
+		}
+		lb := dist.LBKeogh(mv, env.qU, env.qL, ub)
+		if lb > ub {
+			continue
+		}
+		w.memberQ.push(walkEntry{key: max(max(kim, lb)/env.norm, ge.key), cand: ge.cand, member: mi})
+	}
+	return nil
+}
+
+// scoreMember takes memberQ's head member and offers its early-abandoning
+// DTW, run on the walk's rows against the current k-th best, to the top-k.
+func (w *progressiveWalk) scoreMember() {
+	me := w.memberQ.pop()
+	g, env, ref := w.at(w.cands[me.cand])
+	m := g.Members[me.member]
+	mv := m.Values(w.e.ds)
+	if w.st != nil {
+		w.st.MemberDTW++
+	}
+	d := w.kern.DTWEarlyAbandon(w.q, mv, w.opts.Band, w.raw.of(w.top.boundScore(), env.norm))
+	if math.IsInf(d, 1) {
+		return
+	}
+	w.top.offer(Match{Ref: m, Values: mv, Dist: d, Score: d / env.norm, Group: ref})
+}
+
+// walkEntry is one entry of finishExact's queues: a group, by its index
+// in the walk's candidate array, whose member field is where its run of
+// kept members starts in kept; or one member of a group, by candidate and
+// member index. It is keyed by a lower bound on the score of every member
+// it stands for. 16 bytes and no pointer.
+type walkEntry struct {
+	key          float64
+	cand, member int32
+}
+
+// entryBefore is the queue order: by key, then candidate index, then
+// member index. It is total, so the walk's steps, and its counts, do not
+// depend on how the heap arranges equal keys.
+func entryBefore(a, b walkEntry) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.cand != b.cand {
+		return a.cand < b.cand
+	}
+	return a.member < b.member
+}
+
+// entryHeap is a binary min-heap of walkEntry under entryBefore.
+type entryHeap []walkEntry
+
+// headKey is the least key queued, or +Inf when the heap is empty.
+func (h entryHeap) headKey() float64 {
+	if len(h) == 0 {
+		return math.Inf(1)
+	}
+	return h[0].key
+}
+
+func (h *entryHeap) push(e walkEntry) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		p := (j - 1) / 2
+		if !entryBefore(q[j], q[p]) {
+			break
+		}
+		q[j], q[p] = q[p], q[j]
+		j = p
+	}
+}
+
+func (h *entryHeap) pop() walkEntry {
+	q := *h
+	top, last := q[0], len(q)-1
+	q[0] = q[last]
+	q = q[:last]
+	*h = q
+	for j := 0; ; {
+		least := j
+		if c := 2*j + 1; c < len(q) && entryBefore(q[c], q[least]) {
+			least = c
+		}
+		if c := 2*j + 2; c < len(q) && entryBefore(q[c], q[least]) {
+			least = c
+		}
+		if least == j {
+			return top
+		}
+		q[j], q[least] = q[least], q[j]
+		j = least
+	}
 }
 
 // boundTail sets the certified lower bound of every unrefined candidate,

@@ -354,17 +354,17 @@ func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options
 	var st SearchStats
 	cands := eagerCandidates(e, q, c, opts)
 	st.Groups, st.RepDTW = len(cands), len(cands)
-	top := newTopK(k)
+	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: &st, walkState: new(walkState), top: newTopK(k)}
 	for _, cand := range cands {
-		if top.full() && cand.lower > top.worst().Score {
+		if w.top.full() && cand.lower > w.top.worst().Score {
 			break
 		}
-		if err := e.refineGroup(ctx, q, cand.g, cand.env, cand.ref, c, top, opts, &st); err != nil {
+		if err := w.refineGroup(ctx, cand.g, cand.env, cand.ref); err != nil {
 			return nil, st, err
 		}
 	}
 	st.GroupsLBPruned = st.Groups - st.GroupsRefined
-	return top.sorted(), st, nil
+	return w.top.sorted(), st, nil
 }
 
 // singletonWorld builds an all-singleton base — min-max normalized

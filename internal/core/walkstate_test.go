@@ -25,6 +25,10 @@ type reuseQuery struct {
 	// cancelAfter, when positive, cancels the walk after that many context
 	// polls (countingCtx): mid-browse for an approximate query.
 	cancelAfter int
+	// leavesQueues marks a query stopped while its exact walk's group and
+	// member queues are both non-empty, so the next query starts on filled
+	// queues.
+	leavesQueues bool
 }
 
 // reuseOutcome is everything a query returns: matches (paths included),
@@ -80,8 +84,9 @@ func runIn(e *Engine, ws *walkState, rq reuseQuery) (out reuseOutcome) {
 // manyGroupsWorld: K 1, 5 and 1025 (past the k-th tracker's saturation),
 // LengthNorm on and off, length constraints that change the candidate
 // count, self-exclusion, an approximate query cancelled mid-browse, a
-// stream whose sink stops it after the first wave, and one whose sink
-// panics.
+// stream whose sink stops it after the first wave, one whose sink panics,
+// and a large exact stream stopped with both exact queues filled, next to
+// smaller exact queries in either direction.
 func reuseQueries(e *Engine) []reuseQuery {
 	d := e.ds
 	q0, q1, q2 := d.Series[0].Values[0:12], d.Series[3].Values[20:36], d.Series[5].Values[40:49]
@@ -103,6 +108,9 @@ func reuseQueries(e *Engine) []reuseQuery {
 		{name: "stream whose sink panics", q: q2, k: 1, opts: exact, stream: true, panicAt: 1},
 		{name: "exact k1025 lengths 12", q: q0, k: 1025, c: QueryConstraints{MinLength: 12, MaxLength: 12}, opts: exact},
 		{name: "approx k1", q: q2, k: 1, opts: approx},
+		{name: "exact k1 raw", q: q1, k: 1, opts: rawExact},
+		{name: "stream k1025 stopped with its queues filled", q: q1, k: 1025, opts: exact, stream: true, stopAt: 1, leavesQueues: true},
+		{name: "exact k5 after filled queues", q: q0, k: 5, opts: exact},
 	}
 }
 
@@ -149,6 +157,10 @@ func TestWalkStateReuse(t *testing.T) {
 				i = len(queries) - 1 - j
 			}
 			check(fmt.Sprintf("reused state, pass %d:", pass), i, runIn(e, ws, queries[i]))
+			if queries[i].leavesQueues && (len(ws.groupQ) == 0 || len(ws.memberQ) == 0) {
+				t.Fatalf("%q left %d queued groups and %d queued members, want both filled",
+					queries[i].name, len(ws.groupQ), len(ws.memberQ))
+			}
 		}
 	}
 	// The same sequence through Find, on the pool; a panicking sink must not
@@ -192,9 +204,10 @@ func TestWalkStateReleaseDropsReferences(t *testing.T) {
 
 // TestFindApproxBytesPerGroup pins the scoring pass's allocations: on the
 // all-singleton bench base, an approximate top-5 Find allocates under 16
-// bytes per group on average once the walk-state pool is warm (about 6
-// measured; a fresh candidate array alone is 16, and the walk allocated
-// about 54 before its per-query arrays were pooled).
+// bytes per group on average once the walk-state pool is warm (about 1.5
+// measured; a fresh candidate array alone is 16, the walk allocated about
+// 54 before its per-query arrays were pooled, and about 6 before its DTW
+// rows and envelopes were).
 func TestFindApproxBytesPerGroup(t *testing.T) {
 	var bb *benchBase
 	for _, b := range benchBases {

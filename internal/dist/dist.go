@@ -37,8 +37,10 @@
 //
 // All functions are allocation-light: the DTW dynamic program runs on two
 // rolling rows (no O(n·m) matrix), and only DTWPath — called on final
-// results only, for the demo's warped-points view — materializes the full
-// matrix to recover the alignment.
+// results only, for the demo's warped-points view — keeps every row, each
+// row's band window only, to recover the alignment. A caller-owned
+// Workspace holds the rows and Envelope's deques, so a search that keeps
+// one runs its DTWs and envelopes without allocating.
 package dist
 
 import "math"

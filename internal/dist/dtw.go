@@ -6,7 +6,7 @@ import "math"
 // minimum over all warping paths of the summed point costs |a_i - b_j|.
 // Equivalent to DTWBanded(a, b, -1).
 func DTW(a, b []float64) float64 {
-	return dtwCore(a, b, -1, math.Inf(1), false)
+	return dtwCore(a, b, -1, math.Inf(1), false, nil)
 }
 
 // DTWBanded is DTW under a Sakoe-Chiba band: paths may only visit cells
@@ -14,7 +14,7 @@ func DTW(a, b []float64) float64 {
 // unconstrained; a non-negative band is widened to at least the length
 // difference so a path always exists.
 func DTWBanded(a, b []float64, band int) float64 {
-	return dtwCore(a, b, band, math.Inf(1), false)
+	return dtwCore(a, b, band, math.Inf(1), false, nil)
 }
 
 // DTWEarlyAbandon is DTWBanded with early abandoning against an upper
@@ -25,28 +25,50 @@ func DTWBanded(a, b []float64, band int) float64 {
 // returned — which can still exceed ub (only full rows are tested, not
 // the final cell); callers filtering on ub must compare explicitly.
 func DTWEarlyAbandon(a, b []float64, band int, ub float64) float64 {
-	return dtwCore(a, b, band, ub, false)
+	return dtwCore(a, b, band, ub, false, nil)
 }
 
 // DTWSq is DTWBanded with the squared point cost (a_i - b_j)², the
 // UCR-Suite convention used by internal/ucrsuite's z-normalized mode. The
 // result is the minimal summed squared cost, not its square root.
 func DTWSq(a, b []float64, band int) float64 {
-	return dtwCore(a, b, band, math.Inf(1), true)
+	return dtwCore(a, b, band, math.Inf(1), true, nil)
 }
 
 // DTWSqEarlyAbandon is DTWSq with the row-minimum early abandoning of
 // DTWEarlyAbandon.
 func DTWSqEarlyAbandon(a, b []float64, band int, ub float64) float64 {
-	return dtwCore(a, b, band, ub, true)
+	return dtwCore(a, b, band, ub, true, nil)
 }
 
-// dtwCore runs the banded DTW dynamic program on two rolling rows.
+// Workspace is caller-owned scratch for the kernels that otherwise
+// allocate per call: the two DTW rows and Envelope's two deques. A search
+// that keeps one Workspace for its whole walk runs every DTW and envelope
+// without allocating once the arrays have grown to the longest input. The
+// zero value is ready to use; a Workspace is not safe for concurrent use.
+type Workspace struct {
+	rows       []float64
+	maxQ, minQ []int
+}
+
+// DTWEarlyAbandon is the package-level DTWEarlyAbandon, bit for bit, run
+// on ws's rows: it allocates only when b is longer than every candidate ws
+// has seen.
+func (ws *Workspace) DTWEarlyAbandon(a, b []float64, band int, ub float64) float64 {
+	if cap(ws.rows) < 2*len(b) {
+		ws.rows = make([]float64, 2*len(b))
+	}
+	return dtwCore(a, b, band, ub, false, ws.rows)
+}
+
+// dtwCore runs the banded DTW dynamic program on two rolling rows, taken
+// from rows when it holds 2·len(b) cells and allocated otherwise.
 // dp(i,j) = cost(a_i, b_j) + min(dp(i-1,j), dp(i-1,j-1), dp(i,j-1)),
 // restricted to |i-j| <= w. Rows are swapped, never reallocated, and one
 // +Inf sentinel is written on each side of a row's band window so the next
-// row (whose window shifts by at most one) never reads a stale cell.
-func dtwCore(a, b []float64, band int, ub float64, squared bool) float64 {
+// row (whose window shifts by at most one) never reads a stale cell: the
+// result does not depend on what rows held before.
+func dtwCore(a, b []float64, band int, ub float64, squared bool, rows []float64) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		if n == m {
@@ -57,8 +79,10 @@ func dtwCore(a, b []float64, band int, ub float64, squared bool) float64 {
 	w := EffectiveBand(n, m, band)
 	inf := math.Inf(1)
 
-	buf := make([]float64, 2*m)
-	prev, cur := buf[:m], buf[m:]
+	if cap(rows) < 2*m {
+		rows = make([]float64, 2*m)
+	}
+	prev, cur := rows[:m], rows[m:2*m]
 
 	// Row 0: cumulative costs along the first row, inside the band.
 	hi := w

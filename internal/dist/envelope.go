@@ -24,19 +24,30 @@ package dist
 // non-decreasing in j). Both returned slices have length outLen; an empty
 // input or non-positive outLen returns nil slices.
 func Envelope(values []float64, outLen, band int) (upper, lower []float64) {
+	var ws Workspace
+	return ws.Envelope(values, outLen, band, nil, nil)
+}
+
+// Envelope is the package-level Envelope, bit for bit, written into upper
+// and lower (resliced to outLen when their capacity allows, reallocated
+// otherwise) with ws's deques: a caller that keeps the slices and ws across
+// queries computes envelopes without allocating. An empty input or
+// non-positive outLen returns nil slices.
+func (ws *Workspace) Envelope(values []float64, outLen, band int, upper, lower []float64) ([]float64, []float64) {
 	n := len(values)
 	if n == 0 || outLen <= 0 {
 		return nil, nil
 	}
 	w := EffectiveBand(n, outLen, band)
-	upper = make([]float64, outLen)
-	lower = make([]float64, outLen)
+	upper, lower = sized(upper, outLen), sized(lower, outLen)
 
 	// maxQ/minQ hold indices into values with monotonically
 	// decreasing/increasing values; heads advance as the window's lower
 	// edge moves.
-	maxQ := make([]int, 0, n)
-	minQ := make([]int, 0, n)
+	if cap(ws.maxQ) < n {
+		ws.maxQ, ws.minQ = make([]int, 0, n), make([]int, 0, n)
+	}
+	maxQ, minQ := ws.maxQ[:0], ws.minQ[:0]
 	maxHead, minHead := 0, 0
 	next := 0 // next values index to enter the window
 	for j := 0; j < outLen; j++ {
@@ -73,4 +84,12 @@ func Envelope(values []float64, outLen, band int) (upper, lower []float64) {
 		upper[outLen-1], lower[outLen-1] = values[n-1], values[n-1]
 	}
 	return upper, lower
+}
+
+// sized returns s with length n, reusing its array when it is large enough.
+func sized(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }

@@ -74,22 +74,20 @@ func (p WarpPath) Valid(lenQ, lenC int) bool {
 // warping path. For non-empty inputs the distance equals
 // DTWBanded(a, b, band) exactly; the
 // path prefers diagonal steps on cost ties. Unlike the rolling-row
-// variants this materializes the full O(n·m) DP matrix to backtrack the
-// alignment, so it is reserved for final, user-facing results (the engine
-// computes paths only for the matches it returns). Empty input returns
-// (+Inf, nil).
+// variants this keeps every row of the DP table to backtrack the
+// alignment — each row's band window only, min(2w+1, len(b)) cells for
+// effective band w, so the table is len(a)·len(b) cells only when the band
+// is unconstrained — and it is reserved for final, user-facing results
+// (the engine computes paths only for the matches it returns). Empty input
+// returns (+Inf, nil).
 func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return math.Inf(1), nil
 	}
 	w := EffectiveBand(n, m, band)
-	inf := math.Inf(1)
-
-	dp := make([]float64, n*m)
-	for i := range dp {
-		dp[i] = inf
-	}
+	t := bandTable{w: w, stride: min(2*w+1, m)}
+	t.dp = make([]float64, n*t.stride)
 	for i := 0; i < n; i++ {
 		lo := i - w
 		if lo < 0 {
@@ -99,6 +97,7 @@ func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 		if hi > m-1 {
 			hi = m - 1
 		}
+		row := t.dp[i*t.stride-lo : i*t.stride-lo+hi+1] // row[j] is cell (i, j)
 		ai := a[i]
 		for j := lo; j <= hi; j++ {
 			d := ai - b[j]
@@ -106,26 +105,26 @@ func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 				d = -d
 			}
 			if i == 0 && j == 0 {
-				dp[0] = d
+				row[0] = d
 				continue
 			}
-			best := inf
+			best := math.Inf(1)
 			if i > 0 {
-				if v := dp[(i-1)*m+j]; v < best {
+				if v := t.at(i-1, j); v < best {
 					best = v
 				}
 				if j > 0 {
-					if v := dp[(i-1)*m+j-1]; v < best {
+					if v := t.at(i-1, j-1); v < best {
 						best = v
 					}
 				}
 			}
-			if j > 0 {
-				if v := dp[i*m+j-1]; v < best {
+			if j > lo {
+				if v := row[j-1]; v < best {
 					best = v
 				}
 			}
-			dp[i*m+j] = best + d
+			row[j] = best + d
 		}
 	}
 
@@ -134,6 +133,7 @@ func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 	// step moves: when no predecessor is below +Inf (NaN costs, or sums that
 	// overflowed) the in-bounds diagonal, then up, then left is taken, so
 	// the path still ends at {0,0} after at most n+m-1 steps.
+	inf := math.Inf(1)
 	path := make(WarpPath, 0, n+m)
 	i, j := n-1, m-1
 	for {
@@ -149,17 +149,17 @@ func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 			bi, bj = i-1, j
 		}
 		if i > 0 && j > 0 {
-			if v := dp[(i-1)*m+j-1]; v < best {
+			if v := t.at(i-1, j-1); v < best {
 				bi, bj, best = i-1, j-1, v
 			}
 		}
 		if i > 0 {
-			if v := dp[(i-1)*m+j]; v < best {
+			if v := t.at(i-1, j); v < best {
 				bi, bj, best = i-1, j, v
 			}
 		}
 		if j > 0 {
-			if v := dp[i*m+j-1]; v < best {
+			if v := t.at(i, j-1); v < best {
 				bi, bj, best = i, j-1, v
 			}
 		}
@@ -169,5 +169,26 @@ func DTWPath(a, b []float64, band int) (float64, WarpPath) {
 	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
 		path[l], path[r] = path[r], path[l]
 	}
-	return dp[n*m-1], path
+	return t.at(n-1, m-1), path
+}
+
+// bandTable is DTWPath's DP table: row i stores the cells (i, j) of its
+// band window, max(0, i-w) <= j <= i+w (and j < len(b)), from offset
+// i·stride.
+type bandTable struct {
+	dp        []float64
+	w, stride int
+}
+
+// at returns cell (i, j), or +Inf outside row i's band window, which the
+// dynamic program never writes and a full table would hold as +Inf.
+func (t *bandTable) at(i, j int) float64 {
+	lo := i - t.w
+	if lo < 0 {
+		lo = 0
+	}
+	if j < lo || j > i+t.w {
+		return math.Inf(1)
+	}
+	return t.dp[i*t.stride+j-lo]
 }
