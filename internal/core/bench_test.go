@@ -104,11 +104,26 @@ func (bb *benchBase) engine(tb testing.TB) *Engine {
 	return bb.e
 }
 
+// benchOptions are the bench queries' options: band 4, length-normalized.
+var benchOptions = Options{Band: 4, LengthNorm: true}
+
+// rangeQueries returns one range query per bench query, at the score of
+// its exact nth best match, capped at k (0 = uncapped).
+func (bb *benchBase) rangeQueries(tb testing.TB, nth, k int) []FindOptions {
+	e := bb.engine(tb)
+	out := make([]FindOptions, len(bb.queries))
+	for i, q := range bb.queries {
+		out[i] = FindOptions{Options: benchOptions, K: k, Range: true, MaxDist: kthScore(tb, e, q, nth, benchOptions)}
+	}
+	return out
+}
+
 func benchmarkFind(b *testing.B, mode Mode) {
 	for _, bb := range benchBases {
 		b.Run(bb.name, func(b *testing.B) {
 			e := bb.engine(b)
-			fo := FindOptions{Options: Options{Band: 4, Mode: mode, LengthNorm: true}, K: 5}
+			fo := FindOptions{Options: benchOptions, K: 5}
+			fo.Mode = mode
 			var dtws int
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -131,6 +146,37 @@ func BenchmarkFindApprox(b *testing.B) { benchmarkFind(b, ModeApprox) }
 // BenchmarkFindExact is BenchmarkFindApprox in exact mode.
 func BenchmarkFindExact(b *testing.B) { benchmarkFind(b, ModeExact) }
 
+// BenchmarkFindRange times one range query on the bench bases: uncapped at
+// each query's exact 50th best score, and capped at K = 5 at its 500th
+// best, where it should cost about what exact top-5 does. dtws/op is as in
+// BenchmarkFindApprox.
+func BenchmarkFindRange(b *testing.B) {
+	for _, bb := range benchBases {
+		b.Run(bb.name, func(b *testing.B) {
+			e := bb.engine(b)
+			for _, rc := range []struct {
+				name   string
+				nth, k int
+			}{{"uncapped", 50, 0}, {"capped", 500, 5}} {
+				fos := bb.rangeQueries(b, rc.nth, rc.k)
+				b.Run(rc.name, func(b *testing.B) {
+					var dtws int
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := e.Find(context.Background(), bb.queries[i%len(bb.queries)], fos[i%len(fos)])
+						if err != nil {
+							b.Fatal(err)
+						}
+						dtws += res.Stats.DTWs()
+					}
+					b.ReportMetric(float64(dtws)/float64(b.N), "dtws/op")
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkFindClients measures query throughput under concurrent clients:
 // b.RunParallel runs one client per GOMAXPROCS, so -cpu 1,2 prints one
 // client next to two. Each client issues the bench bases' top-5 queries
@@ -140,7 +186,8 @@ func BenchmarkFindClients(b *testing.B) {
 		for _, bb := range benchBases {
 			b.Run(mode.String()+"/"+bb.name, func(b *testing.B) {
 				e := bb.engine(b)
-				fo := FindOptions{Options: Options{Band: 4, Mode: mode, LengthNorm: true}, K: 5}
+				fo := FindOptions{Options: benchOptions, K: 5}
+				fo.Mode = mode
 				var next atomic.Int64
 				b.ReportAllocs()
 				b.ResetTimer()

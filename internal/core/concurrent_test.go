@@ -32,7 +32,7 @@ func TestConcurrentReaders(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := within(e, q, RangeOptions{MaxDist: 0.5, Limit: 5}); err != nil {
+				if _, err := within(e, q, FindOptions{MaxDist: 0.5, K: 5}); err != nil {
 					errs <- err
 					return
 				}

@@ -251,9 +251,11 @@ func TestConstrainedFallbackBounded(t *testing.T) {
 	}
 
 	var st SearchStats
-	ms, err := e.search(context.Background(), probe[0:8], 3,
-		QueryConstraints{ExcludeSeries: map[int]bool{0: true}},
-		Options{Band: -1, Mode: ModeApprox, LengthNorm: true}, &st, nil)
+	ms, err := e.search(context.Background(), probe[0:8], FindOptions{
+		Options:     Options{Band: -1, Mode: ModeApprox, LengthNorm: true},
+		K:           3,
+		Constraints: QueryConstraints{ExcludeSeries: map[int]bool{0: true}},
+	}, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,11 +68,11 @@ func bestMatch(e *Engine, q []float64, c QueryConstraints) (Match, error) {
 	return ms[0], nil
 }
 
-// within runs one range Find under the engine's own options.
-func within(e *Engine, q []float64, ro RangeOptions) ([]Match, error) {
-	res, err := e.Find(context.Background(), q, FindOptions{
-		Options: e.Options(), Range: true, MaxDist: ro.MaxDist, K: ro.Limit, Constraints: ro.Constraints,
-	})
+// within runs one range Find of fo's MaxDist, K and Constraints under the
+// engine's own options.
+func within(e *Engine, q []float64, fo FindOptions) ([]Match, error) {
+	fo.Options, fo.Range = e.Options(), true
+	res, err := e.Find(context.Background(), q, fo)
 	return res.Matches, err
 }
 
@@ -159,7 +159,7 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := bestMatch(e, []float64{1}, QueryConstraints{}); err == nil {
 		t.Fatal("length-1 query accepted")
 	}
-	if _, err := e.search(context.Background(), []float64{1, 2, 3}, 0, QueryConstraints{}, e.Options(), nil, nil); err == nil {
+	if _, err := e.search(context.Background(), []float64{1, 2, 3}, FindOptions{Options: e.Options()}, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	if _, err := bestMatch(e, []float64{1, 2, 3},

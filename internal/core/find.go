@@ -12,10 +12,13 @@ type FindOptions struct {
 	Options
 	// K requests the top-K matches in best-match mode (values < 1 are
 	// treated as 1). In range mode K caps the number of returned matches
-	// (0 = unlimited), mirroring RangeOptions.Limit.
+	// (values < 1 mean unlimited): the walk keeps the K best within
+	// MaxDist and, once it holds K, prunes against the K-th best.
 	K int
 	// Range switches from top-K to within-threshold semantics: return
-	// every candidate whose score is at most MaxDist.
+	// every candidate whose score is at most MaxDist, best first. It runs
+	// the exact walk whatever Mode says, with MaxDist as a fixed ceiling
+	// and no approximate phase (search.go kbestRange).
 	Range bool
 	// MaxDist is the inclusive score threshold for range mode.
 	MaxDist float64
@@ -44,20 +47,11 @@ type FindResult struct {
 // ctxCheckStride members inside a group — so long exact-mode scans abort
 // promptly with ctx.Err().
 func (e *Engine) Find(ctx context.Context, q []float64, fo FindOptions) (FindResult, error) {
+	if !fo.Range {
+		fo.K = max(fo.K, 1)
+	}
 	var st SearchStats
-	if fo.Range {
-		ms, err := e.withinThreshold(ctx, q, RangeOptions{
-			MaxDist:     fo.MaxDist,
-			Constraints: fo.Constraints,
-			Limit:       fo.K,
-		}, fo.Options, &st)
-		return FindResult{Matches: ms, Stats: st}, err
-	}
-	k := fo.K
-	if k < 1 {
-		k = 1
-	}
-	ms, err := e.search(ctx, q, k, fo.Constraints, fo.Options, &st, fo.Progress)
+	ms, err := e.search(ctx, q, fo, &st)
 	return FindResult{Matches: ms, Stats: st}, err
 }
 

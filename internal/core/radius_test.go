@@ -291,47 +291,69 @@ func transferRuleDTWs(e *Engine, q []float64, maxDist float64, opts Options) (re
 }
 
 // TestWithinThresholdRadiusZeroSkipsRepDTW pins range's radius-zero rule
-// by its counts: on an all-singleton base, a range query at the exact 5th
-// best score runs no representative DTW. Against the transfer-bound rule
-// (transferRuleDTWs), every member DTW it runs stands in for a
+// by its counts: a range query at the exact 5th best score runs no
+// representative DTW. On an all-singleton base, against the transfer-bound
+// rule (transferRuleDTWs), every member DTW it runs stands in for a
 // representative DTW that rule runs on the same values: a group whose
 // member passes LB_Keogh also passes LB_Keogh less HalfST. It can run a
 // few more member DTWs than that rule, on members whose representative
-// DTW the transfer bound would have abandoned.
+// DTW the transfer bound would have abandoned. On the compact bench base,
+// whose groups have many members, it runs no more DTWs in all than that
+// rule: the transfer bound's representative DTWs save no member DTW there.
 func TestWithinThresholdRadiusZeroSkipsRepDTW(t *testing.T) {
 	ctx := context.Background()
 	d, e := singletonWorld(t)
-	var got, ref [2]int // representative, member DTWs
-	for qi, oq := range oracleQueries(d, 1, 16, 24) {
-		for _, band := range []int{-1, 0, 3} {
-			for _, ln := range []bool{false, true} {
-				label := fmt.Sprintf("query %d band %d norm %v", qi, band, ln)
-				opts := Options{Band: band, Mode: ModeExact, LengthNorm: ln}
-				top, err := e.Find(ctx, oq.q, FindOptions{Options: opts, K: 5})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				maxDist := top.Matches[len(top.Matches)-1].Score
-				res, err := e.Find(ctx, oq.q, FindOptions{Options: opts, Range: true, MaxDist: maxDist})
+	compact := benchBases[0]
+	type rangeBase struct {
+		name      string
+		e         *Engine
+		queries   [][]float64
+		opts      []Options
+		singleton bool
+	}
+	var singletonQueries [][]float64
+	for _, oq := range oracleQueries(d, 1, 16, 24) {
+		singletonQueries = append(singletonQueries, oq.q)
+	}
+	var singletonOpts []Options
+	for _, band := range []int{-1, 0, 3} {
+		for _, ln := range []bool{false, true} {
+			singletonOpts = append(singletonOpts, Options{Band: band, LengthNorm: ln})
+		}
+	}
+	for _, rb := range []rangeBase{
+		{"singleton", e, singletonQueries, singletonOpts, true},
+		{compact.name, compact.engine(t), compact.queries, []Options{benchOptions}, false},
+	} {
+		var got, ref [2]int // representative, member DTWs
+		for qi, q := range rb.queries {
+			for _, opts := range rb.opts {
+				label := fmt.Sprintf("%s query %d band %d norm %v", rb.name, qi, opts.Band, opts.LengthNorm)
+				maxDist := kthScore(t, rb.e, q, 5, opts)
+				res, err := rb.e.Find(ctx, q, FindOptions{Options: opts, Range: true, MaxDist: maxDist})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				if len(res.Matches) < 5 {
 					t.Fatalf("%s: range at the 5th best score returned %d matches", label, len(res.Matches))
 				}
-				rep, member := transferRuleDTWs(e, oq.q, maxDist, opts)
+				rep, member := transferRuleDTWs(rb.e, q, maxDist, opts)
 				got[0], got[1] = got[0]+res.Stats.RepDTW, got[1]+res.Stats.MemberDTW
 				ref[0], ref[1] = ref[0]+rep, ref[1]+member
-				if res.Stats.RepDTW != 0 || res.Stats.MemberDTW > rep {
+				limit := rep + member
+				if rb.singleton {
+					limit = rep
+				}
+				if res.Stats.RepDTW != 0 || res.Stats.MemberDTW > limit {
 					t.Fatalf("%s: %d representative and %d member DTWs; the transfer-bound rule runs %d and %d",
 						label, res.Stats.RepDTW, res.Stats.MemberDTW, rep, member)
 				}
 			}
 		}
-	}
-	t.Logf("representative, member DTWs: %v; the transfer-bound rule %v", got, ref)
-	if ref[0] == 0 {
-		t.Fatal("the transfer-bound rule ran no representative DTW: the test proves nothing")
+		t.Logf("%s: representative, member DTWs: %v; the transfer-bound rule %v", rb.name, got, ref)
+		if ref[0] == 0 {
+			t.Fatalf("%s: the transfer-bound rule ran no representative DTW: the test proves nothing", rb.name)
+		}
 	}
 }
 

@@ -3,19 +3,21 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/grouping"
 	"repro/internal/ts"
 )
 
 func TestWithinThresholdBasics(t *testing.T) {
 	d, e := newTestWorld(t, 5, 30, 0.1, 5, 10, ModeApprox, -1)
 	q := d.Series[1].Values[4:11]
-	ms, err := within(e, q, RangeOptions{MaxDist: 0.5})
+	ms, err := within(e, q, FindOptions{MaxDist: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,49 +44,214 @@ func TestWithinThresholdBasics(t *testing.T) {
 	}
 }
 
-// Range results must be exactly the brute-force set under the same
-// threshold: certified group skipping must never lose a qualifying member.
-func TestPropertyWithinThresholdComplete(t *testing.T) {
-	d, e := newTestWorld(t, 4, 24, 0.08, 4, 8, ModeApprox, 3)
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 8; trial++ {
-		qlen := 4 + rng.Intn(5)
-		q := make([]float64, qlen)
-		v := rng.Float64()
-		for i := range q {
-			v += rng.NormFloat64() * 0.1
-			q[i] = v
+// rangeWorld is one base of the range oracle plus its queries.
+type rangeWorld struct {
+	name    string
+	d       *ts.Dataset
+	e       *Engine
+	queries []oracleQuery
+}
+
+// rangeWorlds returns the range oracle's bases: the compacting walk base
+// and its ×1e6 raw-unit copy, the all-singleton base, the streamed
+// radius-zero base queried on lightly perturbed windows of its streamed
+// walk, and a small mixed base queried with random walks.
+func rangeWorlds(t *testing.T) []rangeWorld {
+	var out []rangeWorld
+	for _, scale := range []float64{1, 1e6} {
+		d, e := walkWorld(t, scale)
+		out = append(out, rangeWorld{fmt.Sprintf("walk x%g", scale), d, e, oracleQueries(d, scale, 6, 16)})
+	}
+	d, e := singletonWorld(t)
+	out = append(out, rangeWorld{"singleton", d, e, oracleQueries(d, 1, 16, 24)})
+
+	d, e = streamedRadiusWorld(t, 0.012, 0.03)
+	rng := rand.New(rand.NewSource(71))
+	walk := d.IndexOf("walk")
+	var streamed []oracleQuery
+	for i := 0; i < 4; i++ {
+		l := 9 + rng.Intn(3)
+		src := ts.SubSeq{Series: walk, Start: rng.Intn(d.Series[walk].Len() - l + 1), Length: l}
+		q := append([]float64(nil), src.Values(d)...)
+		for j := range q {
+			q[j] += rng.NormFloat64() * 0.001
 		}
-		maxDist := 0.3 + rng.Float64()*1.0
-		got, err := within(e, q, RangeOptions{MaxDist: maxDist})
+		streamed = append(streamed, oracleQuery{q: q, src: src})
+	}
+	out = append(out, rangeWorld{"streamed radius-zero", d, e, streamed})
+
+	d, e = newTestWorld(t, 4, 24, 0.08, 4, 8, ModeApprox, 3)
+	rng = rand.New(rand.NewSource(31))
+	var walks []oracleQuery
+	for i := 0; i < 8; i++ {
+		q, v := make([]float64, 4+rng.Intn(5)), rng.Float64()
+		for j := range q {
+			v += rng.NormFloat64() * 0.1
+			q[j] = v
+		}
+		walks = append(walks, oracleQuery{q: q})
+	}
+	return append(out, rangeWorld{"mixed", d, e, walks})
+}
+
+// TestPropertyWithinThresholdComplete is the differential oracle of range
+// mode: a range query returns brute force's windows scoring within
+// MaxDist, best first, refs exact and distances and scores to 1e-9 — the
+// first K of them when K > 0. Certified group skipping must never lose a
+// qualifying member, and the sink must hold none beyond MaxDist. It runs
+// K in {0, 1, 5} at MaxDist equal to the oracle's 3rd and 8th best score,
+// so a K = 5 sink runs both unfilled and full, at bands -1/0/3, LengthNorm
+// on and off, with and without an overlap exclusion, on every base of
+// rangeWorlds. The calls ask for approx mode, which range ignores. Every
+// answer reports no representative DTW, and GroupsLBPruned +
+// GroupsRefined = Groups.
+func TestPropertyWithinThresholdComplete(t *testing.T) {
+	ctx := context.Background()
+	for _, w := range rangeWorlds(t) {
+		b := w.e.Base()
+		for qi, oq := range w.queries {
+			for _, band := range []int{-1, 0, 3} {
+				raw := bruteScan(w.d, oq.q, band, b.MinLength, b.MaxLength)
+				for _, ln := range []bool{false, true} {
+					opts := Options{Band: band, LengthNorm: ln}
+					for _, exclude := range []bool{false, true} {
+						var c QueryConstraints
+						if exclude {
+							c.ExcludeOverlap = oq.src
+						}
+						var all []Match // every window c admits, best first
+						for ref, dd := range raw {
+							if !c.excludes(ref) {
+								all = append(all, Match{Ref: ref, Dist: dd, Score: dd / opts.norm(len(oq.q), ref.Length)})
+							}
+						}
+						sort.Slice(all, func(i, j int) bool { return matchBefore(all[i], all[j]) })
+						for _, nth := range []int{3, 8} {
+							maxDist := all[nth-1].Score
+							in := sort.Search(len(all), func(i int) bool { return all[i].Score > maxDist })
+							for _, k := range []int{0, 1, 5} {
+								label := fmt.Sprintf("%s query %d band %d norm %v exclude %v max %dth k %d",
+									w.name, qi, band, ln, exclude, nth, k)
+								want := all[:in]
+								if k > 0 && k < in {
+									want = want[:k]
+								}
+								res, err := w.e.Find(ctx, oq.q, FindOptions{Options: opts, K: k, Range: true, MaxDist: maxDist, Constraints: c})
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								sameRange(t, label, res.Matches, want)
+								st := res.Stats
+								if st.RepDTW != 0 || st.GroupsLBPruned+st.GroupsRefined != st.Groups {
+									t.Fatalf("%s: %d representative DTWs; pruned %d + refined %d, groups %d",
+										label, st.RepDTW, st.GroupsLBPruned, st.GroupsRefined, st.Groups)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameRange checks a range answer against the oracle's: the same refs in
+// the same order, distances and scores to 1e-9.
+func sameRange(t *testing.T, label string, got, want []Match) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matches, brute force has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Ref != want[i].Ref || !closeTo(got[i].Dist, want[i].Dist) || !closeTo(got[i].Score, want[i].Score) {
+			t.Fatalf("%s: match %d is %v at %g (score %g), brute force %v at %g (score %g)", label, i,
+				got[i].Ref, got[i].Dist, got[i].Score, want[i].Ref, want[i].Dist, want[i].Score)
+		}
+	}
+}
+
+// TestWithinThresholdInclusiveAtGroupBound pins the inclusive threshold at
+// the group bound. At band 0, where LB_Keogh equals DTW, a radius-zero
+// group's bound is its member's raw distance d; under LengthNorm a range
+// query at MaxDist = d/n must keep it, and a bound abandoned at the
+// product MaxDist*n, which rounds below d when (d/n)·n < d, skips it. The
+// constant-zero query of length 11 is at distance 15, the window's sum,
+// from the base's one window.
+func TestWithinThresholdInclusiveAtGroupBound(t *testing.T) {
+	const n, sum = 11, 15
+	if raw, norm := float64(sum), float64(n); raw/norm*norm >= raw {
+		t.Fatalf("(%g/%g)*%g does not round below %g", raw, norm, norm, raw)
+	}
+	d := ts.NewDataset("inclusive")
+	d.MustAdd(ts.NewSeries("a", []float64{1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 1}))
+	b, err := grouping.Build(d, grouping.Options{ST: 0.2, MinLength: n, MaxLength: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(d, b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs := b.GroupsOfLength(n); len(gs) != 1 || !e.radiusZero(gs[0]) {
+		t.Fatal("the base is not one radius-zero group")
+	}
+	q := make([]float64, n)
+	maxDist := float64(sum) / n
+	for _, k := range []int{0, 1} {
+		res, err := e.Find(context.Background(), q, FindOptions{
+			Options: Options{Band: 0, LengthNorm: true}, K: k, Range: true, MaxDist: maxDist,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Oracle: scan every window; engine has LengthNorm off so
-		// Score == raw DTW.
-		oracle := bruteScan(d, q, 3, 4, 8)
-		wantSet := map[ts.SubSeq]float64{}
-		for ref, dd := range oracle {
-			if dd <= maxDist+1e-12 {
-				wantSet[ref] = dd
-			}
+		if len(res.Matches) != 1 || res.Matches[0].Dist != sum {
+			t.Fatalf("k %d: range at MaxDist %g returned %+v, want the window at distance %d", k, maxDist, res.Matches, sum)
 		}
-		gotSet := map[ts.SubSeq]float64{}
-		for _, m := range got {
-			gotSet[m.Ref] = m.Dist
-		}
-		if len(gotSet) != len(wantSet) {
-			t.Fatalf("trial %d: range returned %d matches, oracle has %d (maxDist %g)",
-				trial, len(gotSet), len(wantSet), maxDist)
-		}
-		for ref, dd := range wantSet {
-			gd, ok := gotSet[ref]
-			if !ok {
-				t.Fatalf("trial %d: missing qualifying member %v (dist %g)", trial, ref, dd)
+	}
+}
+
+// kthScore returns the score of q's k-th best match: an exact top-k query
+// under opts.
+func kthScore(tb testing.TB, e *Engine, q []float64, k int, opts Options) float64 {
+	tb.Helper()
+	opts.Mode = ModeExact
+	res, err := e.Find(context.Background(), q, FindOptions{Options: opts, K: k})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Matches[len(res.Matches)-1].Score
+}
+
+// TestWithinThresholdCappedDTWs pins what a capped range query costs: on
+// both bench bases, a range query capped at K = 5 with MaxDist at the exact
+// 500th best score returns exact top-5's matches and runs at most 1.2 times
+// its DTWs over the bench queries. A capped query that refines every group
+// within MaxDist and truncates afterwards runs over 20 times as many on the
+// compact base.
+func TestWithinThresholdCappedDTWs(t *testing.T) {
+	ctx := context.Background()
+	for _, bb := range benchBases {
+		e := bb.engine(t)
+		top := FindOptions{Options: benchOptions, K: 5}
+		top.Mode = ModeExact
+		capped, exact := 0, 0
+		for qi, fo := range bb.rangeQueries(t, 500, 5) {
+			q := bb.queries[qi]
+			want, err := e.Find(ctx, q, top)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if math.Abs(gd-dd) > 1e-9 {
-				t.Fatalf("trial %d: distance mismatch for %v: %g vs %g", trial, ref, gd, dd)
+			got, err := e.Find(ctx, q, fo)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameRange(t, fmt.Sprintf("%s query %d", bb.name, qi), got.Matches, want.Matches)
+			capped += got.Stats.DTWs()
+			exact += want.Stats.DTWs()
+		}
+		t.Logf("%s: capped range %d DTWs, exact top-5 %d", bb.name, capped, exact)
+		if 5*capped > 6*exact {
+			t.Fatalf("%s: capped range ran %d DTWs, over 1.2 times exact top-5's %d", bb.name, capped, exact)
 		}
 	}
 }
@@ -108,7 +275,7 @@ func TestWithinThresholdOptions(t *testing.T) {
 	q := d.Series[0].Values[0:6]
 
 	// Limit honored.
-	limited, err := within(e, q, RangeOptions{MaxDist: 10, Limit: 3})
+	limited, err := within(e, q, FindOptions{MaxDist: 10, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +283,7 @@ func TestWithinThresholdOptions(t *testing.T) {
 		t.Fatalf("limit ignored: %d results", len(limited))
 	}
 	// Constraints honored.
-	constrained, err := within(e, q, RangeOptions{
+	constrained, err := within(e, q, FindOptions{
 		MaxDist:     10,
 		Constraints: QueryConstraints{MinLength: 6, MaxLength: 6},
 	})
@@ -129,7 +296,7 @@ func TestWithinThresholdOptions(t *testing.T) {
 		}
 	}
 	// Zero threshold returns only exact-zero matches.
-	zero, err := within(e, q, RangeOptions{MaxDist: 0})
+	zero, err := within(e, q, FindOptions{MaxDist: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +306,13 @@ func TestWithinThresholdOptions(t *testing.T) {
 		}
 	}
 	// Errors.
-	if _, err := within(e, []float64{1}, RangeOptions{MaxDist: 1}); err == nil {
+	if _, err := within(e, []float64{1}, FindOptions{MaxDist: 1}); err == nil {
 		t.Fatal("short query accepted")
 	}
-	if _, err := within(e, q, RangeOptions{MaxDist: -1}); err == nil {
+	if _, err := within(e, q, FindOptions{MaxDist: -1}); err == nil {
 		t.Fatal("negative threshold accepted")
 	}
-	if _, err := within(e, q, RangeOptions{
+	if _, err := within(e, q, FindOptions{
 		MaxDist:     1,
 		Constraints: QueryConstraints{MinLength: 999, MaxLength: 999},
 	}); err != ErrNoMatch {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/dist"
 	"repro/internal/grouping"
@@ -41,18 +42,23 @@ func (c QueryConstraints) excludes(ref ts.SubSeq) bool {
 	return false
 }
 
-// search is the shared top-k entry point: it validates the query, resolves
-// candidate lengths, and dispatches on the per-call mode. It honours ctx
-// cancellation between pruning rounds (per group and per member batch) and
-// returns ctx.Err() when the caller gave up. progress, when non-nil,
-// receives pipeline snapshots in exact mode (see stream.go); approx-mode
-// calls never invoke it — the approximate answer is the whole result.
-func (e *Engine) search(ctx context.Context, q []float64, k int, c QueryConstraints, opts Options, st *SearchStats, progress ProgressFunc) ([]Match, error) {
+// search is the one entry point of every similarity query: it validates
+// the query, pins the dataset, resolves candidate lengths and takes a pooled
+// walk state, then runs the walk fo asks for. A range query runs the exact
+// walk against a fixed ceiling (kbestRange); a top-k query dispatches on the
+// per-call mode. It honours ctx cancellation between pruning rounds (per
+// group and per member batch) and returns ctx.Err() when the caller gave
+// up. fo.Progress, when non-nil, receives pipeline snapshots in exact mode
+// (see stream.go); approx-mode and range calls never invoke it.
+func (e *Engine) search(ctx context.Context, q []float64, fo FindOptions, st *SearchStats) ([]Match, error) {
 	if err := checkQuery(q); err != nil {
 		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k = %d must be >= 1", k)
+	switch {
+	case fo.Range && !(fo.MaxDist >= 0):
+		return nil, fmt.Errorf("core: range: MaxDist %g must be non-negative", fo.MaxDist)
+	case !fo.Range && fo.K < 1:
+		return nil, fmt.Errorf("core: k = %d must be >= 1", fo.K)
 	}
 	// Pin mmap-backed values for the whole walk (no-op for heap datasets):
 	// the backing mapping cannot be released while the search dereferences
@@ -62,7 +68,7 @@ func (e *Engine) search(ctx context.Context, q []float64, k int, c QueryConstrai
 		return nil, fmt.Errorf("core: search: %w", err)
 	}
 	defer release()
-	lengths := e.candidateLengths(c)
+	lengths := e.candidateLengths(fo.Constraints)
 	if len(lengths) == 0 {
 		return nil, ErrNoMatch
 	}
@@ -70,11 +76,13 @@ func (e *Engine) search(ctx context.Context, q []float64, k int, c QueryConstrai
 	// an error, cancellation or a panicking progress sink.
 	ws := getWalkState()
 	defer ws.release()
-	switch opts.Mode {
-	case ModeExact:
-		return e.kbestExact(ctx, ws, q, k, c, lengths, opts, st, progress)
+	switch {
+	case fo.Range:
+		return e.kbestRange(ctx, ws, q, max(fo.K, 0), fo.MaxDist, fo.Constraints, lengths, fo.Options, st)
+	case fo.Mode == ModeExact:
+		return e.kbestExact(ctx, ws, q, fo.K, fo.Constraints, lengths, fo.Options, st, fo.Progress)
 	default:
-		return e.kbestApprox(ctx, ws, q, k, c, lengths, opts, st)
+		return e.kbestApprox(ctx, ws, q, fo.K, fo.Constraints, lengths, fo.Options, st)
 	}
 }
 
@@ -130,16 +138,9 @@ type lengthEnv struct {
 	qU, qL []float64
 }
 
-// lengthEnvFor computes the query envelope and constants for length l.
-func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
-	env := new(lengthEnv)
-	e.setLengthEnv(env, new(dist.Workspace), q, l, opts)
-	return env
-}
-
-// setLengthEnv is lengthEnvFor written into env: the envelope reuses env's
-// arrays and kern's deques, so a walk that keeps both across queries
-// computes it without allocating.
+// setLengthEnv computes the query envelope and constants for length l into
+// env: the envelope reuses env's arrays and kern's deques, so a walk that
+// keeps both across queries computes it without allocating.
 func (e *Engine) setLengthEnv(env *lengthEnv, kern *dist.Workspace, q []float64, l int, opts Options) {
 	qU, qL := kern.Envelope(q, l, opts.Band, env.qU, env.qL)
 	*env = lengthEnv{norm: opts.norm(len(q), l), half: e.base.HalfST(l), qU: qU, qL: qL}
@@ -393,13 +394,29 @@ func (e *Engine) kbestExact(ctx context.Context, ws *walkState, q []float64, k i
 	return final.Matches, nil
 }
 
-// boundScore is the current k-th best score (+Inf until full), the
-// member-level pruning bound.
+// kbestRange answers a range query with the exact walk: a range query is
+// incremental distance browsing stopped at a fixed radius. It keys every
+// group by LB_Kim as the top-k walk does, skips the browse, and runs
+// finishExact, with no progress sink, against a sink whose ceiling is
+// maxDist: k = 0 collects every match within it, and k > 0 keeps the k best,
+// pruning against min(maxDist, k-th best). No representative DTW runs. The
+// matches are best first, with paths; an empty answer is not an error.
+// The walk runs in ws.
+func (e *Engine) kbestRange(ctx context.Context, ws *walkState, q []float64, k int, maxDist float64, c QueryConstraints, lengths []int, opts Options, st *SearchStats) ([]Match, error) {
+	w := e.keyWalk(ws, q, newTopK(k, maxDist), c, lengths, opts, st)
+	if err := w.finishExact(ctx, nil); err != nil {
+		return nil, err
+	}
+	return e.finishMatches(q, w.top.sorted(), opts), nil
+}
+
+// boundScore is the walk's pruning bound: the k-th best score once k
+// matches are held, the ceiling until then (+Inf for a top-k query).
 func (t *topK) boundScore() float64 {
 	if t.full() {
 		return t.worst().Score
 	}
-	return math.Inf(1)
+	return t.ceiling
 }
 
 // refineGroup is the browse's member scan: it scans the members of g, the
@@ -450,7 +467,7 @@ func (w *progressiveWalk) refineGroup(ctx context.Context, g *grouping.Group, en
 }
 
 // scanGroups runs fn over every job in order and collects the accepted
-// results, polling ctx before each job. It is the shared scan of the range,
+// results, polling ctx before each job. It is the shared scan of the
 // seasonal and common-pattern walks, whose per-group work needs no
 // cross-group state.
 func scanGroups[J, R any](ctx context.Context, jobs []J, fn func(J) (R, bool, error)) ([]R, error) {
@@ -496,21 +513,37 @@ func matchBefore(a, b Match) bool {
 	return a.Ref.Length < b.Ref.Length
 }
 
-// topK accumulates the k best matches seen, deduplicating by Ref.
+// topK is the walk's sink: it accumulates the k best matches seen whose
+// score is at most ceiling (+Inf for a top-k query), deduplicating by Ref.
+// k = 0 collects every match within the ceiling, unsorted until sorted: a
+// range query's bound never tightens, and the walk scores each member at
+// most once, so it needs neither the dedup scan nor the insertion shift,
+// which would make a large collection quadratic.
 type topK struct {
-	k  int
-	ms []Match
+	k       int
+	ceiling float64
+	ms      []Match
 }
 
-func newTopK(k int) *topK { return &topK{k: k} }
+func newTopK(k int, ceiling float64) *topK { return &topK{k: k, ceiling: ceiling} }
 
 func (t *topK) len() int   { return len(t.ms) }
-func (t *topK) full() bool { return len(t.ms) >= t.k }
+func (t *topK) full() bool { return t.k > 0 && len(t.ms) >= t.k }
 func (t *topK) worst() Match {
 	return t.ms[len(t.ms)-1]
 }
 
+// offer keeps m if it scores within the ceiling and among the k best. The
+// ceiling is checked here, not left to the kernel: an early-abandoning DTW
+// can return a finite distance above its bound.
 func (t *topK) offer(m Match) {
+	if m.Score > t.ceiling {
+		return
+	}
+	if t.k == 0 {
+		t.ms = append(t.ms, m)
+		return
+	}
 	for i := range t.ms {
 		if t.ms[i].Ref == m.Ref {
 			if m.Score < t.ms[i].Score {
@@ -542,7 +575,11 @@ func (t *topK) restore() {
 	}
 }
 
+// sorted returns a copy of the matches, best first.
 func (t *topK) sorted() []Match {
+	if t.k == 0 {
+		sort.Slice(t.ms, func(i, j int) bool { return matchBefore(t.ms[i], t.ms[j]) })
+	}
 	out := make([]Match, len(t.ms))
 	copy(out, t.ms)
 	return out

@@ -11,13 +11,16 @@ import (
 )
 
 // Progressive refinement: the top-k search restructured as a resumable
-// pipeline with an event sink. One walk serves both entry points:
+// pipeline with an event sink. One walk serves three entry points:
 //
 //   - Find (exact mode) drives the pipeline to completion and returns the
 //     final answer — the one-shot spelling.
 //   - Find with FindOptions.Progress set emits a Snapshot at every
 //     emission boundary, so callers (onex.DB.Stream, the NDJSON endpoint)
 //     can show the analyst an answer that refines while the walk runs.
+//   - Find with FindOptions.Range set, and the similarity sweep, skip the
+//     approximate phase and run the exact continuation against a fixed
+//     ceiling, MaxDist (search.go kbestRange), emitting nothing.
 //
 // The emission boundaries are the points where the search has a coherent
 // intermediate answer:
@@ -86,11 +89,11 @@ const exactWave = 16
 // from the search goroutine; blocking in the sink blocks the walk.
 type ProgressFunc func(Snapshot)
 
-// walkState holds the arrays of one top-k walk, sized by the candidate
-// groups: search takes one from walkStates per query, runs kbestApprox or
-// kbestExact in it and returns it when the query ends, so a query allocates
-// no per-group array once the pool is warm. Every array is re-initialized
-// by the step that uses it (startWalk, browse, moveToFront).
+// walkState holds the arrays of one walk, sized by the candidate groups:
+// search takes one from walkStates per query, runs kbestApprox, kbestExact
+// or kbestRange in it and returns it when the query ends, so a query
+// allocates no per-group array once the pool is warm. Every array is
+// re-initialized by the step that uses it (keyWalk, browse, moveToFront).
 type walkState struct {
 	// slots holds one entry per candidate length with groups, ascending;
 	// repCandidate.slot indexes it.
@@ -149,14 +152,13 @@ func (ws *walkState) at(c repCandidate) (*grouping.Group, *lengthEnv, GroupRef) 
 	return s.groups[c.idx], s.env, GroupRef{Length: s.length, Index: int(c.idx)}
 }
 
-// progressiveWalk is the resumable state of one top-k search: the candidate
+// progressiveWalk is the resumable state of one search: the candidate
 // groups (in its walkState), the accumulator, and how far the member-level
-// walk has advanced. The approximate phase produces it; the exact
-// continuation consumes it.
+// walk has advanced. The approximate phase produces it, or keyWalk alone
+// for a range query; the exact continuation consumes it.
 type progressiveWalk struct {
 	e    *Engine
 	q    []float64
-	k    int
 	c    QueryConstraints
 	opts Options
 	st   *SearchStats
@@ -178,12 +180,21 @@ type progressiveWalk struct {
 // candidate groups with the paper's cutoff — in ws and returns the
 // resumable state, which lives until ws is released. The accumulator
 // content equals the approx-mode answer when it returns.
-//
-// It keys every group by LB_Kim without dereferencing it: the key comes
-// from q's endpoints and the length's endpoint table
-// (grouping.LengthGroups.Ends), bit for bit dist.LBKim(q, g.Rep), and the
-// candidates are written into ws's reused pointer-free array.
 func (e *Engine) startWalk(ctx context.Context, ws *walkState, q []float64, k int, c QueryConstraints, lengths []int, opts Options, st *SearchStats) (*progressiveWalk, error) {
+	w := e.keyWalk(ws, q, newTopK(k, math.Inf(1)), c, lengths, opts, st)
+	if err := w.browse(ctx); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// keyWalk starts a walk in ws that offers its matches to top, with every
+// candidate group unrefined. It keys every group by LB_Kim without
+// dereferencing it: the key comes from q's endpoints and the length's
+// endpoint table (grouping.LengthGroups.Ends), bit for bit
+// dist.LBKim(q, g.Rep), and the candidates are written into ws's reused
+// pointer-free array.
+func (e *Engine) keyWalk(ws *walkState, q []float64, top *topK, c QueryConstraints, lengths []int, opts Options, st *SearchStats) *progressiveWalk {
 	ws.slots = ws.slots[:0]
 	n := 0
 	for _, l := range lengths {
@@ -215,11 +226,7 @@ func (e *Engine) startWalk(ctx context.Context, ws *walkState, q []float64, k in
 	if st != nil {
 		st.Groups += len(cands)
 	}
-	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: st, walkState: ws, top: newTopK(k)}
-	if err := w.browse(ctx); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return &progressiveWalk{e: e, q: q, c: c, opts: opts, st: st, walkState: ws, top: top}
 }
 
 // The levels of a browse key (repCandidate.lower), each a lower bound on the
@@ -264,7 +271,7 @@ func (w *progressiveWalk) browse(ctx context.Context) error {
 	w.level = resize(w.level, len(cands))
 	level := w.level
 	clear(level)
-	kth := newKthTracker(w.k)
+	kth := newKthTracker(w.top.k)
 	buckets, heap := &w.buckets, &w.heap
 	buckets.reset(cands)
 	heap.reset(cands, level)
@@ -436,12 +443,16 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 }
 
 // finishExact resumes the walk to a certified-exact answer. It bounds every
-// group the approximate phase left unrefined (boundTail), then scores the
+// group the approximate phase left unrefined (boundTail) — every group, for
+// a range query, which has no approximate phase — then scores the
 // survivors' members best-first across groups — incremental distance
 // browsing (Hjaltason and Samet, TODS 1999) one level below the browse's —
 // so a member's DTW runs only once no other member can have a lower bound,
-// against a k-th best as tight as the walk can have by then. Each step
-// takes the least key of three ordered sources (on a tie, the first):
+// against a k-th best as tight as the walk can have by then. The bound
+// throughout is the sink's (topK.boundScore): the k-th best once it holds
+// k matches, and until then its ceiling, +Inf for a top-k query and
+// MaxDist for a range query. Each step takes the least key of three
+// ordered sources (on a tie, the first):
 //
 //  1. The sorted tail's head, keyed by its certified bound: expand
 //     counts the group refined, keeps its members that pass LB_Kim and
@@ -454,7 +465,7 @@ func (w *progressiveWalk) snapshot(final bool) Snapshot {
 //
 // Every queued key is at least the key popped to queue it, so keys are
 // popped in ascending order, and the walk stops at the first one above
-// the k-th best: every member left is bounded above it. The unexpanded
+// the bound: every member left is bounded above it. The unexpanded
 // tail is then certified-skipped. After every exactWave groupQ pops, and
 // after the last step, emit (when non-nil) receives a snapshot.
 func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) error {
@@ -501,7 +512,7 @@ func (w *progressiveWalk) finishExact(ctx context.Context, emit ProgressFunc) er
 				closeWave()
 			}
 		default:
-			w.scoreMember()
+			w.scoreMember(w.memberQ.pop())
 		}
 	}
 	// Every group left provably cannot improve the top-k.
@@ -554,7 +565,9 @@ func (w *progressiveWalk) expand(ctx context.Context) error {
 
 // queueMembers takes groupQ's head group and queues each member it kept
 // whose LB_Kim and LB_Keogh pass the current k-th best, keyed by
-// max(LB_Kim, LB_Keogh)/norm raised to the group's key.
+// max(LB_Kim, LB_Keogh)/norm raised to the group's key. A sink with k = 0
+// (a range query's) has a bound that never tightens, so the order cannot
+// change which members get a DTW: each survivor is scored at once.
 func (w *progressiveWalk) queueMembers(ctx context.Context) error {
 	ge := w.groupQ.pop()
 	g, env, _ := w.at(w.cands[ge.cand])
@@ -577,15 +590,19 @@ func (w *progressiveWalk) queueMembers(ctx context.Context) error {
 		if lb > ub {
 			continue
 		}
-		w.memberQ.push(walkEntry{key: max(max(kim, lb)/env.norm, ge.key), cand: ge.cand, member: mi})
+		me := walkEntry{key: max(max(kim, lb)/env.norm, ge.key), cand: ge.cand, member: mi}
+		if w.top.k == 0 {
+			w.scoreMember(me)
+			continue
+		}
+		w.memberQ.push(me)
 	}
 	return nil
 }
 
-// scoreMember takes memberQ's head member and offers its early-abandoning
-// DTW, run on the walk's rows against the current k-th best, to the top-k.
-func (w *progressiveWalk) scoreMember() {
-	me := w.memberQ.pop()
+// scoreMember offers the early-abandoning DTW of member me, run on the
+// walk's rows against the current k-th best, to the top-k.
+func (w *progressiveWalk) scoreMember(me walkEntry) {
 	g, env, ref := w.at(w.cands[me.cand])
 	m := g.Members[me.member]
 	mv := m.Values(w.e.ds)
@@ -669,15 +686,20 @@ func (h *entryHeap) pop() walkEntry {
 }
 
 // boundTail sets the certified lower bound of every unrefined candidate,
-// which depends only on the query and the approximate answer. A
+// which depends only on the query and the bound the walk has reached: the
+// k-th best after the approximate phase, or a range query's ceiling. A
 // radius-zero group, told by its stored bit without reading the dataset
-// (radiusZero), keeps its browse key: LB_Kim, LB_Keogh, the
-// representative's score or the float just above a bound it failed, each
-// at most its member's score, and above the cutoff, or the browse would
-// have refined it. Every other group gets groupLower. Groups whose bound
-// already exceeds the k-th best move in front of the tail as
-// certified-skipped — counted once, here — and the survivors are sorted by
-// (bound, length, index).
+// (radiusZero), keeps its key when the key is above the bound: LB_Kim,
+// LB_Keogh, the representative's score or the float just above a bound it
+// failed, each at most its member's score. After the browse every
+// unrefined key is above the cutoff, or the browse would have refined the
+// group; a range query, which has no browse, bounds a radius-zero group
+// whose LB_Kim key is within its ceiling by groupLower with radius 0. Every
+// other group gets groupLower with radius HalfST(l). groupLower abandons
+// at rawBound of the bound, so a member scoring exactly a range query's
+// ceiling is kept. Groups whose bound already exceeds it move in front of
+// the tail as certified-skipped — counted once, here — and the survivors
+// are sorted by (bound, length, index).
 func (w *progressiveWalk) boundTail(ctx context.Context) error {
 	worst := w.top.boundScore()
 	tail := w.cands[w.refined:]
@@ -688,9 +710,15 @@ func (w *progressiveWalk) boundTail(ctx context.Context) error {
 			}
 		}
 		cand := &tail[i]
-		if g, env, _ := w.at(*cand); !w.e.radiusZero(g) {
-			cand.lower = groupLower(g, env, env.half, worst*env.norm) / env.norm
+		g, env, _ := w.at(*cand)
+		r := env.half
+		if w.e.radiusZero(g) {
+			if cand.lower > worst {
+				continue
+			}
+			r = 0
 		}
+		cand.lower = groupLower(g, env, r, w.raw.of(worst, env.norm)) / env.norm
 	}
 	// Partition with two cursors, swapping only a survivor that sits before
 	// a skipped candidate: survivors are few, so few candidates move.

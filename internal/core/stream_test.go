@@ -354,7 +354,7 @@ func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options
 	var st SearchStats
 	cands := eagerCandidates(e, q, c, opts)
 	st.Groups, st.RepDTW = len(cands), len(cands)
-	w := &progressiveWalk{e: e, q: q, k: k, c: c, opts: opts, st: &st, walkState: new(walkState), top: newTopK(k)}
+	w := &progressiveWalk{e: e, q: q, c: c, opts: opts, st: &st, walkState: new(walkState), top: newTopK(k, math.Inf(1))}
 	for _, cand := range cands {
 		if w.top.full() && cand.lower > w.top.worst().Score {
 			break
@@ -365,6 +365,14 @@ func eagerApprox(e *Engine, q []float64, k int, c QueryConstraints, opts Options
 	}
 	st.GroupsLBPruned = st.Groups - st.GroupsRefined
 	return w.top.sorted(), st, nil
+}
+
+// lengthEnvFor computes the query envelope and constants for length l in
+// fresh arrays.
+func (e *Engine) lengthEnvFor(q []float64, l int, opts Options) *lengthEnv {
+	env := new(lengthEnv)
+	e.setLengthEnv(env, new(dist.Workspace), q, l, opts)
+	return env
 }
 
 // singletonWorld builds an all-singleton base — min-max normalized

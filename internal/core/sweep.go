@@ -18,11 +18,12 @@ type SweepPoint struct {
 // sequences for varying parameters"). The curve lets the analyst pick a
 // threshold by seeing where the match population jumps. Thresholds are
 // evaluated against the largest value, then counted per step, so the cost
-// is one range scan, not len(thresholds). That scan checks the context
-// once per group and every ctxCheckStride members, so a cancelled sweep
-// aborts within one pruning round with ctx.Err(). callOpts overrides the
-// engine's Band (the scan is always certified regardless of Mode); st,
-// when non-nil, accumulates the range scan's search statistics.
+// is one range query, not len(thresholds): the exact walk with the largest
+// threshold as its ceiling and no cap. It checks the context once per
+// group and every ctxCheckStride members, so a cancelled sweep aborts
+// within one pruning round with ctx.Err(). callOpts overrides the engine's
+// Band (the walk is always certified regardless of Mode); st, when
+// non-nil, accumulates the range query's search statistics.
 func (e *Engine) SimilaritySweepContext(ctx context.Context, q []float64, thresholds []float64, c QueryConstraints, callOpts Options, st *SearchStats) ([]SweepPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -37,7 +38,7 @@ func (e *Engine) SimilaritySweepContext(ctx context.Context, q []float64, thresh
 	if maxT < 0 {
 		return nil, fmt.Errorf("core: SimilaritySweep: negative thresholds")
 	}
-	ms, err := e.withinThreshold(ctx, q, RangeOptions{MaxDist: maxT, Constraints: c}, callOpts, st)
+	ms, err := e.search(ctx, q, FindOptions{Options: callOpts, Range: true, MaxDist: maxT, Constraints: c}, st)
 	if err != nil {
 		return nil, err
 	}
@@ -62,12 +63,13 @@ type SearchStats struct {
 	// Groups is the number of candidate groups considered.
 	Groups int
 	// GroupsLBPruned is how many groups were skipped without a member
-	// scan, each counted once. Top-k, approx and exact mode alike: every
-	// group the walk did not refine — past the approximate cutoff, or
-	// certified-skipped by its envelope bound (stream.go groupLower) or,
-	// on a radius-zero group, its browse key — so GroupsLBPruned +
-	// GroupsRefined = Groups. Range: the groups the envelope bound (radius
-	// 0 on a radius-zero group) or the threshold slack skipped.
+	// scan, each counted once: every group the walk did not refine, so
+	// GroupsLBPruned + GroupsRefined = Groups in every mode. Top-k: past
+	// the approximate cutoff, or certified-skipped by its envelope bound
+	// (stream.go groupLower) or, on a radius-zero group, its browse key.
+	// Range, which has no approximate phase: the groups the envelope bound
+	// (radius 0 on a radius-zero group) or LB_Kim put above the ceiling,
+	// and those the walk stopped before expanding.
 	GroupsLBPruned int
 	// RepDTW is the number of representative DTW evaluations started.
 	RepDTW int

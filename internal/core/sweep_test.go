@@ -33,7 +33,7 @@ func TestSimilaritySweepMonotone(t *testing.T) {
 	}
 	// Each point must agree with a direct range query.
 	for _, p := range pts[:2] {
-		ms, err := within(e, q, RangeOptions{MaxDist: p.MaxDist})
+		ms, err := within(e, q, FindOptions{MaxDist: p.MaxDist})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestSimilaritySweepCountsMatchRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ms, err := within(e, oq.q, RangeOptions{MaxDist: th, Constraints: c})
+			ms, err := within(e, oq.q, FindOptions{MaxDist: th, Constraints: c})
 			if err != nil && !errors.Is(err, ErrNoMatch) {
 				t.Fatal(err)
 			}

@@ -79,7 +79,8 @@ type Analysis struct {
 	// required there), in the same normalized per-point units as Config.ST.
 	Thresholds []float64 `json:"thresholds,omitempty"`
 	// Mode overrides the DB's search mode for this call. Sweeps always run
-	// the certified range scan and echo ModeExact, mirroring range queries.
+	// one range query on the exact walk and echo ModeExact, mirroring range
+	// queries.
 	Mode QueryMode `json:"mode,omitempty"`
 	// Band overrides the DB's Sakoe-Chiba width for this call (0 =
 	// inherit, negative = unconstrained). Only sweeps run DTW.
@@ -343,7 +344,7 @@ func (db *DB) Analyze(ctx context.Context, a Analysis) (AnalysisResult, error) {
 			return AnalysisResult{}, err
 		}
 		db.resolveLengths(&eff.Lengths)
-		eff.Mode = ModeExact // sweeps run the certified range scan
+		eff.Mode = ModeExact // sweeps run one range query on the exact walk
 		pts, err := db.engine.SimilaritySweepContext(ctx, qvec, a.Thresholds,
 			core.QueryConstraints{MinLength: eff.Lengths.Min, MaxLength: eff.Lengths.Max},
 			core.Options{Band: band, Mode: mode, LengthNorm: true}, &st)

@@ -81,7 +81,9 @@ type Query struct {
 	// Window selects a window of a loaded series as the query.
 	Window Window `json:"window,omitzero"`
 	// K requests the top-K matches (default 1). In range mode (MaxDist >
-	// 0) it caps the result count instead (0 = unlimited).
+	// 0) it caps the result count instead (0 = unlimited): the search
+	// keeps the K best within MaxDist and prunes against the K-th best
+	// once it holds K, so a capped range query costs about what top-K does.
 	K int `json:"k,omitempty"`
 	// MaxDist, when positive, switches to range semantics: return every
 	// candidate whose distance is at most MaxDist (same units as
@@ -93,9 +95,9 @@ type Query struct {
 	// Lengths bounds candidate lengths; zero means the full indexed range.
 	Lengths Lengths `json:"lengths,omitzero"`
 	// Mode overrides the DB's search mode for this query. Range queries
-	// (MaxDist > 0) always run the certified scan regardless — the result
-	// set is provably complete within MaxDist — and echo ModeExact in the
-	// resolved query.
+	// (MaxDist > 0) always run the exact walk with MaxDist as its ceiling
+	// regardless — the result set is provably complete within MaxDist —
+	// and echo ModeExact in the resolved query.
 	Mode QueryMode `json:"mode,omitempty"`
 	// Band overrides the DB's Sakoe-Chiba width for this query (0 =
 	// inherit, negative = unconstrained).
@@ -113,9 +115,10 @@ type QueryStats struct {
 	// Groups is the number of candidate groups considered.
 	Groups int `json:"groups"`
 	// GroupsPruned counts groups dropped without a member scan: by lower
-	// bounds, an abandoned representative DTW, or (exact and range) the
-	// representative's certified envelope bound. Disjoint from
-	// GroupsRefined; for a top-K query the two sum to Groups.
+	// bounds, an abandoned representative DTW, (exact and range) the
+	// representative's certified envelope bound, or (range) a search that
+	// stopped before reaching them. Disjoint from GroupsRefined; the two
+	// sum to Groups. Range queries run no representative DTW.
 	GroupsPruned int `json:"groups_pruned"`
 	// GroupsRefined counts groups whose members were scanned.
 	GroupsRefined int `json:"groups_refined"`
@@ -213,7 +216,7 @@ func (db *DB) resolveQuery(q Query) (resolvedQuery, error) {
 		return resolvedQuery{}, fmt.Errorf("onex: Find: unknown mode %q (want %q or %q)", q.Mode, ModeApprox, ModeExact)
 	}
 	if mode == core.ModeExact || rangeMode {
-		// Range scans are certified-exact whatever mode was requested;
+		// Range queries run the exact walk whatever mode was requested;
 		// echo what actually runs.
 		eff.Mode = ModeExact
 	} else {

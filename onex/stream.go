@@ -131,7 +131,7 @@ func (x *Exploration) Wait() (Result, error) {
 // finally the exact answer. Stream always refines to the certified-exact
 // result regardless of Query.Mode (the resolved query echoes ModeExact);
 // use Find for one-shot approximate answers. Range queries (MaxDist > 0)
-// are not streamable — their certified scan has no approximate phase —
+// are not streamable — their exact walk has no approximate phase —
 // and are rejected.
 //
 // Validation errors (unknown series, contradictory fields) are returned
